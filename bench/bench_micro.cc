@@ -90,6 +90,33 @@ void BM_PsPullRows(benchmark::State& state) {
 }
 BENCHMARK(BM_PsPullRows)->Arg(256)->Arg(4096)->Arg(65536);
 
+// One pagerank.advance psFunc over N materialized nonzero delta rows: the
+// server-side fold that runs once per PageRank iteration.
+void BM_PsFuncPageRankAdvance(benchmark::State& state) {
+  PsFixture fx;
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  auto ranks = fx.ctx->CreateMatrix("bench.ranks", n, 1);
+  auto deltas = fx.ctx->CreateMatrix("bench.deltas", n, 1);
+  PSG_CHECK_OK(ranks.status());
+  PSG_CHECK_OK(deltas.status());
+  std::vector<uint64_t> keys(n);
+  for (uint64_t k = 0; k < n; ++k) keys[k] = k;
+  const std::vector<float> vals(n, 0.01f);
+  ByteBuffer args;
+  args.Write<ps::MatrixId>(deltas->id);
+  args.Write<ps::MatrixId>(ranks->id);
+  for (auto _ : state) {
+    state.PauseTiming();
+    PSG_CHECK_OK(fx.agent->PushAdd(*deltas, keys, vals));
+    state.ResumeTiming();
+    auto l1 = fx.agent->CallFuncSum("pagerank.advance", args);
+    PSG_CHECK_OK(l1.status());
+    benchmark::DoNotOptimize(*l1);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PsFuncPageRankAdvance)->Arg(4096)->Arg(65536);
+
 void BM_ShuffleReduceByKey(benchmark::State& state) {
   sim::ClusterConfig cfg;
   cfg.num_executors = 4;

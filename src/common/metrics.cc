@@ -88,10 +88,13 @@ uint64_t Histogram::BucketUpperBound(size_t i) {
   return BucketLowerBound(i + 1);
 }
 
-void Histogram::Record(uint64_t value) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+void Histogram::Record(uint64_t value) { RecordN(value, 1); }
+
+void Histogram::RecordN(uint64_t value, uint64_t n) {
+  if (n == 0) return;
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(value * n, std::memory_order_relaxed);
+  buckets_[BucketOf(value)].fetch_add(n, std::memory_order_relaxed);
   uint64_t cur = min_.load(std::memory_order_relaxed);
   while (value < cur &&
          !min_.compare_exchange_weak(cur, value,

@@ -76,6 +76,9 @@ class Histogram {
   static uint64_t BucketUpperBound(size_t i);
 
   void Record(uint64_t value);
+  /// Records `n` samples of `value` at once: the same state as `n`
+  /// Record(value) calls, for callers that batch per-row bookkeeping.
+  void RecordN(uint64_t value, uint64_t n);
 
   HistogramSnapshot Snapshot() const;
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "graph/degree.h"
+#include "graph/dense_accumulator.h"
 #include "ps/agent.h"
 
 namespace psgraph::core {
@@ -93,6 +94,9 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
   PageRankResult result;
   const int32_t E = ctx.num_executors();
   const double damp = 1.0 - opts.reset_prob;
+  // Per-executor contribution sums, drained (and reset) by each push.
+  std::vector<graph::DenseAccumulator<float>> updates(
+      E, graph::DenseAccumulator<float>(num_vertices));
 
   // On a consistent PS recovery the model rolls back to the last
   // checkpoint, so the iteration counter must roll back with it and the
@@ -120,12 +124,13 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
     // Phase 1: every executor pulls the deltas of its local sources and
     // computes contributions to destinations. Executors run concurrently
     // (RunPartitioned pins partition p to executor p % E, so updates[e]
-    // and executor e's clock are only touched by e's task).
-    std::vector<std::unordered_map<graph::VertexId, float>> updates(E);
+    // and executor e's clock are only touched by e's task). The cached
+    // neighbor tables are borrowed, not copied.
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx.dataflow(), nbr.num_partitions(), [&](int32_t p) -> Status {
           int32_t e = ctx.dataflow().ExecutorOf(p);
-          PSG_ASSIGN_OR_RETURN(auto tables, nbr.ComputePartition(p));
+          PSG_ASSIGN_OR_RETURN(auto borrowed, nbr.BorrowPartition(p));
+          const std::vector<NeighborPair>& tables = *borrowed;
           std::vector<uint64_t> keys;
           keys.reserve(tables.size());
           for (const NeighborPair& t : tables) keys.push_back(t.first);
@@ -143,7 +148,7 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
                     ? static_cast<double>(dsts.size())
                     : static_cast<double>(outdeg[tables[i].first]);
             float contrib = static_cast<float>(damp * d / degree);
-            for (graph::VertexId dst : dsts) local[dst] += contrib;
+            for (graph::VertexId dst : dsts) local.Add(dst, contrib);
             edges_processed += dsts.size();
           }
           ctx.cluster().clock().Advance(
@@ -170,18 +175,14 @@ Result<PageRankResult> PageRank(PsGraphContext& ctx,
                              static_cast<double>(active));
 
     // Phase 3: push the new contributions into the delta vector; one
-    // concurrent task per executor (index == executor id).
+    // concurrent task per executor (index == executor id). The drain
+    // sorts by destination, so every server's key list arrives ascending.
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx.dataflow(), E, [&](int32_t e) -> Status {
           if (updates[e].empty()) return Status::OK();
           std::vector<uint64_t> keys;
           std::vector<float> values;
-          keys.reserve(updates[e].size());
-          values.reserve(updates[e].size());
-          for (const auto& [dst, u] : updates[e]) {
-            keys.push_back(dst);
-            values.push_back(u);
-          }
+          updates[e].Drain(&keys, &values);
           return ctx.agent(e).PushAdd(deltas, keys, values);
         }));
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -30,6 +31,8 @@ namespace psgraph::dataflow {
 /// Storage for shuffle blocks: (shuffle id, map partition, reduce
 /// partition) -> serialized bytes. Blocks live on the *map* executor's
 /// local disk in Spark; block size is tracked so fetches can be charged.
+/// A shuffle's blocks are dropped when the lineage node that owns its
+/// writer is destroyed (nothing can recompute from them after that).
 class ShuffleService {
  public:
   void PutBlock(uint64_t shuffle_id, int32_t map_part, int32_t reduce_part,
@@ -76,7 +79,11 @@ class DataflowContext {
     return partition % num_executors();
   }
 
-  ShuffleService& shuffle() { return shuffle_; }
+  ShuffleService& shuffle() { return *shuffle_; }
+  /// Non-owning handle for shuffle writers: a writer drops its blocks on
+  /// destruction only if the service (and so this context) still lives,
+  /// which keeps a Dataset that outlives its context safe to destroy.
+  std::weak_ptr<ShuffleService> shuffle_handle() const { return shuffle_; }
   uint64_t NextShuffleId() { return next_shuffle_id_.fetch_add(1); }
 
   /// CPU accounting: charges `ops` record-operations to the executor that
@@ -110,7 +117,8 @@ class DataflowContext {
 
  private:
   sim::SimCluster* cluster_;
-  ShuffleService shuffle_;
+  std::shared_ptr<ShuffleService> shuffle_ =
+      std::make_shared<ShuffleService>();
   std::atomic<uint64_t> next_shuffle_id_{1};
   // Sized once in the constructor, never resized (atomics cannot move).
   std::vector<std::atomic<uint64_t>> executor_epochs_;

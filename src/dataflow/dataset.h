@@ -24,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -142,6 +141,15 @@ class Node {
   virtual ~Node() = default;
 
   virtual Result<std::vector<T>> Compute(int32_t partition) = 0;
+
+  /// Borrowing read of a partition: a cache shares its stored partition
+  /// instead of copying it; any other node computes a fresh one. Charges
+  /// exactly what Compute(partition) charges.
+  virtual Result<std::shared_ptr<const std::vector<T>>> Borrow(
+      int32_t partition) {
+    PSG_ASSIGN_OR_RETURN(std::vector<T> data, Compute(partition));
+    return std::make_shared<const std::vector<T>>(std::move(data));
+  }
 
   DataflowContext* ctx() const { return ctx_; }
   int32_t num_partitions() const { return num_partitions_; }
@@ -275,6 +283,8 @@ class UnionNode final : public Node<T> {
 
 /// Materializes parent partitions once per executor epoch; a killed
 /// executor's cache entries become stale and are recomputed via lineage.
+/// Each partition is held behind a shared pointer to const, so borrowed
+/// reads share it and a borrower keeps its copy alive past an eviction.
 template <typename T>
 class CacheNode final : public Node<T> {
  public:
@@ -284,6 +294,12 @@ class CacheNode final : public Node<T> {
         slots_(this->num_partitions_) {}
 
   Result<std::vector<T>> Compute(int32_t p) override {
+    PSG_ASSIGN_OR_RETURN(auto data, Borrow(p));
+    return *data;
+  }
+
+  Result<std::shared_ptr<const std::vector<T>>> Borrow(
+      int32_t p) override {
     // Per-slot lock: partitions on different executors materialize
     // concurrently; two computations of the same partition serialize so
     // the memory budget is charged once. Lock order follows the lineage
@@ -291,22 +307,18 @@ class CacheNode final : public Node<T> {
     Slot& slot = slots_[p];
     std::lock_guard<std::mutex> lock(slot.mu);
     uint64_t epoch = this->ctx_->ExecutorEpoch(this->ctx_->ExecutorOf(p));
-    if (slot.data.has_value() && slot.epoch == epoch) {
-      return *slot.data;
-    }
-    if (slot.data.has_value()) {
-      // Stale cache from before the executor died. The simulated ledger
-      // was wiped with the container, so just drop the bytes.
-      slot.data.reset();
-    }
+    if (slot.data != nullptr && slot.epoch == epoch) return slot.data;
+    // A stale entry is from before the executor died. The simulated
+    // ledger was wiped with the container, so just drop the bytes.
+    slot.data.reset();
     PSG_ASSIGN_OR_RETURN(std::vector<T> data, parent_->Compute(p));
     uint64_t bytes = JvmBytesOf(data);
     PSG_RETURN_NOT_OK(
         this->ctx_->AllocatePartitionMemory(p, bytes, "rdd cache"));
-    slot.data = std::move(data);
+    slot.data = std::make_shared<const std::vector<T>>(std::move(data));
     slot.epoch = epoch;
     slot.charged = bytes;
-    return *slot.data;
+    return slot.data;
   }
 
   /// Drops all cached partitions (Spark unpersist), releasing memory.
@@ -314,7 +326,7 @@ class CacheNode final : public Node<T> {
     for (int32_t p = 0; p < this->num_partitions_; ++p) {
       Slot& slot = slots_[p];
       std::lock_guard<std::mutex> lock(slot.mu);
-      if (slot.data.has_value()) {
+      if (slot.data != nullptr) {
         uint64_t epoch =
             this->ctx_->ExecutorEpoch(this->ctx_->ExecutorOf(p));
         if (slot.epoch == epoch) {
@@ -328,7 +340,7 @@ class CacheNode final : public Node<T> {
  private:
   struct Slot {
     std::mutex mu;
-    std::optional<std::vector<T>> data;
+    std::shared_ptr<const std::vector<T>> data;
     uint64_t epoch = 0;
     uint64_t charged = 0;
   };
@@ -352,7 +364,18 @@ class ShuffleWriter {
         parent_(std::move(parent)),
         num_reducers_(num_reducers),
         combiner_(std::move(combiner)),
-        shuffle_id_(ctx_->NextShuffleId()) {}
+        shuffle_id_(ctx_->NextShuffleId()),
+        service_(ctx_->shuffle_handle()) {}
+
+  /// Drops this shuffle's blocks: the owning lineage node is going away,
+  /// so nothing can fetch or recompute from them anymore. Fetches were
+  /// charged when the map side was written, so no simulated charge
+  /// changes. Safe after the context died (the weak handle is empty).
+  ~ShuffleWriter() {
+    if (auto service = service_.lock()) service->DropShuffle(shuffle_id_);
+  }
+  ShuffleWriter(const ShuffleWriter&) = delete;
+  ShuffleWriter& operator=(const ShuffleWriter&) = delete;
 
   uint64_t shuffle_id() const { return shuffle_id_; }
   int32_t num_map_partitions() const { return parent_->num_partitions(); }
@@ -443,6 +466,7 @@ class ShuffleWriter {
   int32_t num_reducers_;
   Combiner combiner_;
   uint64_t shuffle_id_;
+  std::weak_ptr<ShuffleService> service_;
   std::once_flag once_;
   Status map_status_;  // written inside the once-guard, read after it
 };
@@ -808,6 +832,15 @@ class Dataset {
     return node_->Compute(p);
   }
 
+  /// Borrowing read of one partition: on a Cache() handle it shares the
+  /// cached storage instead of copying it (valid for as long as the
+  /// caller holds it, even past Unpersist or an executor kill); on any
+  /// other dataset it computes the partition like ComputePartition.
+  Result<std::shared_ptr<const std::vector<T>>> BorrowPartition(
+      int32_t p) const {
+    return node_->Borrow(p);
+  }
+
   /// Materializes every partition on the driver, in partition order.
   Result<std::vector<T>> Collect() const {
     const int32_t num_parts = node_->num_partitions();
@@ -835,9 +868,9 @@ class Dataset {
     std::vector<uint64_t> sizes(num_parts, 0);
     PSG_RETURN_NOT_OK(
         RunPartitioned(ctx_, num_parts, [&](int32_t p) -> Status {
-          auto part = node_->Compute(p);
+          auto part = node_->Borrow(p);
           if (!part.ok()) return part.status();
-          sizes[p] = part->size();
+          sizes[p] = (*part)->size();
           return Status::OK();
         }));
     ctx_->StageBarrier();
@@ -850,7 +883,7 @@ class Dataset {
   Status Evaluate() const {
     PSG_RETURN_NOT_OK(RunPartitioned(
         ctx_, node_->num_partitions(),
-        [&](int32_t p) { return node_->Compute(p).status(); }));
+        [&](int32_t p) { return node_->Borrow(p).status(); }));
     ctx_->StageBarrier();
     return Status::OK();
   }

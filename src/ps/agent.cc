@@ -37,10 +37,13 @@ std::vector<std::vector<uint32_t>> PsAgent::GroupKeysByServer(
     const MatrixMeta& meta, const std::vector<uint64_t>& keys) const {
   // Sort-and-sweep grouping: one hoisted partitioner (not one per key), a
   // counting pass to pre-size each bucket exactly, then each server's
-  // index list is stable-sorted by key. Sorted per-server requests let
-  // the server walk its frozen CSR monotonically instead of restarting
-  // the binary search per key; stability keeps duplicate keys in arrival
-  // order, so the float-add order of push_add is unchanged.
+  // index list is ordered by (key, arrival index). Sorted per-server
+  // requests let the server walk its frozen CSR monotonically instead of
+  // restarting the binary search per key; the index tie-break keeps
+  // duplicate keys in arrival order (the permutation a stable sort by key
+  // gives), so the float-add order of push_add is unchanged. Sorting
+  // contiguous (key, index) pairs avoids the indirect compare, and a
+  // server whose keys already arrive ascending is not sorted at all.
   const int32_t num_servers = ctx_->num_servers();
   Partitioner part(meta.scheme, meta.num_rows, num_servers);
   std::vector<uint32_t> server_of(keys.size());
@@ -52,13 +55,23 @@ std::vector<std::vector<uint32_t>> PsAgent::GroupKeysByServer(
   }
   std::vector<std::vector<uint32_t>> by_server(num_servers);
   for (int32_t s = 0; s < num_servers; ++s) by_server[s].reserve(counts[s]);
+  std::vector<uint8_t> ascending(num_servers, 1);
   for (uint32_t i = 0; i < keys.size(); ++i) {
-    by_server[server_of[i]].push_back(i);
+    std::vector<uint32_t>& idxs = by_server[server_of[i]];
+    if (!idxs.empty() && keys[idxs.back()] > keys[i]) {
+      ascending[server_of[i]] = 0;
+    }
+    idxs.push_back(i);
   }
-  for (auto& idxs : by_server) {
-    std::stable_sort(idxs.begin(), idxs.end(), [&](uint32_t a, uint32_t b) {
-      return keys[a] < keys[b];
-    });
+  std::vector<std::pair<uint64_t, uint32_t>> order;
+  for (int32_t s = 0; s < num_servers; ++s) {
+    if (ascending[s]) continue;
+    std::vector<uint32_t>& idxs = by_server[s];
+    order.clear();
+    order.reserve(idxs.size());
+    for (uint32_t i : idxs) order.emplace_back(keys[i], i);
+    std::sort(order.begin(), order.end());
+    for (size_t j = 0; j < idxs.size(); ++j) idxs[j] = order[j].second;
   }
   return by_server;
 }

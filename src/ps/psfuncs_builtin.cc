@@ -9,6 +9,10 @@
 // Wire formats are documented per function below. All matrix pairs that a
 // function touches must share partitioning (created with the same shape
 // and scheme), so co-partitioned keys resolve on the same server.
+//
+// Functions that write rows one at a time go through PsServer::RowBatch:
+// each row is charged exactly like a one-key PushAdd/PushAssign, but the
+// clock, metrics and skew profiler are taken once per call, not per row.
 
 #include <cmath>
 #include <cstring>
@@ -31,21 +35,17 @@ Result<ByteBuffer> PageRankAdvance(PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&delta_id));
   PSG_RETURN_NOT_OK(args.Read(&ranks_id));
   PSG_ASSIGN_OR_RETURN(MatrixShard * delta, server.GetShard(delta_id));
-  PSG_ASSIGN_OR_RETURN(MatrixShard * ranks, server.GetShard(ranks_id));
+  PSG_RETURN_NOT_OK(server.GetShard(ranks_id).status());
 
   double l1 = 0.0;
-  std::vector<uint64_t> keys(1);
-  std::vector<float> value(1);
+  PsServer::RowBatch batch(&server);
   for (auto& [key, row] : delta->rows) {
-    float d = row[0];
+    const float d = row[0];
     if (d == 0.0f) continue;
     l1 += std::fabs(d);
-    keys[0] = key;
-    value[0] = d;
-    PSG_RETURN_NOT_OK(server.PushAdd(ranks_id, keys, value));
+    PSG_RETURN_NOT_OK(batch.Add(ranks_id, key, {&d, 1}));
     row[0] = 0.0f;
   }
-  (void)ranks;
   ByteBuffer resp;
   resp.Write<double>(l1);
   return resp;
@@ -117,8 +117,8 @@ Result<ByteBuffer> InitRandn(PsServer& server, ByteReader& args) {
   const MatrixMeta& meta = shard->meta;
 
   Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
-  std::vector<uint64_t> one_key(1);
   std::vector<float> row(shard->slice_cols);
+  PsServer::RowBatch batch(&server);
   for (uint64_t key = 0; key < meta.num_rows; ++key) {
     if (meta.layout == Layout::kRowPartitioned &&
         part.PartitionOf(key) != server.server_index()) {
@@ -135,8 +135,7 @@ Result<ByteBuffer> InitRandn(PsServer& server, ByteReader& args) {
     if (it != shard->rows.end()) {
       it->second = row;
     } else {
-      one_key[0] = key;
-      PSG_RETURN_NOT_OK(server.PushAssign(id, one_key, row));
+      PSG_RETURN_NOT_OK(batch.Assign(id, key, row));
     }
   }
   return ByteBuffer();
@@ -155,8 +154,8 @@ Result<ByteBuffer> InitFill(PsServer& server, ByteReader& args) {
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
   const MatrixMeta& meta = shard->meta;
   Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
-  std::vector<uint64_t> one_key(1);
   std::vector<float> row(shard->slice_cols, value);
+  PsServer::RowBatch batch(&server);
   for (uint64_t key = 0; key < meta.num_rows; ++key) {
     if (meta.layout == Layout::kRowPartitioned &&
         part.PartitionOf(key) != server.server_index()) {
@@ -166,8 +165,7 @@ Result<ByteBuffer> InitFill(PsServer& server, ByteReader& args) {
     if (it != shard->rows.end()) {
       std::fill(it->second.begin(), it->second.end(), value);
     } else {
-      one_key[0] = key;
-      PSG_RETURN_NOT_OK(server.PushAssign(id, one_key, row));
+      PSG_RETURN_NOT_OK(batch.Assign(id, key, row));
     }
   }
   return ByteBuffer();
@@ -235,14 +233,13 @@ Result<ByteBuffer> LineAdjust(PsServer& server, ByteReader& args) {
         "line.adjust: matrices are not co-partitioned");
   }
   const uint32_t w = emb->slice_cols;
-  std::vector<uint64_t> one_key(1);
   std::vector<float> zero_row(w, 0.0f);
+  PsServer::RowBatch batch(&server);
   auto ensure_row = [&](MatrixShard* shard, MatrixId id,
                         uint64_t key) -> Status {
     if (shard->rows.find(key) == shard->rows.end()) {
-      // Materialize via PushAdd of zeros so memory gets charged once.
-      one_key[0] = key;
-      PSG_RETURN_NOT_OK(server.PushAdd(id, one_key, zero_row));
+      // Materialize via a push of zeros so memory gets charged once.
+      PSG_RETURN_NOT_OK(batch.Add(id, key, zero_row));
     }
     return Status::OK();
   };
@@ -295,11 +292,11 @@ Result<ByteBuffer> AdamApply(PsServer& server, ByteReader& args) {
   std::vector<float> zeros(cols, 0.0f);
   const double bc1 = 1.0 - std::pow(beta1, t);
   const double bc2 = 1.0 - std::pow(beta2, t);
+  PsServer::RowBatch batch(&server);
   for (size_t i = 0; i < keys.size(); ++i) {
-    std::vector<uint64_t> one_key{keys[i]};
-    PSG_RETURN_NOT_OK(server.PushAdd(w_id, one_key, zeros));
-    PSG_RETURN_NOT_OK(server.PushAdd(m_id, one_key, zeros));
-    PSG_RETURN_NOT_OK(server.PushAdd(v_id, one_key, zeros));
+    PSG_RETURN_NOT_OK(batch.Add(w_id, keys[i], zeros));
+    PSG_RETURN_NOT_OK(batch.Add(m_id, keys[i], zeros));
+    PSG_RETURN_NOT_OK(batch.Add(v_id, keys[i], zeros));
     PSG_ASSIGN_OR_RETURN(MatrixShard * m, server.GetShard(m_id));
     PSG_ASSIGN_OR_RETURN(MatrixShard * v, server.GetShard(v_id));
     std::vector<float>& wr = w->rows.find(keys[i])->second;
@@ -337,10 +334,10 @@ Result<ByteBuffer> AdagradApply(PsServer& server, ByteReader& args) {
     return Status::InvalidArgument("adagrad.apply: grads size mismatch");
   }
   std::vector<float> zeros(cols, 0.0f);
+  PsServer::RowBatch batch(&server);
   for (size_t i = 0; i < keys.size(); ++i) {
-    std::vector<uint64_t> one_key{keys[i]};
-    PSG_RETURN_NOT_OK(server.PushAdd(w_id, one_key, zeros));
-    PSG_RETURN_NOT_OK(server.PushAdd(g2_id, one_key, zeros));
+    PSG_RETURN_NOT_OK(batch.Add(w_id, keys[i], zeros));
+    PSG_RETURN_NOT_OK(batch.Add(g2_id, keys[i], zeros));
     PSG_ASSIGN_OR_RETURN(MatrixShard * g2, server.GetShard(g2_id));
     std::vector<float>& wr = w->rows.find(keys[i])->second;
     std::vector<float>& sr = g2->rows.find(keys[i])->second;

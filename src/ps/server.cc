@@ -197,7 +197,8 @@ Status PsServer::PushAdd(MatrixId id, std::span<const uint64_t> keys,
         "push_add: values size " + std::to_string(values.size()) +
         " != keys*cols " + std::to_string(keys.size() * shard->slice_cols));
   }
-  PSG_RETURN_NOT_OK(ApplyAddRows(shard, keys, values));
+  ChargeCompute(values.size() / 4 + keys.size());
+  PSG_RETURN_NOT_OK(ApplyRows(shard, keys, values, /*add=*/true));
   skew().RecordKeyAccess(server_index_, /*is_pull=*/false, keys);
   metrics().Add("ps.rows_pushed", keys.size());
   metrics().Add(pushed_counter_name_, keys.size());
@@ -207,16 +208,15 @@ Status PsServer::PushAdd(MatrixId id, std::span<const uint64_t> keys,
   return Status::OK();
 }
 
-Status PsServer::ApplyAddRows(MatrixShard* shard,
-                              std::span<const uint64_t> keys,
-                              std::span<const float> values) {
+Status PsServer::ApplyRows(MatrixShard* shard,
+                           std::span<const uint64_t> keys,
+                           std::span<const float> values, bool add) {
   const uint32_t cols = shard->slice_cols;
-  ChargeCompute(values.size() / 4 + keys.size());
   const uint64_t row_bytes =
       kHashEntryOverhead + uint64_t{cols} * sizeof(float);
-  // Single-pass batched add: one hash probe per key (try_emplace covers
-  // both hit and miss) and a tight accumulate over the contiguous value
-  // slab.
+  // Single-pass batched apply: one hash probe per key (try_emplace covers
+  // both hit and miss) and a tight accumulate/copy over the contiguous
+  // value slab.
   const float* src = values.data();
   for (size_t i = 0; i < keys.size(); ++i, src += cols) {
     auto [it, inserted] = shard->rows.try_emplace(keys[i]);
@@ -227,10 +227,65 @@ Status PsServer::ApplyAddRows(MatrixShard* shard,
         return st;
       }
       shard->charged_bytes += row_bytes;
-      it->second.assign(cols, shard->meta.init_value);
+      if (add) {
+        it->second.assign(cols, shard->meta.init_value);
+      } else {
+        it->second.resize(cols);
+      }
     }
     float* dst = it->second.data();
-    for (uint32_t c = 0; c < cols; ++c) dst[c] += src[c];
+    if (add) {
+      for (uint32_t c = 0; c < cols; ++c) dst[c] += src[c];
+    } else if (cols != 0) {
+      // cols can be 0 for an empty column slice; values.data() is null
+      // then, and memcpy's pointer args must be non-null even for n=0.
+      std::memcpy(dst, src, size_t{cols} * sizeof(float));
+    }
+  }
+  return Status::OK();
+}
+
+PsServer::RowBatch::~RowBatch() {
+  PsServer& s = *server_;
+  if (ticks_ > 0) s.cluster_->clock().AdvanceTicks(s.node_, ticks_);
+  if (keys_.empty()) return;
+  s.skew().RecordKeyAccess(s.server_index_, /*is_pull=*/false, keys_);
+  s.metrics().Add("ps.rows_pushed", keys_.size());
+  s.metrics().Add(s.pushed_counter_name_, keys_.size());
+  s.metrics().GetHistogram("ps.push.keys_per_request")
+      .RecordN(1, keys_.size());
+  Histogram& service = s.metrics().GetHistogram("ps.push.service_ticks");
+  for (const auto& [ticks, n] : service_runs_) service.RecordN(ticks, n);
+}
+
+Status PsServer::RowBatch::Write(MatrixId id, uint64_t key,
+                                 std::span<const float> row, bool add) {
+  if (cached_shard_ == nullptr || id != cached_id_) {
+    PSG_ASSIGN_OR_RETURN(cached_shard_, server_->GetShard(id));
+    cached_id_ = id;
+  }
+  MatrixShard* shard = cached_shard_;
+  if (row.size() != shard->slice_cols) {
+    return Status::InvalidArgument(
+        std::string(add ? "push_add" : "push_assign") + ": values size " +
+        std::to_string(row.size()) + " != keys*cols " +
+        std::to_string(shard->slice_cols));
+  }
+  // The one-key call charges ChargeCompute(values.size() / 4 + 1) before
+  // applying, and its service bracket measures exactly that charge.
+  const int64_t row_ticks =
+      server_->cluster_ == nullptr
+          ? 0
+          : sim::SimClock::TicksOf(
+                server_->cluster_->cost().ComputeTime(row.size() / 4 + 1));
+  ticks_ += row_ticks;
+  PSG_RETURN_NOT_OK(server_->ApplyRows(shard, {&key, 1}, row, add));
+  keys_.push_back(key);
+  const uint64_t sample = static_cast<uint64_t>(row_ticks);
+  if (!service_runs_.empty() && service_runs_.back().first == sample) {
+    ++service_runs_.back().second;
+  } else {
+    service_runs_.emplace_back(sample, 1);
   }
   return Status::OK();
 }
@@ -247,7 +302,8 @@ Status PsServer::MergeRows(MatrixId id, std::span<const uint64_t> keys,
         " != keys*cols " +
         std::to_string(keys.size() * shard->slice_cols));
   }
-  PSG_RETURN_NOT_OK(ApplyAddRows(shard, keys, deltas));
+  ChargeCompute(deltas.size() / 4 + keys.size());
+  PSG_RETURN_NOT_OK(ApplyRows(shard, keys, deltas, /*add=*/true));
   // Deliberately no skew().RecordKeyAccess: replica management traffic
   // must not feed the profiler that decides what to replicate.
   metrics().Add("ps.merge.rows", keys.size());
@@ -289,28 +345,8 @@ Status PsServer::PushAssign(MatrixId id, std::span<const uint64_t> keys,
   if (values.size() != keys.size() * shard->slice_cols) {
     return Status::InvalidArgument("push_assign: bad values size");
   }
-  const uint32_t cols = shard->slice_cols;
   ChargeCompute(values.size() / 4 + keys.size());
-  const uint64_t row_bytes =
-      kHashEntryOverhead + uint64_t{cols} * sizeof(float);
-  const float* src = values.data();
-  for (size_t i = 0; i < keys.size(); ++i, src += cols) {
-    auto [it, inserted] = shard->rows.try_emplace(keys[i]);
-    if (inserted) {
-      Status st = ChargeMemory(row_bytes, "ps row");
-      if (!st.ok()) {
-        shard->rows.erase(it);
-        return st;
-      }
-      shard->charged_bytes += row_bytes;
-      it->second.resize(cols);
-    }
-    // cols can be 0 for an empty column slice; values.data() is null
-    // then, and memcpy's pointer args must be non-null even for n=0.
-    if (cols != 0) {
-      std::memcpy(it->second.data(), src, size_t{cols} * sizeof(float));
-    }
-  }
+  PSG_RETURN_NOT_OK(ApplyRows(shard, keys, values, /*add=*/false));
   skew().RecordKeyAccess(server_index_, /*is_pull=*/false, keys);
   metrics().Add("ps.rows_pushed", keys.size());
   metrics().Add(pushed_counter_name_, keys.size());

@@ -109,6 +109,46 @@ class PsServer {
   PsServer(int32_t server_index, int32_t num_servers,
            sim::SimCluster* cluster, storage::Hdfs* hdfs);
 
+  /// Batched row writes for server-side functions. A psFunc that writes
+  /// rows one at a time opens a batch and calls Add/Assign per row: each
+  /// applies exactly like a one-key PushAdd/PushAssign — same compute
+  /// ticks, memory charged at the same point (so MemoryLimitExceeded
+  /// stops at the same row, after charging that row's compute), same
+  /// float order — but the clock advance, the ps.rows_pushed counters,
+  /// the per-row ps.push.keys_per_request / ps.push.service_ticks
+  /// samples and the skew key sequence are recorded once, when the batch
+  /// is destroyed. A batch lives inside one psFunc call, under the
+  /// endpoint's serial lock, so nothing else moves this shard's clock
+  /// between its rows.
+  class RowBatch {
+   public:
+    explicit RowBatch(PsServer* server) : server_(server) {}
+    ~RowBatch();
+    RowBatch(const RowBatch&) = delete;
+    RowBatch& operator=(const RowBatch&) = delete;
+
+    /// One-key PushAdd(id, {key}, row).
+    Status Add(MatrixId id, uint64_t key, std::span<const float> row) {
+      return Write(id, key, row, /*add=*/true);
+    }
+    /// One-key PushAssign(id, {key}, row).
+    Status Assign(MatrixId id, uint64_t key, std::span<const float> row) {
+      return Write(id, key, row, /*add=*/false);
+    }
+
+   private:
+    Status Write(MatrixId id, uint64_t key, std::span<const float> row,
+                 bool add);
+
+    PsServer* server_;
+    MatrixId cached_id_ = -1;  ///< last resolved matrix (shards are stable)
+    MatrixShard* cached_shard_ = nullptr;
+    int64_t ticks_ = 0;                 ///< deferred compute charge
+    std::vector<uint64_t> keys_;        ///< applied rows, in write order
+    /// ps.push.service_ticks samples, run-length encoded (value, count).
+    std::vector<std::pair<uint64_t, uint64_t>> service_runs_;
+  };
+
   int32_t server_index() const { return server_index_; }
   int32_t num_servers() const { return num_servers_; }
   sim::NodeId node() const { return node_; }
@@ -200,11 +240,12 @@ class PsServer {
   Status ChargeMemory(uint64_t bytes, const char* what);
   void ReleaseMemory(uint64_t bytes);
   void ChargeCompute(uint64_t ops);
-  /// The shared add-apply loop of PushAdd and MergeRows: one try_emplace
-  /// probe per key, memory charged on insert, accumulate over the
-  /// contiguous value slab.
-  Status ApplyAddRows(MatrixShard* shard, std::span<const uint64_t> keys,
-                      std::span<const float> values);
+  /// The row-apply loop shared by PushAdd, PushAssign, MergeRows and
+  /// RowBatch: one try_emplace probe per key, memory charged on insert,
+  /// then accumulate (`add`) or copy over the contiguous value slab.
+  /// Charges no compute; callers charge it first.
+  Status ApplyRows(MatrixShard* shard, std::span<const uint64_t> keys,
+                   std::span<const float> values, bool add);
   static uint64_t EntryBytes(const NeighborEntry& e);
 
   /// Observability sinks: the cluster's per-context registries, or the

@@ -6,47 +6,53 @@ namespace psgraph::sim {
 
 Status MemoryAccountant::Allocate(int32_t node, uint64_t bytes,
                                   const char* what) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (usage_[node] + bytes > budgets_[node]) {
+  NodeState& n = nodes_[node];
+  std::lock_guard<std::mutex> lock(n.mu);
+  if (n.usage + bytes > n.budget) {
     return Status::MemoryLimitExceeded(
         "node " + std::to_string(node) + ": " + what + " needs " +
-        std::to_string(bytes) + " B, used " + std::to_string(usage_[node]) +
-        " of " + std::to_string(budgets_[node]) + " B");
+        std::to_string(bytes) + " B, used " + std::to_string(n.usage) +
+        " of " + std::to_string(n.budget) + " B");
   }
-  usage_[node] += bytes;
-  peak_[node] = std::max(peak_[node], usage_[node]);
+  n.usage += bytes;
+  n.peak = std::max(n.peak, n.usage);
   return Status::OK();
 }
 
 void MemoryAccountant::Release(int32_t node, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  usage_[node] -= std::min(usage_[node], bytes);
+  NodeState& n = nodes_[node];
+  std::lock_guard<std::mutex> lock(n.mu);
+  n.usage -= std::min(n.usage, bytes);
 }
 
 void MemoryAccountant::ReleaseAll(int32_t node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  usage_[node] = 0;
+  NodeState& n = nodes_[node];
+  std::lock_guard<std::mutex> lock(n.mu);
+  n.usage = 0;
 }
 
 uint64_t MemoryAccountant::Usage(int32_t node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return usage_[node];
+  const NodeState& n = nodes_[node];
+  std::lock_guard<std::mutex> lock(n.mu);
+  return n.usage;
 }
 
 uint64_t MemoryAccountant::Peak(int32_t node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_[node];
+  const NodeState& n = nodes_[node];
+  std::lock_guard<std::mutex> lock(n.mu);
+  return n.peak;
 }
 
 uint64_t MemoryAccountant::Budget(int32_t node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return budgets_[node];
+  // Set once in the constructor and never written again.
+  return nodes_[node].budget;
 }
 
 uint64_t MemoryAccountant::MaxPeak() const {
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t m = 0;
-  for (uint64_t p : peak_) m = std::max(m, p);
+  for (int32_t node = 0; node < num_nodes(); ++node) {
+    m = std::max(m, Peak(node));
+  }
   return m;
 }
 

@@ -18,15 +18,18 @@
 
 namespace psgraph::sim {
 
+/// Thread-safe with one lock per node: executors charge their own node
+/// from their own task and PS shards charge theirs under their endpoint
+/// lock, so charges to different nodes never contend.
 class MemoryAccountant {
  public:
   /// One budget per node, in bytes.
-  explicit MemoryAccountant(std::vector<uint64_t> budgets)
-      : budgets_(std::move(budgets)),
-        usage_(budgets_.size(), 0),
-        peak_(budgets_.size(), 0) {}
+  explicit MemoryAccountant(const std::vector<uint64_t>& budgets)
+      : nodes_(budgets.size()) {
+    for (size_t n = 0; n < budgets.size(); ++n) nodes_[n].budget = budgets[n];
+  }
 
-  int32_t num_nodes() const { return static_cast<int32_t>(budgets_.size()); }
+  int32_t num_nodes() const { return static_cast<int32_t>(nodes_.size()); }
 
   /// Charges `bytes` to `node`. Fails with MemoryLimitExceeded (and leaves
   /// usage unchanged) if the budget would be exceeded.
@@ -47,10 +50,16 @@ class MemoryAccountant {
   uint64_t MaxPeak() const;
 
  private:
-  mutable std::mutex mu_;
-  std::vector<uint64_t> budgets_;
-  std::vector<uint64_t> usage_;
-  std::vector<uint64_t> peak_;
+  /// Cache-line aligned so neighbouring nodes' locks do not false-share.
+  struct alignas(64) NodeState {
+    mutable std::mutex mu;
+    uint64_t budget = 0;
+    uint64_t usage = 0;
+    uint64_t peak = 0;
+  };
+  // Sized once in the constructor, never resized (NodeState holds a
+  // mutex).
+  std::vector<NodeState> nodes_;
 };
 
 }  // namespace psgraph::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/byte_buffer.h"
@@ -68,6 +67,7 @@ Result<DeltaPageRankEngine> DeltaPageRankEngine::Create(
   engine.adjacency_ = adjacency;
   engine.num_vertices_ = num_vertices;
   engine.opts_ = opts;
+  engine.merged_ = graph::DenseAccumulator<double>(num_vertices);
   PSG_ASSIGN_OR_RETURN(
       engine.ranks_,
       ctx->ps().CreateMatrix(name + ".ranks", num_vertices, 1));
@@ -183,6 +183,13 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
   const double damp = 1.0 - opts_.reset_prob;
   ps::PsAgent driver_agent(&ctx_->ps(), ctx_->cluster().config().driver());
   std::unordered_set<uint64_t> touched;
+  if (updates_.size() != static_cast<size_t>(E)) {
+    updates_.assign(static_cast<size_t>(E),
+                    graph::DenseAccumulator<float>(num_vertices_));
+  }
+  // Drop whatever an aborted earlier sweep left pending.
+  for (auto& local : updates_) local.Clear();
+  merged_.Clear();
 
   ByteBuffer advance_args;
   advance_args.Write<ps::MatrixId>(deltas_.id);
@@ -195,7 +202,6 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
 
     // Sweep phase: each executor pulls its frontier chunk's residuals
     // and (mutable) adjacency and accumulates contributions locally.
-    std::vector<std::unordered_map<uint64_t, float>> updates(E);
     std::vector<uint64_t> edges_done(E, 0);
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx_->dataflow(), E, [&](int32_t e) -> Status {
@@ -209,7 +215,7 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
           PSG_ASSIGN_OR_RETURN(
               std::vector<ps::NeighborEntry> adj,
               ctx_->agent(e).PullNeighbors(adjacency_, keys));
-          auto& local = updates[e];
+          auto& local = updates_[static_cast<size_t>(e)];
           uint64_t edges_processed = 0;
           for (size_t i = 0; i < keys.size(); ++i) {
             const double d = ds[i];
@@ -218,7 +224,7 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
             if (dsts.empty()) continue;
             const float contrib = static_cast<float>(
                 damp * d / static_cast<double>(dsts.size()));
-            for (uint64_t dst : dsts) local[dst] += contrib;
+            for (uint64_t dst : dsts) local.Add(dst, contrib);
             edges_processed += dsts.size();
           }
           edges_done[static_cast<size_t>(e)] = edges_processed;
@@ -240,18 +246,15 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
 
     // Push phase: the new residuals, sorted per executor for a stable
     // wire image and apply order.
+    std::vector<std::vector<uint64_t>> pushed_keys(E);
+    std::vector<std::vector<float>> pushed_values(E);
     PSG_RETURN_NOT_OK(dataflow::RunPartitioned(
         &ctx_->dataflow(), E, [&](int32_t e) -> Status {
-          auto& local = updates[e];
+          auto& local = updates_[static_cast<size_t>(e)];
           if (local.empty()) return Status::OK();
-          std::vector<uint64_t> keys;
-          keys.reserve(local.size());
-          for (const auto& [dst, _] : local) keys.push_back(dst);
-          std::sort(keys.begin(), keys.end());
-          std::vector<float> values;
-          values.reserve(keys.size());
-          for (uint64_t k : keys) values.push_back(local[k]);
-          return ctx_->agent(e).PushAdd(deltas_, keys, values);
+          local.Drain(&pushed_keys[e], &pushed_values[e]);
+          return ctx_->agent(e).PushAdd(deltas_, pushed_keys[e],
+                                        pushed_values[e]);
         }));
 
     // Next frontier: destinations whose RECEIVED residual is itself
@@ -264,18 +267,19 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
     // index order, so the sums are thread-count independent.
     std::vector<uint64_t> next;
     {
-      std::unordered_map<uint64_t, double> merged;
-      for (const auto& local : updates) {
-        for (const auto& [dst, v] : local) {
-          merged[dst] += static_cast<double>(v);
+      for (int32_t e = 0; e < E; ++e) {
+        for (size_t j = 0; j < pushed_keys[e].size(); ++j) {
+          merged_.Add(pushed_keys[e][j],
+                      static_cast<double>(pushed_values[e][j]));
         }
       }
-      next.reserve(merged.size());
-      for (const auto& [dst, v] : merged) {
-        if (std::fabs(v) > opts_.prune_epsilon) next.push_back(dst);
+      std::vector<uint64_t> dsts;
+      std::vector<double> sums;
+      merged_.Drain(&dsts, &sums);
+      for (size_t j = 0; j < dsts.size(); ++j) {
+        if (std::fabs(sums[j]) > opts_.prune_epsilon) next.push_back(dsts[j]);
       }
     }
-    std::sort(next.begin(), next.end());
     for (uint64_t e : edges_done) stats.edges_processed += e;
 
     ctx_->sync().IterationBarrier();
@@ -383,6 +387,7 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
           std::vector<float>& out = staged[e];
           out.resize(chunk.size() * d);
           uint64_t averaged = 0;
+          std::vector<const float*> nbr_rows;
           for (size_t i = 0; i < chunk.size(); ++i) {
             const float* self = row_of(chunk[i]);
             float* dst = out.data() + i * d;
@@ -391,9 +396,13 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
               std::copy(self, self + d, dst);
               continue;
             }
+            // Resolve each neighbor's row once, not once per column; the
+            // per-column sums still run in neighbor order (bit-identical).
+            nbr_rows.clear();
+            for (uint64_t u : nbrs) nbr_rows.push_back(row_of(u));
             for (uint32_t c = 0; c < d; ++c) {
               double mean = 0.0;
-              for (uint64_t u : nbrs) mean += row_of(u)[c];
+              for (const float* row : nbr_rows) mean += row[c];
               mean /= static_cast<double>(nbrs.size());
               dst[c] = (1.0f - opts_.alpha) * self[c] +
                        opts_.alpha * static_cast<float>(mean);

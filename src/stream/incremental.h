@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "core/psgraph_context.h"
+#include "graph/dense_accumulator.h"
 #include "graph/types.h"
 #include "ps/agent.h"
 
@@ -123,6 +124,10 @@ class DeltaPageRankEngine {
   DeltaPageRankOptions opts_;
   int64_t epoch_ = 0;
   int64_t step_ = 0;  ///< monotone convergence-row index across epochs
+  /// Sweep scratch kept across epochs, so an incremental frontier costs
+  /// its own size: per-executor contribution sums and their merge.
+  std::vector<graph::DenseAccumulator<float>> updates_;
+  graph::DenseAccumulator<double> merged_;
 };
 
 struct ReembedOptions {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -20,6 +21,7 @@
 #include "ps/agent.h"
 #include "ps/context.h"
 #include "sim/cluster.h"
+#include "sim/memory_accountant.h"
 #include "storage/hdfs.h"
 
 namespace psgraph {
@@ -307,9 +309,45 @@ TEST(ConcurrencyTest, ConcurrentPullPushHammer) {
 // per-node clocks at parallelism 1 and 8. (Model floats may differ in
 // the last ulp under concurrency — cross-executor push arrival order —
 // so ranks are compared with a tolerance; the clocks are exact.)
+TEST(ConcurrencyTest, MemoryAccountantPerNodeChargesStayExact) {
+  constexpr int32_t kNodes = 8;
+  constexpr uint64_t kCharges = 20000;
+  sim::MemoryAccountant mem(std::vector<uint64_t>(kNodes, 1ull << 40));
+  std::atomic<bool> done{false};
+  // A reader sweeps every node while the chargers run.
+  std::thread reader([&] {
+    while (!done.load()) (void)mem.MaxPeak();
+  });
+  std::vector<std::thread> chargers;
+  for (int32_t n = 0; n < kNodes; ++n) {
+    chargers.emplace_back([&mem, n] {
+      const uint64_t bytes = static_cast<uint64_t>(n) + 1;
+      for (uint64_t i = 0; i < kCharges; ++i) {
+        PSG_CHECK_OK(mem.Allocate(n, bytes, "test"));
+      }
+      for (uint64_t i = 0; i < kCharges / 2; ++i) mem.Release(n, bytes);
+    });
+  }
+  for (auto& t : chargers) t.join();
+  done.store(true);
+  reader.join();
+  for (int32_t n = 0; n < kNodes; ++n) {
+    const uint64_t bytes = static_cast<uint64_t>(n) + 1;
+    EXPECT_EQ(mem.Usage(n), bytes * kCharges / 2) << "node " << n;
+    EXPECT_EQ(mem.Peak(n), bytes * kCharges) << "node " << n;
+  }
+  EXPECT_EQ(mem.MaxPeak(), uint64_t{kNodes} * kCharges);
+}
+
 TEST(ConcurrencyTest, PageRankClocksBitIdenticalAcrossParallelism) {
   graph::EdgeList edges = graph::GenerateErdosRenyi(400, 2500, 7);
-  auto run = [&](size_t parallelism, std::vector<int64_t>* ticks) {
+  struct Run {
+    std::vector<int64_t> ticks;
+    std::vector<uint64_t> peaks;
+    HistogramSnapshot push_service;
+    std::vector<double> ranks;
+  };
+  auto run = [&](size_t parallelism) {
     ParallelismGuard guard(parallelism);
     core::PsGraphContext::Options opts;
     opts.cluster.num_executors = 3;
@@ -324,18 +362,27 @@ TEST(ConcurrencyTest, PageRankClocksBitIdenticalAcrossParallelism) {
     pr.max_iterations = 8;
     auto result = core::PageRank(**ctx, *ds, 400, pr);
     PSG_CHECK_OK(result.status());
-    for (int32_t n = 0; n < (*ctx)->cluster().config().num_nodes(); ++n) {
-      ticks->push_back((*ctx)->cluster().clock().NowTicks(n));
+    sim::SimCluster& cluster = (*ctx)->cluster();
+    Run out;
+    for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
+      out.ticks.push_back(cluster.clock().NowTicks(n));
+      out.peaks.push_back(cluster.memory().Peak(n));
     }
-    return std::move(result->ranks);
+    out.push_service =
+        cluster.metrics().HistogramSnapshots().at("ps.push.service_ticks");
+    out.ranks = std::move(result->ranks);
+    return out;
   };
-  std::vector<int64_t> seq_ticks, par_ticks;
-  std::vector<double> seq_ranks = run(1, &seq_ticks);
-  std::vector<double> par_ranks = run(8, &par_ticks);
-  ASSERT_EQ(seq_ticks, par_ticks);
-  ASSERT_EQ(seq_ranks.size(), par_ranks.size());
-  for (size_t i = 0; i < seq_ranks.size(); ++i) {
-    ASSERT_NEAR(seq_ranks[i], par_ranks[i], 1e-4) << "vertex " << i;
+  const Run seq = run(1);
+  const Run par = run(8);
+  ASSERT_EQ(seq.ticks, par.ticks);
+  EXPECT_EQ(seq.peaks, par.peaks);
+  EXPECT_EQ(seq.push_service.count, par.push_service.count);
+  EXPECT_EQ(seq.push_service.sum, par.push_service.sum);
+  EXPECT_EQ(seq.push_service.buckets, par.push_service.buckets);
+  ASSERT_EQ(seq.ranks.size(), par.ranks.size());
+  for (size_t i = 0; i < seq.ranks.size(); ++i) {
+    ASSERT_NEAR(seq.ranks[i], par.ranks[i], 1e-4) << "vertex " << i;
   }
 }
 

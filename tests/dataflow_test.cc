@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -231,6 +233,84 @@ TEST_F(DataflowTest, ExecutorFailureInvalidatesCacheViaLineage) {
   EXPECT_GT(computes, after_first);
   EXPECT_LT(computes, 2 * after_first)
       << "only the dead executor's partitions should recompute";
+}
+
+TEST_F(DataflowTest, BorrowedCacheReadsShareStorageUntilEvicted) {
+  std::vector<uint64_t> data(200);
+  std::iota(data.begin(), data.end(), 0);
+  auto ds = Dataset<uint64_t>::FromVector(&ctx_, data, 4)
+                .Map([](uint64_t& v) { return v * 3; })
+                .Cache();
+  const int32_t p = 1;
+  const sim::NodeId exec = ctx_.ExecutorOf(p);
+  auto want = ds.ComputePartition(p);
+  ASSERT_TRUE(want.ok());
+  auto a = ds.BorrowPartition(p);
+  auto b = ds.BorrowPartition(p);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(**a, *want);
+  EXPECT_EQ(a->get(), b->get()) << "cached reads must share storage";
+
+  // Executor death makes the entry stale: the next read recomputes it
+  // into fresh storage, while earlier borrowers keep the old copy.
+  ctx_.BumpExecutorEpoch(exec);
+  auto c = ds.BorrowPartition(p);
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE(c->get(), a->get());
+  EXPECT_EQ(**c, *want);
+  EXPECT_EQ(a->use_count(), 2) << "the cache must drop the stale copy";
+  EXPECT_EQ(c->use_count(), 2);
+
+  const uint64_t cached_usage = cluster_.memory().Usage(exec);
+  ds.Unpersist();
+  EXPECT_EQ(c->use_count(), 1) << "Unpersist must release the cache's copy";
+  EXPECT_LT(cluster_.memory().Usage(exec), cached_usage);
+  EXPECT_EQ(**c, *want);
+}
+
+/// A grouped dataset's partitions, sorted by key (group order within a
+/// partition follows hash-table iteration).
+std::vector<std::pair<uint64_t, std::vector<uint64_t>>> SortedGroups(
+    std::vector<std::pair<uint64_t, std::vector<uint64_t>>> groups) {
+  std::sort(groups.begin(), groups.end());
+  return groups;
+}
+
+TEST_F(DataflowTest, DroppingLastGroupByHandleFreesShuffleBlocks) {
+  std::vector<IntPair> data;
+  for (uint64_t i = 0; i < 400; ++i) data.push_back({i % 37, i});
+  auto input = Dataset<IntPair>::FromVector(&ctx_, data, 4);
+  const uint64_t before = ctx_.shuffle().TotalBytes();
+  {
+    // The cache holds the only handle on the groupBy lineage node.
+    auto cached = input.GroupByKey().Cache();
+    auto first = cached.Collect();
+    ASSERT_TRUE(first.ok());
+    EXPECT_GT(ctx_.shuffle().TotalBytes(), before);
+    // While the handle lives, a killed executor's partitions recompute
+    // from the shuffle blocks.
+    ctx_.BumpExecutorEpoch(1);
+    auto again = cached.Collect();
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(SortedGroups(*again), SortedGroups(*first));
+  }
+  EXPECT_EQ(ctx_.shuffle().TotalBytes(), before);
+}
+
+TEST(DataflowLifetimeTest, GroupByHandleMayOutliveItsContext) {
+  using Grouped = Dataset<std::pair<uint64_t, std::vector<uint64_t>>>;
+  sim::SimCluster cluster(SmallCluster());
+  std::unique_ptr<Grouped> grouped;
+  {
+    DataflowContext ctx(&cluster);
+    grouped = std::make_unique<Grouped>(
+        Dataset<IntPair>::FromVector(&ctx, {{1, 2}, {1, 3}, {4, 5}}, 2)
+            .GroupByKey());
+    ASSERT_TRUE(grouped->Count().ok());
+  }
+  // The shuffle service died with the context; destroying the last
+  // handle must not touch it.
+  grouped.reset();
 }
 
 TEST_F(DataflowTest, GroupByKeyOomWhenBudgetTiny) {

@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/metrics.h"
+#include "common/varint.h"
 #include "minitorch/nn.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
@@ -17,6 +24,7 @@
 #include "ps/server.h"
 #include "ps/sync.h"
 #include "sim/cluster.h"
+#include "sim/skew.h"
 #include "storage/hdfs.h"
 
 namespace psgraph::ps {
@@ -448,6 +456,344 @@ TEST_F(PsTest, SyncControllerBspVsAsp) {
   bsp.IterationBarrier();
   EXPECT_DOUBLE_EQ(cluster_->clock().Now(cluster_->config().executor(1)),
                    10.0);
+}
+
+// --- Batched psFunc row writes (PsServer::RowBatch) ------------------------
+
+/// One PS server on its own one-server cluster with private telemetry
+/// sinks. Charge-identity tests run a psFunc on one of these and the
+/// equivalent sequence of one-key PushAdd/PushAssign calls on another,
+/// so every charge can be compared whole.
+struct SoloServer {
+  explicit SoloServer(uint64_t server_mem = 64ull << 20) {
+    sim::ClusterConfig cfg;
+    cfg.num_executors = 1;
+    cfg.num_servers = 1;
+    cfg.server_mem_bytes = server_mem;
+    cluster = std::make_unique<sim::SimCluster>(cfg);
+    cluster->set_metrics(&metrics);
+    cluster->set_skew(&skew);
+    skew.set_key_profiling(true);
+    server = std::make_unique<PsServer>(0, 1, cluster.get(), nullptr);
+    RegisterBuiltinPsFuncs();
+  }
+
+  void Create(MatrixId id, uint64_t rows, uint32_t cols) {
+    MatrixMeta meta;
+    meta.id = id;
+    meta.name = "m" + std::to_string(id);
+    meta.num_rows = rows;
+    meta.num_cols = cols;
+    PSG_CHECK_OK(server->InitMatrix(meta));
+  }
+
+  /// Runs a registered psFunc directly on the server.
+  Status Call(const std::string& name, const ByteBuffer& args) {
+    auto fn = PsFuncRegistry::Global().Find(name);
+    if (!fn.ok()) return fn.status();
+    ByteReader reader(args);
+    return (*fn)(*server, reader).status();
+  }
+
+  bool Has(MatrixId id, uint64_t key) {
+    return (*server->GetShard(id))->FindRow(key) != nullptr;
+  }
+
+  Status Add(MatrixId id, uint64_t key, std::vector<float> row) {
+    return server->PushAdd(id, std::vector<uint64_t>{key}, row);
+  }
+  Status Assign(MatrixId id, uint64_t key, std::vector<float> row) {
+    return server->PushAssign(id, std::vector<uint64_t>{key}, row);
+  }
+
+  Metrics metrics;
+  sim::SkewProfiler skew;
+  std::unique_ptr<sim::SimCluster> cluster;
+  std::unique_ptr<PsServer> server;
+};
+
+void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
+  const sim::NodeId node = batched.server->node();
+  EXPECT_EQ(batched.cluster->clock().NowTicks(node),
+            per_row.cluster->clock().NowTicks(node));
+  EXPECT_EQ(batched.cluster->memory().Usage(node),
+            per_row.cluster->memory().Usage(node));
+  EXPECT_EQ(batched.cluster->memory().Peak(node),
+            per_row.cluster->memory().Peak(node));
+  // ps.rows_pushed and the per-server ps.server0.rows_pushed.
+  EXPECT_EQ(batched.metrics.CounterSnapshot(),
+            per_row.metrics.CounterSnapshot());
+  // ps.push.keys_per_request and ps.push.service_ticks.
+  auto hb = batched.metrics.HistogramSnapshots();
+  auto hp = per_row.metrics.HistogramSnapshots();
+  ASSERT_EQ(hb.size(), hp.size());
+  for (const auto& [name, want] : hp) {
+    ASSERT_EQ(hb.count(name), 1u) << name;
+    const HistogramSnapshot& got = hb.at(name);
+    EXPECT_EQ(got.count, want.count) << name;
+    EXPECT_EQ(got.sum, want.sum) << name;
+    EXPECT_EQ(got.min, want.min) << name;
+    EXPECT_EQ(got.max, want.max) << name;
+    EXPECT_EQ(got.buckets, want.buckets) << name;
+  }
+  // Same key sequence into the hot-key sketch.
+  auto sb = batched.skew.Snap();
+  auto sp = per_row.skew.Snap();
+  ASSERT_EQ(sb.shards.size(), sp.shards.size());
+  for (size_t i = 0; i < sp.shards.size(); ++i) {
+    EXPECT_EQ(sb.shards[i].push_keys, sp.shards[i].push_keys);
+    ASSERT_EQ(sb.shards[i].hot_keys.size(), sp.shards[i].hot_keys.size());
+    for (size_t k = 0; k < sp.shards[i].hot_keys.size(); ++k) {
+      EXPECT_EQ(sb.shards[i].hot_keys[k].key, sp.shards[i].hot_keys[k].key);
+      EXPECT_EQ(sb.shards[i].hot_keys[k].count,
+                sp.shards[i].hot_keys[k].count);
+    }
+  }
+}
+
+/// Rows of matrix `id` in ascending key order.
+std::vector<std::pair<uint64_t, std::vector<float>>> RowsOf(SoloServer& s,
+                                                            MatrixId id) {
+  std::vector<std::pair<uint64_t, std::vector<float>>> out;
+  for (const auto& [key, row] : (*s.server->GetShard(id))->rows) {
+    out.emplace_back(key, row);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PsFuncBatchTest, PageRankAdvanceChargesLikePerRowPushes) {
+  SoloServer batched, per_row;
+  for (SoloServer* s : {&batched, &per_row}) {
+    s->Create(1, 500, 1);  // deltas
+    s->Create(2, 500, 1);  // ranks
+    for (uint64_t k = 0; k < 500; k += 3) {
+      // Some zero deltas: advance skips them without a push.
+      PSG_CHECK_OK(s->Add(1, k, {k % 7 == 0 ? 0.0f : 0.01f * k}));
+    }
+    PSG_CHECK_OK(s->Add(2, 9, {1.0f}));  // one rank row already exists
+  }
+  ByteBuffer args;
+  args.Write<MatrixId>(1);
+  args.Write<MatrixId>(2);
+  ASSERT_TRUE(batched.Call("pagerank.advance", args).ok());
+  // Reference: the pre-batching loop, one PushAdd per nonzero delta.
+  MatrixShard* deltas = *per_row.server->GetShard(1);
+  for (auto& [key, row] : deltas->rows) {
+    if (row[0] == 0.0f) continue;
+    ASSERT_TRUE(per_row.Add(2, key, {row[0]}).ok());
+    row[0] = 0.0f;
+  }
+  ExpectSameCharges(batched, per_row);
+  EXPECT_EQ(RowsOf(batched, 2), RowsOf(per_row, 2));
+  EXPECT_EQ(RowsOf(batched, 1), RowsOf(per_row, 1));
+}
+
+TEST(PsFuncBatchTest, InitFillAndRandnChargeLikePerRowAssigns) {
+  for (const char* fn : {"init.fill", "init.randn"}) {
+    SCOPED_TRACE(fn);
+    SoloServer batched, per_row;
+    for (SoloServer* s : {&batched, &per_row}) {
+      s->Create(1, 300, 4);
+      // Pre-existing rows are overwritten in place, without a push.
+      PSG_CHECK_OK(s->Add(1, 17, {1, 2, 3, 4}));
+      PSG_CHECK_OK(s->Add(1, 250, {1, 2, 3, 4}));
+    }
+    ByteBuffer args;
+    args.Write<MatrixId>(1);
+    args.Write<float>(0.5f);
+    if (std::string(fn) == "init.randn") args.Write<uint64_t>(7);
+    ASSERT_TRUE(batched.Call(fn, args).ok());
+    for (uint64_t k = 0; k < 300; ++k) {
+      if (!per_row.Has(1, k)) {
+        ASSERT_TRUE(per_row.Assign(1, k, {0, 0, 0, 0}).ok());
+      }
+    }
+    ExpectSameCharges(batched, per_row);
+  }
+}
+
+TEST(PsFuncBatchTest, LineAdjustChargesLikePerRowZeroPushes) {
+  SoloServer batched, per_row;
+  // (u, c) tuples with repeats, and rows that already exist.
+  const std::vector<uint64_t> flat = {3, 4, 5, 4, 3, 9, 11, 4, 5, 5};
+  for (SoloServer* s : {&batched, &per_row}) {
+    s->Create(1, 64, 3);  // emb
+    s->Create(2, 64, 3);  // ctx
+    PSG_CHECK_OK(s->Add(1, 5, {1, 1, 1}));
+    PSG_CHECK_OK(s->Add(2, 9, {1, 1, 1}));
+  }
+  ByteBuffer args;
+  args.Write<MatrixId>(1);
+  args.Write<MatrixId>(2);
+  args.Write<float>(0.1f);
+  PutDeltaList(&args, flat);
+  args.WriteVector(std::vector<float>{1.0f, -1.0f, 0.5f, 2.0f, 1.0f});
+  ASSERT_TRUE(batched.Call("line.adjust", args).ok());
+  for (size_t p = 0; p + 1 < flat.size(); p += 2) {
+    if (!per_row.Has(1, flat[p])) {
+      ASSERT_TRUE(per_row.Add(1, flat[p], {0, 0, 0}).ok());
+    }
+    if (!per_row.Has(2, flat[p + 1])) {
+      ASSERT_TRUE(per_row.Add(2, flat[p + 1], {0, 0, 0}).ok());
+    }
+  }
+  ExpectSameCharges(batched, per_row);
+}
+
+TEST(PsFuncBatchTest, OptimizersChargeLikePerRowZeroPushes) {
+  const std::vector<uint64_t> keys = {6, 2, 6, 40};  // a duplicate key
+  const std::vector<float> grads(keys.size() * 2, 0.25f);
+  {
+    SCOPED_TRACE("adam.apply");
+    SoloServer batched, per_row;
+    for (SoloServer* s : {&batched, &per_row}) {
+      for (MatrixId id : {1, 2, 3}) s->Create(id, 64, 2);
+      PSG_CHECK_OK(s->Add(2, 2, {0.1f, 0.1f}));
+    }
+    ByteBuffer args;
+    for (MatrixId id : {1, 2, 3}) args.Write<MatrixId>(id);
+    for (float v : {0.01f, 0.9f, 0.999f, 1e-8f}) args.Write<float>(v);
+    args.Write<int32_t>(1);
+    args.WriteVector(keys);
+    args.WriteVector(grads);
+    ASSERT_TRUE(batched.Call("adam.apply", args).ok());
+    for (uint64_t k : keys) {
+      for (MatrixId id : {1, 2, 3}) {
+        ASSERT_TRUE(per_row.Add(id, k, {0, 0}).ok());
+      }
+    }
+    ExpectSameCharges(batched, per_row);
+  }
+  {
+    SCOPED_TRACE("adagrad.apply");
+    SoloServer batched, per_row;
+    for (SoloServer* s : {&batched, &per_row}) {
+      for (MatrixId id : {1, 2}) s->Create(id, 64, 2);
+    }
+    ByteBuffer args;
+    args.Write<MatrixId>(1);
+    args.Write<MatrixId>(2);
+    args.Write<float>(0.01f);
+    args.Write<float>(1e-8f);
+    args.WriteVector(keys);
+    args.WriteVector(grads);
+    ASSERT_TRUE(batched.Call("adagrad.apply", args).ok());
+    for (uint64_t k : keys) {
+      for (MatrixId id : {1, 2}) {
+        ASSERT_TRUE(per_row.Add(id, k, {0, 0}).ok());
+      }
+    }
+    ExpectSameCharges(batched, per_row);
+  }
+}
+
+TEST(PsFuncBatchTest, MidBatchMemoryLimitStopsAtTheSameRow) {
+  // Room for ~100 one-float rows (52 B each): init.fill over 1000 rows
+  // runs out partway. The failing row's compute is charged, its memory
+  // is not, and every row before it keeps its full bookkeeping.
+  SoloServer batched(5200), per_row(5200);
+  for (SoloServer* s : {&batched, &per_row}) s->Create(1, 1000, 1);
+  ByteBuffer args;
+  args.Write<MatrixId>(1);
+  args.Write<float>(0.15f);
+  Status st = batched.Call("init.fill", args);
+  EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
+  Status ref;
+  for (uint64_t k = 0; k < 1000 && ref.ok(); ++k) {
+    ref = per_row.Assign(1, k, {0.15f});
+  }
+  EXPECT_TRUE(ref.IsMemoryLimitExceeded()) << ref.ToString();
+  ExpectSameCharges(batched, per_row);
+  EXPECT_EQ(RowsOf(batched, 1), RowsOf(per_row, 1));
+  EXPECT_GT(batched.metrics.Get("ps.rows_pushed"), 0u);
+}
+
+TEST_F(PsTest, DuplicatePushKeysApplyInArrivalOrder) {
+  auto meta = ctx_->CreateMatrix("dup", 1000, 1, StorageKind::kRows,
+                                 Layout::kRowPartitioned,
+                                 PartitionScheme::kHash);
+  ASSERT_TRUE(meta.ok());
+  // Every other key on 700's server, descending, with 700's three values
+  // spread through the batch: that server's list arrives out of order
+  // and takes a full sort, not a small insertion sort.
+  Partitioner part(meta->scheme, meta->num_rows, ctx_->num_servers());
+  std::vector<uint64_t> others;
+  for (uint64_t k = 1000; k-- > 0;) {
+    if (k != 700 && part.PartitionOf(k) == part.PartitionOf(700)) {
+      others.push_back(k);
+    }
+  }
+  ASSERT_GT(others.size(), 100u);
+  // In arrival order 1e8 + 1 rounds back to 1e8, so 700 sums to 0; an
+  // order that applies 1 last gives 1.
+  const float dup[] = {1e8f, 1.0f, -1e8f};
+  std::vector<uint64_t> keys;
+  std::vector<float> values;
+  for (size_t i = 0; i < others.size(); ++i) {
+    if (i % (others.size() / 3) == 0 && i / (others.size() / 3) < 3) {
+      keys.push_back(700);
+      values.push_back(dup[i / (others.size() / 3)]);
+    }
+    keys.push_back(others[i]);
+    values.push_back(5.0f);
+  }
+  ASSERT_TRUE(agent_->PushAdd(*meta, keys, values).ok());
+  auto rows = agent_->PullRows(*meta, {700, others.front(), others.back()});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ((*rows)[0], 0.0f);
+  EXPECT_EQ((*rows)[1], 5.0f);
+  EXPECT_EQ((*rows)[2], 5.0f);
+}
+
+TEST_F(PsTest, UnsortedAndSortedPushesSendIdenticalRequests) {
+  auto meta = ctx_->CreateMatrix("wire", 5000, 2, StorageKind::kRows,
+                                 Layout::kRowPartitioned,
+                                 PartitionScheme::kHash);
+  ASSERT_TRUE(meta.ok());
+  // Swap every server's endpoint for one that records push payloads.
+  std::map<sim::NodeId, std::vector<std::vector<uint8_t>>> seen;
+  std::mutex mu;
+  for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
+    const sim::NodeId node = ctx_->ServerNode(s);
+    auto endpoint = std::make_shared<net::RpcEndpoint>();
+    endpoint->Register("ps.push_add",
+                       [&, node](const std::vector<uint8_t>& req)
+                           -> Result<ByteBuffer> {
+                         std::lock_guard<std::mutex> lock(mu);
+                         seen[node].push_back(req);
+                         return ByteBuffer();
+                       });
+    fabric_->Bind(node, endpoint);
+  }
+  Rng rng(11);
+  std::vector<uint64_t> keys;
+  std::set<uint64_t> used;
+  while (keys.size() < 300) {
+    const uint64_t k = rng.NextBounded(5000);
+    if (used.insert(k).second) keys.push_back(k);
+  }
+  std::vector<float> values;
+  for (size_t i = 0; i < keys.size() * 2; ++i) values.push_back(0.5f * i);
+  ASSERT_TRUE(agent_->PushAdd(*meta, keys, values).ok());
+  // The same rows, pre-sorted by key.
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+  std::vector<uint64_t> sorted_keys;
+  std::vector<float> sorted_values;
+  for (size_t i : order) {
+    sorted_keys.push_back(keys[i]);
+    sorted_values.push_back(values[2 * i]);
+    sorted_values.push_back(values[2 * i + 1]);
+  }
+  ASSERT_TRUE(agent_->PushAdd(*meta, sorted_keys, sorted_values).ok());
+  ASSERT_EQ(seen.size(), static_cast<size_t>(ctx_->num_servers()));
+  for (const auto& [node, reqs] : seen) {
+    ASSERT_EQ(reqs.size(), 2u) << "server node " << node;
+    EXPECT_EQ(reqs[0], reqs[1]) << "server node " << node;
+  }
 }
 
 }  // namespace
