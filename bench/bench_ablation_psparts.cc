@@ -12,9 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "common/metrics.h"
 #include "common/random.h"
-#include "common/trace.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
@@ -31,16 +29,6 @@ void RunOne(ps::PartitionScheme scheme, const char* label,
   cfg.executor_mem_bytes = 512ull << 20;
   cfg.server_mem_bytes = 512ull << 20;
   sim::SimCluster cluster(cfg);
-  // Per-run sinks so each scheme's histograms stay isolated (this bench
-  // has no PsGraphContext to own them).
-  Metrics metrics;
-  Tracer tracer;
-  tracer.set_enabled(Tracer::EnabledByEnv());
-  cluster.set_metrics(&metrics);
-  cluster.set_tracer(&tracer);
-  // Bare cluster: install an enabled sampler so the report's
-  // timeseries section is populated (no PsGraphContext here).
-  bench::ClusterTelemetry cluster_telemetry(&cluster);
   net::RpcFabric fabric(&cluster);
   ps::PsContext psctx(&cluster, &fabric, nullptr);
   PSG_CHECK_OK(psctx.Start());

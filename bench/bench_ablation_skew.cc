@@ -26,10 +26,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/metrics.h"
 #include "common/random.h"
 #include "common/rpc_telemetry.h"
-#include "common/trace.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
@@ -88,18 +86,7 @@ CellStats RunOne(bool zipfian, bool replicate, const ZipfSampler& zipf,
   cfg.executor_mem_bytes = 512ull << 20;
   cfg.server_mem_bytes = 512ull << 20;
   sim::SimCluster cluster(cfg);
-  // Per-cell sinks so each cell's counters and wire telemetry stay
-  // isolated (this bench has no PsGraphContext to own them).
-  Metrics metrics;
-  Tracer tracer;
-  tracer.set_enabled(Tracer::EnabledByEnv());
-  RpcTelemetry telemetry;
-  cluster.set_metrics(&metrics);
-  cluster.set_tracer(&tracer);
-  cluster.set_rpc_telemetry(&telemetry);
-  // Bare cluster: install an enabled sampler so the report's
-  // timeseries section is populated (no PsGraphContext here).
-  bench::ClusterTelemetry cluster_telemetry(&cluster);
+  RpcTelemetry& telemetry = cluster.rpc_telemetry();
   net::RpcFabric fabric(&cluster);
   ps::PsContext psctx(&cluster, &fabric, nullptr);
   PSG_CHECK_OK(psctx.Start());

@@ -11,11 +11,9 @@
 #include "bench/bench_util.h"
 #include "common/byte_buffer.h"
 #include "common/flat_hash.h"
-#include "common/metrics.h"
 #include "common/random.h"
 #include "common/rpc_telemetry.h"
 #include "common/thread_pool.h"
-#include "common/trace.h"
 #include "common/varint.h"
 #include "common/wire.h"
 #include "dataflow/dataset.h"
@@ -38,9 +36,6 @@ struct PsFixture {
     cfg.executor_mem_bytes = 1ull << 30;
     cfg.server_mem_bytes = 1ull << 30;
     cluster = std::make_unique<sim::SimCluster>(cfg);
-    // Bare cluster: install an enabled sampler so the report's
-    // timeseries section is populated (no PsGraphContext here).
-    telemetry = std::make_unique<bench::ClusterTelemetry>(cluster.get());
     fabric = std::make_unique<net::RpcFabric>(cluster.get());
     ctx = std::make_unique<ps::PsContext>(cluster.get(), fabric.get(),
                                           nullptr);
@@ -52,7 +47,6 @@ struct PsFixture {
     meta = *m;
   }
   std::unique_ptr<sim::SimCluster> cluster;
-  std::unique_ptr<bench::ClusterTelemetry> telemetry;
   std::unique_ptr<net::RpcFabric> fabric;
   std::unique_ptr<ps::PsContext> ctx;
   std::unique_ptr<ps::PsAgent> agent;
@@ -276,18 +270,13 @@ BENCHMARK(BM_RmatGenerate)->Arg(1 << 16)->Arg(1 << 19);
 void EmitMicroReport() {
   SetGlobalParallelism(1);
   PsFixture fx;
-  // Per-run sinks, attached after the fixture's setup traffic, so the
-  // report holds exactly the workload below.
-  Metrics metrics;
-  Tracer tracer;
-  RpcTelemetry telemetry;
-  tracer.set_enabled(Tracer::EnabledByEnv());
-  fx.cluster->set_metrics(&metrics);
-  fx.cluster->set_tracer(&tracer);
-  fx.cluster->set_rpc_telemetry(&telemetry);
-  // Re-arm the sampler against the swapped-in sinks (the fixture's own
-  // sampler still scrapes the setup-phase registry).
-  bench::ClusterTelemetry run_telemetry(fx.cluster.get());
+  // Drop the fixture's setup traffic so the report holds exactly the
+  // workload below; re-arming the sampler clears its stored points.
+  fx.cluster->metrics().Reset();
+  fx.cluster->tracer().Reset();
+  fx.cluster->rpc_telemetry().Reset();
+  MetricsSampler& sampler = fx.cluster->sampler();
+  sampler.Configure(sampler.options());
 
   const size_t kKeys = 4096;
   const int kRounds = 32;
@@ -343,7 +332,8 @@ void EmitMicroReport() {
   }
   uint64_t pull_req_bytes = 0, pull_resp_bytes = 0;
   uint64_t push_req_bytes = 0, push_resp_bytes = 0;
-  for (const RpcTelemetry::MethodStat& stat : telemetry.Snapshot()) {
+  for (const RpcTelemetry::MethodStat& stat :
+       fx.cluster->rpc_telemetry().Snapshot()) {
     if (stat.method == "ps.pull") {
       pull_req_bytes += stat.request_bytes;
       pull_resp_bytes += stat.response_bytes;

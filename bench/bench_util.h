@@ -54,38 +54,6 @@ inline std::string FormatBytes(double bytes) {
   return buf;
 }
 
-/// Enabled telemetry for benches that drive a bare sim::SimCluster
-/// (no PsGraphContext). Bare clusters default to the permanently
-/// disabled MetricsSampler::Global()/Watchdog::Global() and would
-/// report an empty "timeseries" section; constructing one of these
-/// next to the cluster installs a real sampler (PSGRAPH_TS_INTERVAL /
-/// PSGRAPH_TS_CAPACITY knobs) and a rule-less watchdog wired to the
-/// cluster's journal. Must outlive the cluster's last Poll/Capture.
-class ClusterTelemetry {
- public:
-  explicit ClusterTelemetry(sim::SimCluster* cluster) {
-    MetricsSampler::Options options;
-    options.metrics = &cluster->metrics();
-    options.rpc = &cluster->rpc_telemetry();
-    options.interval_ticks = MetricsSampler::IntervalTicksFromEnv();
-    options.capacity = MetricsSampler::CapacityFromEnv();
-    sampler_.Configure(options);
-    watchdog_ = sim::Watchdog(&sampler_.store(), &cluster->events());
-    sampler_.set_scrape_callback(
-        [this](int64_t ticks) { watchdog_.Evaluate(ticks); });
-    cluster->set_sampler(&sampler_);
-    cluster->set_watchdog(&watchdog_);
-  }
-  ClusterTelemetry(const ClusterTelemetry&) = delete;
-  ClusterTelemetry& operator=(const ClusterTelemetry&) = delete;
-
-  sim::Watchdog& watchdog() { return watchdog_; }
-
- private:
-  MetricsSampler sampler_;
-  sim::Watchdog watchdog_;
-};
-
 struct CellResult {
   bool oom = false;
   double sim_seconds = 0.0;   ///< simulated makespan on the mini dataset
@@ -137,17 +105,14 @@ class BenchReport {
   /// Snapshots `cluster`'s observability sinks and clocks into the
   /// report, replacing any earlier capture (except convergence series,
   /// which accumulate across captures — multi-cell benches tear one
-  /// context down per cell, and `series_prefix` keeps their series
-  /// apart). Null collects the process-wide registries with no cluster
-  /// section.
+  /// cluster down per cell, and `series_prefix` keeps their series
+  /// apart).
   void Capture(sim::SimCluster* cluster,
                const std::string& series_prefix = "") {
     JsonValue payload = std::move(report_.bench);
-    if (cluster != nullptr) {
-      // Close out the telemetry series at the final makespan so even a
-      // run shorter than one sample interval reports at least one point.
-      cluster->sampler().ForceSample(cluster->clock().MakespanTicks());
-    }
+    // Close out the telemetry series at the final makespan so even a
+    // run shorter than one sample interval reports at least one point.
+    cluster->sampler().ForceSample(cluster->clock().MakespanTicks());
     report_ = sim::CollectRunReport(report_.name, cluster);
     report_.bench = std::move(payload);
     for (auto& [name, series] : report_.convergence) {
@@ -160,13 +125,10 @@ class BenchReport {
     // Chrome-trace export (the report itself only carries summaries),
     // plus the journal events so the export can mark kills/restores as
     // instant events on the timeline.
-    if (cluster != nullptr) {
-      trace_spans_ = cluster->tracer().Snapshot();
-      trace_dropped_ = cluster->tracer().dropped();
-      trace_events_ = cluster->events().Snapshot();
-      trace_config_ = cluster->config();
-      trace_has_cluster_ = true;
-    }
+    trace_spans_ = cluster->tracer().Snapshot();
+    trace_dropped_ = cluster->tracer().dropped();
+    trace_events_ = cluster->events().Snapshot();
+    trace_config_ = cluster->config();
   }
 
   /// Adds one entry to the bench-specific payload.
@@ -218,19 +180,17 @@ class BenchReport {
       options.instants.push_back(
           {sim::JournalEventTypeName(e.type), e.node, e.ticks});
     }
-    if (trace_has_cluster_) {
-      const sim::ClusterConfig config = trace_config_;
-      options.process_name = [config](int32_t node) -> std::string {
-        if (config.is_executor(node)) {
-          return "executor " + std::to_string(node);
-        }
-        if (config.is_server(node)) {
-          return "server " + std::to_string(node - config.num_executors);
-        }
-        if (node == config.driver()) return "driver";
-        return node < 0 ? "(unbound)" : "node " + std::to_string(node);
-      };
-    }
+    options.process_name = [config = trace_config_](int32_t node)
+        -> std::string {
+      if (config.is_executor(node)) {
+        return "executor " + std::to_string(node);
+      }
+      if (config.is_server(node)) {
+        return "server " + std::to_string(node - config.num_executors);
+      }
+      if (node == config.driver()) return "driver";
+      return node < 0 ? "(unbound)" : "node " + std::to_string(node);
+    };
     if (trace_dropped_ > 0) {
       std::fprintf(stderr,
                    "trace export: %llu spans dropped at the cap — raise "
@@ -274,7 +234,6 @@ class BenchReport {
   std::vector<sim::JournalEvent> trace_events_;
   uint64_t trace_dropped_ = 0;
   sim::ClusterConfig trace_config_;
-  bool trace_has_cluster_ = false;
 };
 
 }  // namespace psgraph::bench

@@ -192,9 +192,4 @@ void Metrics::Reset() {
   for (auto& [_, hist] : histograms_) hist->Reset();
 }
 
-Metrics& Metrics::Global() {
-  static Metrics instance;
-  return instance;
-}
-
 }  // namespace psgraph

@@ -98,10 +98,9 @@ class Histogram {
 
 /// A registry of named counters, gauges and histograms. Thread-safe.
 ///
-/// Every PsGraphContext owns a private Metrics (installed into its
-/// SimCluster), so concurrent contexts in one process cannot
-/// cross-contaminate; Global() remains the fallback for components
-/// running without a cluster (unit tests, direct PsServer use).
+/// Every SimCluster owns one, and every component reports into its
+/// cluster's; there is no process-wide registry, so two clusters in one
+/// process cannot cross-contaminate.
 class Metrics {
  public:
   // -- Counters (monotonic) --
@@ -137,9 +136,6 @@ class Metrics {
 
   /// Clears counters and gauges, zeroes histograms in place.
   void Reset();
-
-  /// Process-wide default registry.
-  static Metrics& Global();
 
  private:
   mutable std::mutex mu_;

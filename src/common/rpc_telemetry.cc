@@ -51,9 +51,4 @@ void RpcTelemetry::Reset() {
   stats_.clear();
 }
 
-RpcTelemetry& RpcTelemetry::Global() {
-  static RpcTelemetry* instance = new RpcTelemetry();
-  return *instance;
-}
-
 }  // namespace psgraph

@@ -72,10 +72,6 @@ class RpcTelemetry {
 
   void Reset();
 
-  /// Process-wide fallback registry, used when an RpcFabric runs without
-  /// a cluster (unit tests) or a cluster without an installed sink.
-  static RpcTelemetry& Global();
-
  private:
   using Key = std::pair<std::string, int32_t>;
   mutable std::mutex mu_;

@@ -163,9 +163,4 @@ size_t MetricsSampler::CapacityFromEnv() {
   return static_cast<size_t>(EnvU64("PSGRAPH_TS_CAPACITY", 256, 4));
 }
 
-MetricsSampler& MetricsSampler::Global() {
-  static MetricsSampler* instance = new MetricsSampler();
-  return *instance;
-}
-
 }  // namespace psgraph

@@ -132,6 +132,7 @@ class MetricsSampler {
   void Configure(Options options);
 
   bool enabled() const { return options_.interval_ticks > 0; }
+  const Options& options() const { return options_; }
 
   /// Registers an extra scrape source under `name` (evaluated every
   /// point, in sorted-name order). Used for quantities that live
@@ -165,11 +166,6 @@ class MetricsSampler {
   /// disabled) converted to ticks; PSGRAPH_TS_CAPACITY (default 256).
   static int64_t IntervalTicksFromEnv();
   static size_t CapacityFromEnv();
-
-  /// Process-wide fallback: a permanently *disabled* sampler, so
-  /// clusters without an installed per-context sampler pay (almost)
-  /// nothing at the poll sites.
-  static MetricsSampler& Global();
 
  private:
   void ScrapeInto(std::map<std::string, double>* out) const;

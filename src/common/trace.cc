@@ -138,13 +138,4 @@ size_t Tracer::MaxSpansFromEnv() {
 
 bool Tracer::EnabledByEnv() { return EnvFlag("PSGRAPH_TRACE", false); }
 
-Tracer& Tracer::Global() {
-  static Tracer* instance = [] {
-    auto* t = new Tracer();
-    t->set_enabled(EnabledByEnv());
-    return t;
-  }();
-  return *instance;
-}
-
 }  // namespace psgraph

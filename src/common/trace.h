@@ -7,12 +7,12 @@
 // tracer, so a PS pull handled inside an RPC dispatch inside a
 // partition task forms a parent chain.
 //
-// Tracing is off by default (Begin() is one relaxed atomic load). The
-// global tracer enables itself when the PSGRAPH_TRACE environment
-// variable is set to a non-empty, non-"0" value; PsGraphContext-owned
-// tracers inherit that default. Span *summaries* (count/total/max per
-// name) feed the JSON run report; full span detail is capped at
-// kMaxSpans to bound memory, with a dropped-span counter kept honest.
+// Tracing is off by default (Begin() is one relaxed atomic load). Each
+// SimCluster enables its tracer when the PSGRAPH_TRACE environment
+// variable is set to a non-empty, non-"0" value. Span *summaries*
+// (count/total/max per name) feed the JSON run report; full span detail
+// is capped at kMaxSpans to bound memory, with a dropped-span counter
+// kept honest.
 
 #ifndef PSGRAPH_COMMON_TRACE_H_
 #define PSGRAPH_COMMON_TRACE_H_
@@ -104,9 +104,6 @@ class Tracer {
   }
 
   void Reset();
-
-  /// Process-wide tracer; enabled iff PSGRAPH_TRACE is set (see above).
-  static Tracer& Global();
 
   /// True when the PSGRAPH_TRACE environment variable asks for tracing.
   static bool EnabledByEnv();

@@ -10,39 +10,22 @@ Result<std::unique_ptr<PsGraphContext>> PsGraphContext::Create(
     Options options) {
   std::unique_ptr<PsGraphContext> ctx(new PsGraphContext(options));
   ctx->cluster_ = std::make_unique<sim::SimCluster>(options.cluster);
-  // Route every component's counters/spans into this context's own sinks
-  // (see metrics()/tracer()); tracing stays opt-in via PSGRAPH_TRACE.
-  ctx->tracer_.set_enabled(Tracer::EnabledByEnv());
-  ctx->cluster_->set_metrics(&ctx->metrics_);
-  ctx->cluster_->set_tracer(&ctx->tracer_);
-  ctx->cluster_->set_skew(&ctx->skew_);
-  ctx->cluster_->set_convergence(&ctx->convergence_);
-  ctx->cluster_->set_rpc_telemetry(&ctx->rpc_telemetry_);
-  ctx->cluster_->set_events(&ctx->events_);
-  // Continuous telemetry: arm the sampler from the env knobs, register
-  // the cluster-level sources that live outside the Metrics registry
-  // (aggregated, not per-node — a 121-node cluster would bloat every
-  // report), and evaluate the watchdog at every scrape boundary.
-  {
-    MetricsSampler::Options so;
-    so.metrics = &ctx->metrics_;
-    so.rpc = &ctx->rpc_telemetry_;
-    so.interval_ticks = MetricsSampler::IntervalTicksFromEnv();
-    so.capacity = MetricsSampler::CapacityFromEnv();
-    ctx->sampler_.Configure(so);
-  }
+  // The cluster's sampler scrapes its own registries; add the
+  // cluster-level sources that live outside them (aggregated, not
+  // per-node — a 121-node cluster would bloat every report).
   sim::SimCluster* cl = ctx->cluster_.get();
-  ctx->sampler_.AddSource("mem.total_usage_bytes", [cl] {
+  MetricsSampler& sampler = cl->sampler();
+  sampler.AddSource("mem.total_usage_bytes", [cl] {
     double total = 0.0;
     for (sim::NodeId n = 0; n < cl->config().num_nodes(); ++n) {
       total += static_cast<double>(cl->memory().Usage(n));
     }
     return total;
   });
-  ctx->sampler_.AddSource("mem.max_peak_bytes", [cl] {
+  sampler.AddSource("mem.max_peak_bytes", [cl] {
     return static_cast<double>(cl->memory().MaxPeak());
   });
-  ctx->sampler_.AddSource("mem.max_usage_frac", [cl] {
+  sampler.AddSource("mem.max_usage_frac", [cl] {
     double frac = 0.0;
     for (sim::NodeId n = 0; n < cl->config().num_nodes(); ++n) {
       const uint64_t budget = cl->memory().Budget(n);
@@ -52,15 +35,13 @@ Result<std::unique_ptr<PsGraphContext>> PsGraphContext::Create(
     }
     return frac;
   });
-  ctx->watchdog_ = sim::Watchdog(&ctx->sampler_.store(), &ctx->events_);
-  ctx->sampler_.set_scrape_callback(
-      [wd = &ctx->watchdog_](int64_t ticks) { wd->Evaluate(ticks); });
   // Default SLO rules — one of each form. The recovery rule watches the
   // counter HandleFailures bumps (kill and repair complete within one
   // HandleFailures call, so an RPC-error rule would never see the
   // outage); the burn-rate rule trips on a cold or freshly-swapped
   // serving cache and clears once it warms past a 50% windowed miss
   // rate (10x a 5% miss budget).
+  sim::Watchdog& watchdog = cl->watchdog();
   {
     sim::WatchdogRule r;
     r.name = "recovery_restarts";
@@ -68,7 +49,7 @@ Result<std::unique_ptr<PsGraphContext>> PsGraphContext::Create(
     r.series = "counter.recovery.nodes_restarted";
     r.threshold = 0.0;
     r.window = 4;
-    ctx->watchdog_.AddRule(r);
+    watchdog.AddRule(r);
   }
   {
     sim::WatchdogRule r;
@@ -79,7 +60,7 @@ Result<std::unique_ptr<PsGraphContext>> PsGraphContext::Create(
     r.window = 8;
     r.error_budget = 0.05;
     r.burn_threshold = 10.0;
-    ctx->watchdog_.AddRule(r);
+    watchdog.AddRule(r);
   }
   {
     sim::WatchdogRule r;
@@ -87,10 +68,8 @@ Result<std::unique_ptr<PsGraphContext>> PsGraphContext::Create(
     r.form = sim::WatchdogRuleForm::kThreshold;
     r.series = "mem.max_usage_frac";
     r.threshold = 0.9;
-    ctx->watchdog_.AddRule(r);
+    watchdog.AddRule(r);
   }
-  ctx->cluster_->set_sampler(&ctx->sampler_);
-  ctx->cluster_->set_watchdog(&ctx->watchdog_);
   ctx->hdfs_ = std::make_unique<storage::Hdfs>(ctx->cluster_.get());
   ctx->fabric_ = std::make_unique<net::RpcFabric>(ctx->cluster_.get());
   ctx->dataflow_ =
@@ -123,7 +102,7 @@ ps::ReplicationManager& PsGraphContext::replication(
 
 Result<PsGraphContext::RecoveryReport> PsGraphContext::HandleFailures(
     int64_t iteration, ps::RecoveryMode mode) {
-  events_.set_iteration(iteration);
+  cluster_->events().set_iteration(iteration);
   failures_.Tick(*cluster_, iteration);
   // Bracket the whole repair (server restore + executor revival) as one
   // recovery episode in the journal; end - begin is the run's
@@ -133,8 +112,9 @@ Result<PsGraphContext::RecoveryReport> PsGraphContext::HandleFailures(
     if (!cluster_->IsAlive(n)) ++dead_nodes;
   }
   if (dead_nodes > 0) {
-    events_.Record(sim::JournalEventType::kRecoveryBegin, /*node=*/-1,
-                   cluster_->clock().MakespanTicks(), dead_nodes);
+    cluster_->events().Record(sim::JournalEventType::kRecoveryBegin,
+                              /*node=*/-1, cluster_->clock().MakespanTicks(),
+                              dead_nodes);
   }
   RecoveryReport report;
   // Server failures: master detects and repairs (checkpoint restore).
@@ -155,17 +135,18 @@ Result<PsGraphContext::RecoveryReport> PsGraphContext::HandleFailures(
     }
   }
   if (dead_nodes > 0) {
-    events_.Record(sim::JournalEventType::kRecoveryEnd, /*node=*/-1,
-                   cluster_->clock().MakespanTicks(), report.total());
+    cluster_->events().Record(sim::JournalEventType::kRecoveryEnd,
+                              /*node=*/-1, cluster_->clock().MakespanTicks(),
+                              report.total());
   }
   // Feed the watchdog's recovery rule (delta over this counter) and
   // scrape up to the post-repair clock — failure handling is a serial
   // orchestration point, so this poll is deterministic.
   if (report.total() > 0) {
-    metrics_.Add("recovery.nodes_restarted",
-                 static_cast<uint64_t>(report.total()));
+    cluster_->metrics().Add("recovery.nodes_restarted",
+                            static_cast<uint64_t>(report.total()));
   }
-  sampler_.Poll(cluster_->clock().MakespanTicks());
+  cluster_->sampler().Poll(cluster_->clock().MakespanTicks());
   return report;
 }
 
@@ -175,7 +156,7 @@ Status PsGraphContext::MaybeCheckpoint(int64_t iteration) {
       iteration % options_.checkpoint_interval != 0) {
     return Status::OK();
   }
-  events_.set_iteration(iteration);
+  cluster_->events().set_iteration(iteration);
   return master_->CheckpointAll();
 }
 

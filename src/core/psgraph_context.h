@@ -55,27 +55,19 @@ class PsGraphContext {
   const Options& options() const { return options_; }
   sim::SimCluster& cluster() { return *cluster_; }
 
-  /// Per-context observability sinks. Every component of this context
-  /// (PS servers, RPC fabric, dataflow, HDFS) reports here instead of
-  /// into the process-wide Metrics::Global()/Tracer::Global(), so
-  /// concurrent contexts — or a context created after a bench reset the
-  /// globals — cannot contaminate each other's counters or run reports.
-  Metrics& metrics() { return metrics_; }
-  Tracer& tracer() { return tracer_; }
-  /// Flight-recorder sinks: PS key-access / partition-imbalance profile
-  /// and per-iteration algorithm telemetry (same per-context isolation
-  /// as metrics()/tracer()).
-  sim::SkewProfiler& skew() { return skew_; }
-  sim::ConvergenceLog& convergence() { return convergence_; }
-  /// Wire-level RPC telemetry and the control-plane event journal (same
-  /// per-context isolation as metrics()/tracer()).
-  RpcTelemetry& rpc_telemetry() { return rpc_telemetry_; }
-  sim::EventJournal& events() { return events_; }
-  /// Continuous telemetry: the sim-interval metrics sampler (armed from
-  /// PSGRAPH_TS_INTERVAL at Create) and the SLO watchdog evaluating its
-  /// default rules at every scrape (see Create for the rule set).
-  MetricsSampler& sampler() { return sampler_; }
-  sim::Watchdog& watchdog() { return watchdog_; }
+  /// The cluster's observability sinks (sim/cluster.h), forwarded for
+  /// convenience. Each context has its own cluster, so concurrent
+  /// contexts never share counters, spans or run-report sections.
+  /// Create adds the cluster's memory watermark series to sampler() and
+  /// three default SLO rules to watchdog().
+  Metrics& metrics() { return cluster_->metrics(); }
+  Tracer& tracer() { return cluster_->tracer(); }
+  sim::SkewProfiler& skew() { return cluster_->skew(); }
+  sim::ConvergenceLog& convergence() { return cluster_->convergence(); }
+  RpcTelemetry& rpc_telemetry() { return cluster_->rpc_telemetry(); }
+  sim::EventJournal& events() { return cluster_->events(); }
+  MetricsSampler& sampler() { return cluster_->sampler(); }
+  sim::Watchdog& watchdog() { return cluster_->watchdog(); }
   storage::Hdfs& hdfs() { return *hdfs_; }
   net::RpcFabric& fabric() { return *fabric_; }
   dataflow::DataflowContext& dataflow() { return *dataflow_; }
@@ -119,24 +111,9 @@ class PsGraphContext {
   Status MaybeCheckpoint(int64_t iteration);
 
  private:
-  explicit PsGraphContext(Options options)
-      : options_(std::move(options)),
-        skew_(options_.cluster.num_servers) {}
+  explicit PsGraphContext(Options options) : options_(std::move(options)) {}
 
   Options options_;
-  // Declared before cluster_ (and destroyed after it): the cluster holds
-  // raw pointers to these sinks for its whole lifetime.
-  Metrics metrics_;
-  Tracer tracer_;
-  sim::SkewProfiler skew_;
-  sim::ConvergenceLog convergence_;
-  RpcTelemetry rpc_telemetry_;
-  sim::EventJournal events_;
-  // Sampler after the registries it scrapes, watchdog after the store
-  // it reads and the journal it appends to (construction/destruction
-  // order matters: all are wired by raw pointer).
-  MetricsSampler sampler_;
-  sim::Watchdog watchdog_;
   std::unique_ptr<sim::SimCluster> cluster_;
   std::unique_ptr<storage::Hdfs> hdfs_;
   std::unique_ptr<net::RpcFabric> fabric_;

@@ -52,14 +52,12 @@ uint64_t ShuffleService::TotalBytes() const {
 }
 
 void DataflowContext::ChargeCompute(int32_t partition, uint64_t ops) {
-  if (!cluster_) return;
   const double t = cluster_->cost().ComputeTime(ops);
   cluster_->clock().Advance(ExecutorOf(partition), t);
   cluster_->skew().RecordPartitionTicks(partition, sim::SimClock::TicksOf(t));
 }
 
 void DataflowContext::ChargeDiskWrite(int32_t partition, uint64_t bytes) {
-  if (!cluster_) return;
   metrics().Add("dataflow.shuffle_bytes_written", bytes);
   const double t = cluster_->cost().DiskWriteTime(bytes);
   cluster_->clock().Advance(ExecutorOf(partition), t);
@@ -67,7 +65,6 @@ void DataflowContext::ChargeDiskWrite(int32_t partition, uint64_t bytes) {
 }
 
 void DataflowContext::ChargeDiskRead(int32_t partition, uint64_t bytes) {
-  if (!cluster_) return;
   metrics().Add("dataflow.shuffle_bytes_read", bytes);
   const double t = cluster_->cost().DiskReadTime(bytes);
   cluster_->clock().Advance(ExecutorOf(partition), t);
@@ -76,7 +73,6 @@ void DataflowContext::ChargeDiskRead(int32_t partition, uint64_t bytes) {
 
 void DataflowContext::ChargeTransfer(int32_t from_part, int32_t to_part,
                                      uint64_t bytes) {
-  if (!cluster_) return;
   int32_t from = ExecutorOf(from_part);
   int32_t to = ExecutorOf(to_part);
   if (from == to) return;  // local fetch
@@ -95,18 +91,15 @@ void DataflowContext::ChargeTransfer(int32_t from_part, int32_t to_part,
 Status DataflowContext::AllocatePartitionMemory(int32_t partition,
                                                 uint64_t bytes,
                                                 const char* what) {
-  if (!cluster_) return Status::OK();
   return cluster_->memory().Allocate(ExecutorOf(partition), bytes, what);
 }
 
 void DataflowContext::ReleasePartitionMemory(int32_t partition,
                                              uint64_t bytes) {
-  if (!cluster_) return;
   cluster_->memory().Release(ExecutorOf(partition), bytes);
 }
 
 void DataflowContext::StageBarrier() {
-  if (!cluster_) return;
   std::vector<int32_t> executors;
   executors.reserve(cluster_->config().num_executors);
   for (int32_t e = 0; e < cluster_->config().num_executors; ++e) {

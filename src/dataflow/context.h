@@ -59,22 +59,15 @@ class DataflowContext {
  public:
   explicit DataflowContext(sim::SimCluster* cluster)
       : cluster_(cluster),
-        executor_epochs_(cluster ? cluster->config().num_executors : 1) {}
+        executor_epochs_(cluster->config().num_executors) {}
 
   sim::SimCluster* cluster() { return cluster_; }
 
-  /// Observability sinks: the cluster's per-context registries, or the
-  /// process-wide globals for clusterless unit-test contexts.
-  Metrics& metrics() const {
-    return cluster_ != nullptr ? cluster_->metrics() : Metrics::Global();
-  }
-  Tracer& tracer() const {
-    return cluster_ != nullptr ? cluster_->tracer() : Tracer::Global();
-  }
+  /// Observability sinks: the cluster's registries.
+  Metrics& metrics() const { return cluster_->metrics(); }
+  Tracer& tracer() const { return cluster_->tracer(); }
 
-  int32_t num_executors() const {
-    return cluster_ ? cluster_->config().num_executors : 1;
-  }
+  int32_t num_executors() const { return cluster_->config().num_executors; }
   int32_t ExecutorOf(int32_t partition) const {
     return partition % num_executors();
   }

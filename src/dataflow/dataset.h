@@ -87,7 +87,6 @@ inline Status RunPartitioned(DataflowContext* ctx, int32_t n,
   // barriers stay deterministic).
   sim::SimCluster* cluster = ctx->cluster();
   auto run_one = [&](int32_t p) -> Status {
-    if (cluster == nullptr) return fn(p);
     const sim::NodeId exec = ctx->ExecutorOf(p);
     const int64_t t0 = cluster->clock().NowTicks(exec);
     ScopedSpan span(&cluster->tracer(), "dataflow.partition", exec, t0,

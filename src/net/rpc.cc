@@ -69,14 +69,10 @@ Result<std::vector<uint8_t>> RpcFabric::Call(sim::NodeId from, sim::NodeId to,
 Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
     sim::NodeId from, std::vector<ParallelCall> calls) {
   const size_t n = calls.size();
-  const bool timed = cluster_ != nullptr && from >= 0;
-  // Per-context sinks when the fabric belongs to a cluster; process-wide
-  // globals for bare unit-test fabrics.
-  Metrics& metrics =
-      cluster_ != nullptr ? cluster_->metrics() : Metrics::Global();
-  Tracer& tracer = cluster_ != nullptr ? cluster_->tracer() : Tracer::Global();
-  RpcTelemetry& telemetry = cluster_ != nullptr ? cluster_->rpc_telemetry()
-                                                : RpcTelemetry::Global();
+  const bool timed = from >= 0;
+  Metrics& metrics = cluster_->metrics();
+  Tracer& tracer = cluster_->tracer();
+  RpcTelemetry& telemetry = cluster_->rpc_telemetry();
   // The caller's innermost open span (e.g. "agent.pull"), captured on
   // the calling thread so handler spans dispatched on pool threads still
   // parent to it — the cross-node causal link the trace exporter renders
@@ -85,9 +81,7 @@ Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
   // the exported trace stays byte-identical.
   const uint64_t caller_span = tracer.CurrentSpanId();
   const int64_t latency_ticks =
-      cluster_ != nullptr
-          ? sim::SimClock::TicksOf(cluster_->cost().config().network_latency_sec)
-          : 0;
+      sim::SimClock::TicksOf(cluster_->cost().config().network_latency_sec);
   const int64_t t0 = timed ? cluster_->clock().NowTicks(from) : 0;
 
   // Validates liveness/binding for one call and accounts its send. Returns
@@ -96,7 +90,7 @@ Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
   int64_t send_cursor = 0;
   auto plan_call = [&](const ParallelCall& call, int64_t* arrival)
       -> Result<std::shared_ptr<RpcEndpoint>> {
-    if (cluster_ != nullptr && !cluster_->IsAlive(call.to)) {
+    if (!cluster_->IsAlive(call.to)) {
       telemetry.RecordError(call.method, call.to, /*unavailable=*/true);
       return Status::Unavailable("rpc: node " + std::to_string(call.to) +
                                  " is down");

@@ -66,9 +66,9 @@ class RpcEndpoint {
 /// The cluster-wide message fabric. Thread-safe.
 class RpcFabric {
  public:
-  /// `cluster` may be null in unit tests (no liveness/time accounting).
-  explicit RpcFabric(sim::SimCluster* cluster = nullptr)
-      : cluster_(cluster) {}
+  /// `cluster` supplies liveness, clocks and the telemetry sinks; it
+  /// must outlive the fabric.
+  explicit RpcFabric(sim::SimCluster* cluster) : cluster_(cluster) {}
 
   void Bind(sim::NodeId node, std::shared_ptr<RpcEndpoint> endpoint);
   void Unbind(sim::NodeId node);

@@ -128,24 +128,13 @@ class PsAgent {
                                  uint64_t seed);
 
  private:
-  /// Observability sinks of the owning context's cluster (globals when
-  /// the context was built without one, which only happens in tests).
-  Metrics& metrics() const {
-    return ctx_->cluster() != nullptr ? ctx_->cluster()->metrics()
-                                      : Metrics::Global();
-  }
-  Tracer& tracer() const {
-    return ctx_->cluster() != nullptr ? ctx_->cluster()->tracer()
-                                      : Tracer::Global();
-  }
+  /// Observability sinks of the owning context's cluster.
+  Metrics& metrics() const { return ctx_->cluster()->metrics(); }
+  Tracer& tracer() const { return ctx_->cluster()->tracer(); }
   /// Executor-clock reading bracketing an end-to-end agent operation:
   /// CallParallel advances the caller clock to the slowest call's
   /// completion, so Now - t0 is the simulated round-trip latency.
-  int64_t NowTicks() const {
-    return ctx_->cluster() != nullptr
-               ? ctx_->cluster()->clock().NowTicks(node_)
-               : 0;
-  }
+  int64_t NowTicks() const { return ctx_->cluster()->clock().NowTicks(node_); }
 
   Result<std::vector<uint8_t>> Call(int32_t server,
                                     const std::string& method,

@@ -77,8 +77,7 @@ uint64_t ReplicaCache::local_rows() const {
 // --- ReplicationManager ---
 
 Metrics& ReplicationManager::metrics() const {
-  sim::SimCluster* cl = ps_->cluster();
-  return cl != nullptr ? cl->metrics() : Metrics::Global();
+  return ps_->cluster()->metrics();
 }
 
 ReplicationManager::ReplicationManager(PsContext* ps,
@@ -231,9 +230,8 @@ Status ReplicationManager::Merge() {
   metrics().Add("replication.merges", 1);
   // Merge runs at superstep barriers (a serial orchestration point), so
   // scraping up to the cluster makespan here is deterministic.
-  if (sim::SimCluster* cl = ps_->cluster(); cl != nullptr) {
-    cl->sampler().Poll(cl->clock().MakespanTicks());
-  }
+  sim::SimCluster* cl = ps_->cluster();
+  cl->sampler().Poll(cl->clock().MakespanTicks());
   return Status::OK();
 }
 

@@ -75,31 +75,25 @@ PsServer::PsServer(int32_t server_index, int32_t num_servers,
     : server_index_(server_index),
       num_servers_(num_servers),
       cluster_(cluster),
+      node_(cluster->config().server(server_index)),
       hdfs_(hdfs),
       pulled_counter_name_("ps.server" + std::to_string(server_index) +
                            ".rows_pulled"),
       pushed_counter_name_("ps.server" + std::to_string(server_index) +
-                           ".rows_pushed") {
-  if (cluster_ != nullptr) {
-    node_ = cluster_->config().server(server_index);
-  }
-}
+                           ".rows_pushed") {}
 
 Status PsServer::ChargeMemory(uint64_t bytes, const char* what) {
-  if (cluster_ == nullptr) return Status::OK();
   PSG_RETURN_NOT_OK(cluster_->memory().Allocate(node_, bytes, what));
   total_charged_ += bytes;
   return Status::OK();
 }
 
 void PsServer::ReleaseMemory(uint64_t bytes) {
-  if (cluster_ == nullptr) return;
   cluster_->memory().Release(node_, bytes);
   total_charged_ -= std::min(total_charged_, bytes);
 }
 
 void PsServer::ChargeCompute(uint64_t ops) {
-  if (cluster_ == nullptr) return;
   cluster_->clock().Advance(node_, cluster_->cost().ComputeTime(ops));
 }
 
@@ -273,11 +267,8 @@ Status PsServer::RowBatch::Write(MatrixId id, uint64_t key,
   }
   // The one-key call charges ChargeCompute(values.size() / 4 + 1) before
   // applying, and its service bracket measures exactly that charge.
-  const int64_t row_ticks =
-      server_->cluster_ == nullptr
-          ? 0
-          : sim::SimClock::TicksOf(
-                server_->cluster_->cost().ComputeTime(row.size() / 4 + 1));
+  const int64_t row_ticks = sim::SimClock::TicksOf(
+      server_->cluster_->cost().ComputeTime(row.size() / 4 + 1));
   ticks_ += row_ticks;
   PSG_RETURN_NOT_OK(server_->ApplyRows(shard, {&key, 1}, row, add));
   keys_.push_back(key);
@@ -636,7 +627,7 @@ Status PsServer::Checkpoint(const std::string& prefix) {
   const int64_t save_t0 = NowTicks();
   Status st = hdfs_->Write(
       prefix + "/server_" + std::to_string(server_index_), buf, node_);
-  if (st.ok() && cluster_ != nullptr) {
+  if (st.ok()) {
     // Checkpoint I/O is fault-tolerance overhead, not training compute.
     cluster_->cost_ledger().Record(node_, sim::CostCategory::kRecovery,
                                    NowTicks() - save_t0);
@@ -773,15 +764,12 @@ Status PsServer::Restore(const std::string& prefix) {
       shard.csr = std::move(csr);
     }
   }
-  if (cluster_ != nullptr) {
-    // Everything since the HDFS read began (I/O + deserialization) is
-    // recovery time, not training compute.
-    cluster_->cost_ledger().Record(node_, sim::CostCategory::kRecovery,
-                                   NowTicks() - restore_t0);
-    cluster_->events().Record(sim::JournalEventType::kCheckpointRestore,
-                              node_, NowTicks(),
-                              static_cast<int64_t>(bytes.size()));
-  }
+  // Everything since the HDFS read began (I/O + deserialization) is
+  // recovery time, not training compute.
+  cluster_->cost_ledger().Record(node_, sim::CostCategory::kRecovery,
+                                 NowTicks() - restore_t0);
+  cluster_->events().Record(sim::JournalEventType::kCheckpointRestore, node_,
+                            NowTicks(), static_cast<int64_t>(bytes.size()));
   return Status::OK();
 }
 

@@ -105,7 +105,7 @@ void RegisterBuiltinPsFuncs();
 
 class PsServer {
  public:
-  /// `cluster`/`hdfs` may be null in unit tests.
+  /// `hdfs` may be null for a server that never checkpoints.
   PsServer(int32_t server_index, int32_t num_servers,
            sim::SimCluster* cluster, storage::Hdfs* hdfs);
 
@@ -248,32 +248,20 @@ class PsServer {
                    std::span<const float> values, bool add);
   static uint64_t EntryBytes(const NeighborEntry& e);
 
-  /// Observability sinks: the cluster's per-context registries, or the
-  /// process-wide ones when this server runs without a cluster (tests).
-  Metrics& metrics() const {
-    return cluster_ != nullptr ? cluster_->metrics() : Metrics::Global();
-  }
-  Tracer& tracer() const {
-    return cluster_ != nullptr ? cluster_->tracer() : Tracer::Global();
-  }
+  /// Observability sinks: the cluster's registries.
+  Metrics& metrics() const { return cluster_->metrics(); }
+  Tracer& tracer() const { return cluster_->tracer(); }
   /// Key-access profile of this shard (flight recorder). Totals are two
   /// relaxed atomic adds per request; the hot-key sketch only runs when
   /// key profiling is enabled (PSGRAPH_PROFILE_KEYS=1).
-  sim::SkewProfiler& skew() const {
-    return cluster_ != nullptr ? cluster_->skew()
-                               : sim::SkewProfiler::Global();
-  }
-  /// Shard-clock reading for span stamps and service-time brackets; 0
-  /// when there is no cluster (histograms then record 0-tick service,
-  /// which still counts requests).
-  int64_t NowTicks() const {
-    return cluster_ != nullptr ? cluster_->clock().NowTicks(node_) : 0;
-  }
+  sim::SkewProfiler& skew() const { return cluster_->skew(); }
+  /// Shard-clock reading for span stamps and service-time brackets.
+  int64_t NowTicks() const { return cluster_->clock().NowTicks(node_); }
 
   int32_t server_index_;
   int32_t num_servers_;
   sim::SimCluster* cluster_;
-  sim::NodeId node_ = -1;
+  sim::NodeId node_;
   storage::Hdfs* hdfs_;
   std::map<MatrixId, MatrixShard> shards_;
   uint64_t total_charged_ = 0;

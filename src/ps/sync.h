@@ -37,7 +37,7 @@ class SyncController {
   /// simply lag. Returns the barrier time (BSP) or 0 (ASP).
   double IterationBarrier() {
     ++calls_;
-    if (protocol_ == SyncProtocol::kAsp || cluster_ == nullptr) return 0.0;
+    if (protocol_ == SyncProtocol::kAsp) return 0.0;
     if (protocol_ == SyncProtocol::kSsp && calls_ % staleness_ != 0) {
       return 0.0;  // within the staleness bound: run ahead
     }

@@ -38,13 +38,11 @@ ServingShard::ServingShard(int32_t shard_index, sim::SimCluster* cluster,
 }
 
 ServingShard::~ServingShard() {
-  if (cluster_ != nullptr) {
-    if (active_ != nullptr) {
-      cluster_->memory().Release(node_, active_->image.blob_bytes);
-    }
-    if (standby_ != nullptr) {
-      cluster_->memory().Release(node_, standby_->image.blob_bytes);
-    }
+  if (active_ != nullptr) {
+    cluster_->memory().Release(node_, active_->image.blob_bytes);
+  }
+  if (standby_ != nullptr) {
+    cluster_->memory().Release(node_, standby_->image.blob_bytes);
   }
 }
 
@@ -137,13 +135,11 @@ Status ServingShard::Preload(int64_t version) {
     }
     state->w1 = minitorch::Tensor::FromData(rows, cols, std::move(data));
   }
-  if (cluster_ != nullptr) {
-    if (standby_ != nullptr) {
-      cluster_->memory().Release(node_, standby_->image.blob_bytes);
-    }
-    PSG_RETURN_NOT_OK(cluster_->memory().Allocate(
-        node_, state->image.blob_bytes, "serving snapshot"));
+  if (standby_ != nullptr) {
+    cluster_->memory().Release(node_, standby_->image.blob_bytes);
   }
+  PSG_RETURN_NOT_OK(cluster_->memory().Allocate(
+      node_, state->image.blob_bytes, "serving snapshot"));
   standby_ = std::move(state);
   metrics().Add("serving.preloads", 1);
   return Status::OK();
@@ -162,7 +158,7 @@ Status ServingShard::Activate(int64_t version) {
         " asked to activate v" + std::to_string(version) +
         " which was never preloaded");
   }
-  if (cluster_ != nullptr && active_ != nullptr) {
+  if (active_ != nullptr) {
     cluster_->memory().Release(node_, active_->image.blob_bytes);
   }
   active_ = std::move(incoming);
@@ -191,17 +187,13 @@ const std::vector<float>* ServingShard::CachedRow(
     lru_.splice(lru_.begin(), lru_, res->second);
     ++cache_hits_;
     metrics().Add("serving.cache_hits", 1);
-    if (cluster_ != nullptr) {
-      Charge(cluster_->cost().ComputeTime(1));
-    }
+    Charge(cluster_->cost().ComputeTime(1));
     return row;
   }
   ++cache_misses_;
   metrics().Add("serving.cache_misses", 1);
-  if (cluster_ != nullptr) {
-    // Cold row: fetched from the shard's local snapshot copy.
-    Charge(cluster_->cost().DiskReadTime(row == nullptr ? 0 : row_bytes));
-  }
+  // Cold row: fetched from the shard's local snapshot copy.
+  Charge(cluster_->cost().DiskReadTime(row == nullptr ? 0 : row_bytes));
   if (row != nullptr) {
     lru_.push_front(ck);
     resident_.emplace(ck, lru_.begin());
@@ -323,13 +315,11 @@ Status ServingShard::Infer(std::span<const uint64_t> nodes,
   Tensor h = minitorch::Relu(
       minitorch::Matmul(minitorch::ConcatCols(x, agg), state.w1));
   Tensor result = minitorch::RowL2Normalize(h);
-  if (cluster_ != nullptr) {
-    // Dense cost: the matmul dominates — [n x 2d] * [2d x out].
-    const uint64_t flops = 2ull * static_cast<uint64_t>(n) *
-                           static_cast<uint64_t>(2 * d) *
-                           static_cast<uint64_t>(state.w1.cols());
-    Charge(cluster_->cost().FlopsTime(flops));
-  }
+  // Dense cost: the matmul dominates — [n x 2d] * [2d x out].
+  const uint64_t flops = 2ull * static_cast<uint64_t>(n) *
+                         static_cast<uint64_t>(2 * d) *
+                         static_cast<uint64_t>(state.w1.cols());
+  Charge(cluster_->cost().FlopsTime(flops));
   out->insert(out->end(), result.data().begin(), result.data().end());
   metrics().Add("serving.infer_nodes", nodes.size());
   UpdateHitRateGauge();

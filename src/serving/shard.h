@@ -108,15 +108,9 @@ class ServingShard {
   /// batch, name cached in the ctor to keep the hot path allocation-free.
   void UpdateHitRateGauge();
 
-  Metrics& metrics() const {
-    return cluster_ != nullptr ? cluster_->metrics() : Metrics::Global();
-  }
-  int64_t NowTicks() const {
-    return cluster_ != nullptr ? cluster_->clock().NowTicks(node_) : 0;
-  }
-  void Charge(double seconds) {
-    if (cluster_ != nullptr) cluster_->clock().Advance(node_, seconds);
-  }
+  Metrics& metrics() const { return cluster_->metrics(); }
+  int64_t NowTicks() const { return cluster_->clock().NowTicks(node_); }
+  void Charge(double seconds) { cluster_->clock().Advance(node_, seconds); }
 
   int32_t shard_index_;
   sim::SimCluster* cluster_;

@@ -36,7 +36,16 @@ SimCluster::SimCluster(ClusterConfig config)
       clock_(config.num_nodes()),
       cost_ledger_(config.num_nodes()),
       memory_(MakeBudgets(config)),
+      skew_(config.num_servers),
+      sampler_({.metrics = &metrics_,
+                .rpc = &rpc_telemetry_,
+                .interval_ticks = MetricsSampler::IntervalTicksFromEnv(),
+                .capacity = MetricsSampler::CapacityFromEnv()}),
+      watchdog_(&sampler_.store(), &events_),
       alive_(config.num_nodes(), true) {
+  tracer_.set_enabled(Tracer::EnabledByEnv());
+  sampler_.set_scrape_callback(
+      [this](int64_t ticks) { watchdog_.Evaluate(ticks); });
   // Container restart is a constant cost (Yarn relaunch ~30 s); when the
   // workload is a scaled-down stand-in whose simulated times get
   // multiplied back up by `workload_scale`, pre-divide so the restart
@@ -54,8 +63,7 @@ void SimCluster::KillNode(NodeId node) {
   memory_.ReleaseAll(node);
   // Stamped with the cluster frontier: the failure is observed at the
   // point the slowest node has reached.
-  events_->Record(JournalEventType::kNodeKilled, node,
-                  clock_.MakespanTicks());
+  events_.Record(JournalEventType::kNodeKilled, node, clock_.MakespanTicks());
 }
 
 void SimCluster::ReviveNode(NodeId node) {
@@ -70,8 +78,8 @@ void SimCluster::ReviveNode(NodeId node) {
   clock_.AdvanceTo(node, clock_.Makespan());
   cost_ledger_.Record(node, CostCategory::kRecovery,
                       clock_.NowTicks(node) - before);
-  events_->Record(JournalEventType::kNodeRestarted, node,
-                  clock_.NowTicks(node));
+  events_.Record(JournalEventType::kNodeRestarted, node,
+                 clock_.NowTicks(node));
 }
 
 bool SimCluster::IsAlive(NodeId node) const {

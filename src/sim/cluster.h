@@ -63,7 +63,8 @@ struct ClusterConfig {
 };
 
 /// Bundles everything that defines the simulated environment: geometry,
-/// per-node clocks, memory budgets, cost model and liveness flags.
+/// per-node clocks, memory budgets, cost model, liveness flags and the
+/// telemetry sinks its components report into.
 ///
 /// Thread-safe: clocks and memory have their own synchronization; liveness
 /// uses an internal mutex.
@@ -83,56 +84,29 @@ class SimCluster {
   CostLedger& cost_ledger() { return cost_ledger_; }
 
   /// Observability sinks every component holding a SimCluster* reports
-  /// into (PS servers, the RPC fabric, the dataflow context). They
-  /// default to the process-wide registries; PsGraphContext installs
-  /// its own instances so concurrent contexts cannot cross-contaminate
-  /// each other's counters (or a bench's run report). Callers keep the
-  /// pointed-to objects alive for the cluster's lifetime.
-  Metrics& metrics() { return *metrics_; }
-  Tracer& tracer() { return *tracer_; }
-  void set_metrics(Metrics* metrics) {
-    metrics_ = metrics != nullptr ? metrics : &Metrics::Global();
-  }
-  void set_tracer(Tracer* tracer) {
-    tracer_ = tracer != nullptr ? tracer : &Tracer::Global();
-  }
-  /// Flight-recorder sinks (same ownership contract as metrics/tracer):
-  /// PS shards report key accesses and the dataflow engine reports
-  /// per-partition busy ticks into skew(); algorithms record
-  /// per-iteration telemetry into convergence().
-  SkewProfiler& skew() { return *skew_; }
-  ConvergenceLog& convergence() { return *convergence_; }
-  void set_skew(SkewProfiler* skew) {
-    skew_ = skew != nullptr ? skew : &SkewProfiler::Global();
-  }
-  void set_convergence(ConvergenceLog* log) {
-    convergence_ = log != nullptr ? log : &ConvergenceLog::Global();
-  }
+  /// into (PS servers, the RPC fabric, the dataflow context). Owned by
+  /// value like the clock, so two clusters in one process never share
+  /// one. The constructor enables the tracer from PSGRAPH_TRACE, sizes
+  /// the skew profiler from num_servers, arms the sampler from
+  /// PSGRAPH_TS_INTERVAL/PSGRAPH_TS_CAPACITY to scrape metrics() and
+  /// rpc_telemetry(), and has the watchdog evaluate at every scrape and
+  /// append its alerts to events().
+  Metrics& metrics() { return metrics_; }
+  Tracer& tracer() { return tracer_; }
+  /// Flight recorder: PS shards report key accesses and the dataflow
+  /// engine reports per-partition busy ticks into skew(); algorithms
+  /// record per-iteration telemetry into convergence().
+  SkewProfiler& skew() { return skew_; }
+  ConvergenceLog& convergence() { return convergence_; }
   /// Wire-level RPC telemetry (per-(method, callee) counters recorded by
   /// the fabric) and the control-plane event journal (kill/restart,
-  /// health checks, checkpoints, barriers, recovery episodes). Same
-  /// ownership contract as the other sinks.
-  RpcTelemetry& rpc_telemetry() { return *rpc_telemetry_; }
-  EventJournal& events() { return *events_; }
-  void set_rpc_telemetry(RpcTelemetry* telemetry) {
-    rpc_telemetry_ =
-        telemetry != nullptr ? telemetry : &RpcTelemetry::Global();
-  }
-  void set_events(EventJournal* journal) {
-    events_ = journal != nullptr ? journal : &EventJournal::Global();
-  }
-  /// Continuous-telemetry sampler and SLO watchdog (same ownership
-  /// contract as the other sinks). The global fallbacks are permanently
-  /// disabled, so poll sites on clusters without an installed
-  /// per-context sampler are near-free no-ops.
-  MetricsSampler& sampler() { return *sampler_; }
-  Watchdog& watchdog() { return *watchdog_; }
-  void set_sampler(MetricsSampler* sampler) {
-    sampler_ = sampler != nullptr ? sampler : &MetricsSampler::Global();
-  }
-  void set_watchdog(Watchdog* watchdog) {
-    watchdog_ = watchdog != nullptr ? watchdog : &Watchdog::Global();
-  }
+  /// health checks, checkpoints, barriers, recovery episodes).
+  RpcTelemetry& rpc_telemetry() { return rpc_telemetry_; }
+  EventJournal& events() { return events_; }
+  /// Continuous-telemetry sampler and SLO watchdog. A bare cluster's
+  /// watchdog has no rules; PsGraphContext::Create adds the defaults.
+  MetricsSampler& sampler() { return sampler_; }
+  Watchdog& watchdog() { return watchdog_; }
 
   /// Marks a node as failed. Subsequent RPCs to it return Unavailable and
   /// its memory ledger is wiped (the container is gone).
@@ -155,14 +129,17 @@ class SimCluster {
   SimClock clock_;
   CostLedger cost_ledger_;
   MemoryAccountant memory_;
-  Metrics* metrics_ = &Metrics::Global();
-  Tracer* tracer_ = &Tracer::Global();
-  SkewProfiler* skew_ = &SkewProfiler::Global();
-  ConvergenceLog* convergence_ = &ConvergenceLog::Global();
-  RpcTelemetry* rpc_telemetry_ = &RpcTelemetry::Global();
-  EventJournal* events_ = &EventJournal::Global();
-  MetricsSampler* sampler_ = &MetricsSampler::Global();
-  Watchdog* watchdog_ = &Watchdog::Global();
+  // Declared in wiring order: the sampler scrapes metrics_ and
+  // rpc_telemetry_, the watchdog reads the sampler's store and appends
+  // to events_.
+  Metrics metrics_;
+  Tracer tracer_;
+  SkewProfiler skew_;
+  ConvergenceLog convergence_;
+  RpcTelemetry rpc_telemetry_;
+  EventJournal events_;
+  MetricsSampler sampler_;
+  Watchdog watchdog_;
   mutable std::mutex mu_;
   std::vector<bool> alive_;
   double restart_delay_sec_ = 30.0;

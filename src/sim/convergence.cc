@@ -51,9 +51,4 @@ void ConvergenceLog::Reset() {
   rejected_ = 0;
 }
 
-ConvergenceLog& ConvergenceLog::Global() {
-  static ConvergenceLog* instance = new ConvergenceLog();
-  return *instance;
-}
-
 }  // namespace psgraph::sim

@@ -56,10 +56,6 @@ class ConvergenceLog {
 
   void Reset();
 
-  /// Process-wide fallback sink, mirroring Metrics::Global(): used by
-  /// components running without a cluster.
-  static ConvergenceLog& Global();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, Series> series_;

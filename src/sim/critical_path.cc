@@ -91,7 +91,6 @@ bool SpanTicksDeterministicPerNode(const std::string& name) {
 
 int64_t ProjectedMakespanTicks(SimCluster* cluster, const std::string& name,
                                double factor) {
-  if (cluster == nullptr) return 0;
   const int32_t num_nodes = cluster->config().num_nodes();
   std::vector<int64_t> clocks(num_nodes);
   for (int32_t n = 0; n < num_nodes; ++n) {
@@ -105,7 +104,6 @@ int64_t ProjectedMakespanTicks(SimCluster* cluster, const std::string& name,
 
 CriticalPathReport AnalyzeCriticalPath(SimCluster* cluster) {
   CriticalPathReport r;
-  if (cluster == nullptr) return r;
   r.valid = true;
   const ClusterConfig& cfg = cluster->config();
   SimClock& clock = cluster->clock();

@@ -104,9 +104,8 @@ struct CriticalPathReport {
   std::vector<WhatIf> what_if;
 };
 
-/// Builds the full report for `cluster` (null -> valid=false). Reads
-/// the clock, ledger, fence log and tracer node summaries; mutates
-/// nothing.
+/// Builds the full report for `cluster`. Reads the clock, ledger,
+/// fence log and tracer node summaries; mutates nothing.
 CriticalPathReport AnalyzeCriticalPath(SimCluster* cluster);
 
 /// What-if primitive, exposed for tests: projected makespan after

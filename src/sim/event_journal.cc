@@ -105,9 +105,4 @@ bool EventJournal::IsFailureEvent(const JournalEvent& e) {
   return false;
 }
 
-EventJournal& EventJournal::Global() {
-  static EventJournal* instance = new EventJournal();
-  return *instance;
-}
-
 }  // namespace psgraph::sim

@@ -94,10 +94,6 @@ class EventJournal {
   /// a non-zero verdict, which the caller checks via `value`.
   static bool IsFailureEvent(const JournalEvent& e);
 
-  /// Process-wide fallback journal, used by clusters without an
-  /// installed per-context sink (unit tests).
-  static EventJournal& Global();
-
  private:
   std::atomic<int64_t> iteration_{-1};
   std::atomic<uint64_t> dropped_{0};

@@ -117,9 +117,6 @@ RunReport CollectRunReport(const std::string& name, Metrics& metrics,
 }
 
 RunReport CollectRunReport(const std::string& name, SimCluster* cluster) {
-  if (cluster == nullptr) {
-    return CollectRunReport(name, Metrics::Global(), Tracer::Global());
-  }
   RunReport report =
       CollectRunReport(name, cluster->metrics(), cluster->tracer());
   report.skew = cluster->skew().Snap();

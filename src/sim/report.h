@@ -177,8 +177,9 @@ struct RunReport {
   JsonValue bench = JsonValue::Object();
 };
 
-/// Snapshots metrics + tracer (+ per-node clocks when `cluster` is
-/// non-null; metrics/tracer are then taken from the cluster's sinks).
+/// Snapshots every telemetry sink of `cluster` plus its per-node
+/// clocks and memory. The second form snapshots a bare metrics/tracer
+/// pair and leaves the cluster-derived sections empty.
 RunReport CollectRunReport(const std::string& name, SimCluster* cluster);
 RunReport CollectRunReport(const std::string& name, Metrics& metrics,
                            Tracer& tracer);

@@ -157,9 +157,4 @@ void SkewProfiler::Reset() {
   partition_ticks_.clear();
 }
 
-SkewProfiler& SkewProfiler::Global() {
-  static SkewProfiler* instance = new SkewProfiler();
-  return *instance;
-}
-
 }  // namespace psgraph::sim

@@ -71,9 +71,9 @@ class SkewProfiler {
   static constexpr size_t kSketchCapacity = 256;
   static constexpr size_t kTopK = 16;
 
-  /// `num_servers`/`num_partitions_hint` presize the slots; both grow on
-  /// demand (the Global() fallback starts empty).
-  explicit SkewProfiler(int32_t num_servers = 0);
+  /// `num_servers` presizes the shard slots; shards and partitions grow
+  /// on demand.
+  explicit SkewProfiler(int32_t num_servers);
 
   bool key_profiling_enabled() const {
     return key_profiling_.load(std::memory_order_relaxed);
@@ -124,9 +124,6 @@ class SkewProfiler {
   Snapshot Snap() const;
 
   void Reset();
-
-  /// Process-wide fallback sink, mirroring Metrics::Global().
-  static SkewProfiler& Global();
 
  private:
   struct Shard {

@@ -92,7 +92,6 @@ bool Watchdog::Condition(const WatchdogRule& rule, double* value) const {
 }
 
 void Watchdog::Evaluate(int64_t ticks) {
-  if (store_ == nullptr) return;
   for (size_t i = 0; i < rules_.size(); ++i) {
     double value = 0.0;
     const bool firing = Condition(rules_[i], &value);
@@ -103,17 +102,13 @@ void Watchdog::Evaluate(int64_t ticks) {
       f.fire_ticks = ticks;
       f.value = value;
       firings_.push_back(f);
-      if (journal_ != nullptr) {
-        journal_->Record(JournalEventType::kAlertFire, /*node=*/-1, ticks,
-                         static_cast<int64_t>(i));
-      }
+      journal_->Record(JournalEventType::kAlertFire, /*node=*/-1, ticks,
+                       static_cast<int64_t>(i));
     } else if (!firing && open_[i] >= 0) {
       firings_[static_cast<size_t>(open_[i])].clear_ticks = ticks;
       open_[i] = -1;
-      if (journal_ != nullptr) {
-        journal_->Record(JournalEventType::kAlertClear, /*node=*/-1,
-                         ticks, static_cast<int64_t>(i));
-      }
+      journal_->Record(JournalEventType::kAlertClear, /*node=*/-1, ticks,
+                       static_cast<int64_t>(i));
     }
   }
 }
@@ -121,11 +116,6 @@ void Watchdog::Evaluate(int64_t ticks) {
 void Watchdog::Reset() {
   firings_.clear();
   std::fill(open_.begin(), open_.end(), -1);
-}
-
-Watchdog& Watchdog::Global() {
-  static Watchdog* instance = new Watchdog();
-  return *instance;
 }
 
 }  // namespace psgraph::sim

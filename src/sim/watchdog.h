@@ -84,8 +84,8 @@ struct AlertFiring {
 
 class Watchdog {
  public:
-  /// Default-constructed watchdogs are disabled (Evaluate is a no-op).
-  Watchdog() = default;
+  /// Evaluates rules against `store` and appends transitions to
+  /// `journal`; both must outlive the watchdog.
   Watchdog(const TimeSeriesStore* store, EventJournal* journal)
       : store_(store), journal_(journal) {}
 
@@ -109,14 +109,11 @@ class Watchdog {
 
   void Reset();
 
-  /// Process-wide fallback: a permanently disabled watchdog.
-  static Watchdog& Global();
-
  private:
   bool Condition(const WatchdogRule& rule, double* value) const;
 
-  const TimeSeriesStore* store_ = nullptr;
-  EventJournal* journal_ = nullptr;
+  const TimeSeriesStore* store_;
+  EventJournal* journal_;
   std::vector<WatchdogRule> rules_;
   /// Index into firings_ of each rule's open episode, -1 when inactive.
   std::vector<int64_t> open_;

@@ -96,7 +96,7 @@ uint64_t Hdfs::TotalBytes() const {
 }
 
 void Hdfs::ChargeIo(sim::NodeId node, uint64_t bytes, bool write) const {
-  if (cluster_ == nullptr || node < 0) return;
+  if (node < 0) return;
   const auto& cost = cluster_->cost();
   double t = write ? cost.DiskWriteTime(bytes) : cost.DiskReadTime(bytes);
   // HDFS is remote storage: the transfer also crosses the network.
@@ -105,7 +105,7 @@ void Hdfs::ChargeIo(sim::NodeId node, uint64_t bytes, bool write) const {
 }
 
 void Hdfs::ChargeMetadataOp(sim::NodeId node, uint64_t bytes) const {
-  if (cluster_ == nullptr || node < 0) return;
+  if (node < 0) return;
   const auto& cost = cluster_->cost();
   // One namenode seek plus a round-trip carrying the path/listing text.
   cluster_->clock().Advance(node, cost.DiskReadTime(0) +

@@ -22,8 +22,8 @@ namespace psgraph::storage {
 
 class Hdfs {
  public:
-  /// `cluster` may be null for unit tests (no time accounting).
-  explicit Hdfs(sim::SimCluster* cluster = nullptr) : cluster_(cluster) {}
+  /// I/O is charged to `cluster`'s clocks and counted in its metrics.
+  explicit Hdfs(sim::SimCluster* cluster) : cluster_(cluster) {}
 
   /// Creates or overwrites `path` with `bytes`. The write is charged as a
   /// sequential disk write plus one network transfer on `node`'s clock.
@@ -65,11 +65,7 @@ class Hdfs {
   /// Namenode metadata operation: one disk seek plus a small network
   /// round-trip carrying `bytes` of path/listing payload.
   void ChargeMetadataOp(sim::NodeId node, uint64_t bytes) const;
-  /// Counter sink: the owning cluster's metrics, or the process-wide
-  /// registry for clusterless test instances.
-  Metrics& metrics() const {
-    return cluster_ != nullptr ? cluster_->metrics() : Metrics::Global();
-  }
+  Metrics& metrics() const { return cluster_->metrics(); }
 
   sim::SimCluster* cluster_;
   mutable std::mutex mu_;

@@ -186,8 +186,6 @@ TEST(ConcurrencyTest, CallParallelErrorPathsMatchSequential) {
     cfg.executor_mem_bytes = 64ull << 20;
     cfg.server_mem_bytes = 64ull << 20;
     sim::SimCluster cluster(cfg);
-    RpcTelemetry telemetry;
-    cluster.set_rpc_telemetry(&telemetry);
     net::RpcFabric fabric(&cluster);
     auto ok_endpoint = std::make_shared<net::RpcEndpoint>();
     ok_endpoint->Register(
@@ -221,7 +219,7 @@ TEST(ConcurrencyTest, CallParallelErrorPathsMatchSequential) {
     out.status = fabric.CallParallel(0, std::move(calls))
                      .status()
                      .ToString();
-    out.telemetry = telemetry.Snapshot();
+    out.telemetry = cluster.rpc_telemetry().Snapshot();
     for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
       out.ticks.push_back(cluster.clock().NowTicks(n));
     }

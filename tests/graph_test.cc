@@ -147,7 +147,8 @@ TEST(PartitionTest, GroupBysrcBuildsNeighborTables) {
 }
 
 TEST(EdgeIoTest, TextRoundTripWithWeightsAndComments) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(sim::ClusterConfig{});
+  storage::Hdfs hdfs(&cluster);
   EdgeList edges{{1, 2, 1.0f}, {3, 4, 2.5f}};
   ASSERT_TRUE(WriteEdgesText(hdfs, "e.txt", edges, -1).ok());
   // Inject a comment and blank line.
@@ -163,13 +164,15 @@ TEST(EdgeIoTest, TextRoundTripWithWeightsAndComments) {
 }
 
 TEST(EdgeIoTest, MalformedTextRejected) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(sim::ClusterConfig{});
+  storage::Hdfs hdfs(&cluster);
   ASSERT_TRUE(hdfs.WriteString("bad.txt", "1 banana\n", -1).ok());
   EXPECT_FALSE(ReadEdgesText(hdfs, "bad.txt", -1).ok());
 }
 
 TEST(EdgeIoTest, BinaryRoundTrip) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(sim::ClusterConfig{});
+  storage::Hdfs hdfs(&cluster);
   EdgeList edges = GenerateErdosRenyi(100, 1000, 2);
   ASSERT_TRUE(WriteEdgesBinary(hdfs, "e.bin", edges, -1).ok());
   auto back = ReadEdgesBinary(hdfs, "e.bin", -1);

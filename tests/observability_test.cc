@@ -1,6 +1,6 @@
 // Observability layer tests: tracer span nesting and capping, JSON
 // round-trips (including int64 tick exactness), run-report schema
-// validation, per-context metrics isolation, and the flight recorder
+// validation, per-cluster telemetry isolation, and the flight recorder
 // (Chrome-trace export, hot-key/skew profiling, convergence telemetry).
 
 #include <gtest/gtest.h>
@@ -22,6 +22,9 @@
 #include "core/pagerank.h"
 #include "core/psgraph_context.h"
 #include "graph/generators.h"
+#include "net/rpc.h"
+#include "ps/agent.h"
+#include "ps/context.h"
 #include "sim/convergence.h"
 #include "sim/critical_path.h"
 #include "sim/event_journal.h"
@@ -324,7 +327,6 @@ TEST(ContextMetricsTest, TwoContextsDoNotCrossContaminate) {
   auto b = make();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  const uint64_t global_before = Metrics::Global().Get("rpc.calls");
 
   graph::EdgeList edges = graph::GenerateErdosRenyi(200, 1000, 19);
   auto ds = core::StageAndLoadEdges(**a, edges, "obs/iso.bin");
@@ -337,8 +339,110 @@ TEST(ContextMetricsTest, TwoContextsDoNotCrossContaminate) {
   EXPECT_GT((*a)->metrics().GetHistogram("ps.pull.service_ticks").count(),
             0u);
   EXPECT_EQ((*b)->metrics().Get("rpc.calls"), 0u);
-  // Traffic on a context's cluster never lands in the global registry.
-  EXPECT_EQ(Metrics::Global().Get("rpc.calls"), global_before);
+}
+
+sim::ClusterConfig BareConfig() {
+  sim::ClusterConfig cfg;
+  cfg.num_executors = 2;
+  cfg.num_servers = 2;
+  cfg.executor_mem_bytes = 64ull << 20;
+  cfg.server_mem_bytes = 64ull << 20;
+  return cfg;
+}
+
+// Every SimCluster owns its eight sinks. Traffic on one bare cluster
+// (no PsGraphContext) must leave every sink of a second one empty.
+TEST(ClusterSinksTest, BareClustersShareNoSink) {
+  sim::SimCluster busy(BareConfig());
+  sim::SimCluster idle(BareConfig());
+  for (sim::SimCluster* c : {&busy, &idle}) {
+    c->tracer().set_enabled(true);
+    c->skew().set_key_profiling(true);
+  }
+  sim::WatchdogRule any_rpc;
+  any_rpc.name = "any_rpc";
+  any_rpc.series = "counter.rpc.calls";
+  busy.watchdog().AddRule(any_rpc);
+
+  net::RpcFabric fabric(&busy);
+  ps::PsContext psctx(&busy, &fabric, nullptr);
+  ASSERT_TRUE(psctx.Start().ok());
+  auto meta = psctx.CreateMatrix("m", 64, 4);
+  ASSERT_TRUE(meta.ok());
+  ps::PsAgent agent(&psctx, busy.config().executor(0));
+  const std::vector<uint64_t> keys{1, 2, 3, 40};
+  ASSERT_TRUE(agent.PushAdd(*meta, keys, std::vector<float>(16, 1.0f)).ok());
+  ASSERT_TRUE(agent.PullRows(*meta, keys).ok());
+  auto echo = std::make_shared<net::RpcEndpoint>();
+  echo->Register("echo", [](const std::vector<uint8_t>&) -> Result<ByteBuffer> {
+    return ByteBuffer();
+  });
+  fabric.Bind(busy.config().driver(), echo);
+  ASSERT_TRUE(
+      fabric.Call(busy.config().executor(1), busy.config().driver(), "echo",
+                  ByteBuffer())
+          .ok());
+  busy.events().Record(sim::JournalEventType::kHealthCheck, -1, 0);
+  ASSERT_TRUE(busy.convergence().Record("loss", 0, 1.0));
+  busy.sampler().ForceSample(busy.clock().MakespanTicks());
+
+  // The traffic reached every sink of the cluster it ran on...
+  EXPECT_GT(busy.metrics().Get("rpc.calls"), 0u);
+  EXPECT_FALSE(busy.tracer().Snapshot().empty());
+  uint64_t busy_pulls = 0;
+  for (const auto& shard : busy.skew().Snap().shards) {
+    busy_pulls += shard.pull_keys;
+  }
+  EXPECT_GT(busy_pulls, 0u);
+  EXPECT_FALSE(busy.convergence().Snapshot().empty());
+  EXPECT_FALSE(busy.rpc_telemetry().Snapshot().empty());
+  EXPECT_FALSE(busy.events().Snapshot().empty());
+  EXPECT_GT(busy.sampler().store().points(), 0u);
+  EXPECT_EQ(busy.watchdog().FireCount("any_rpc"), 1u);
+
+  // ...and none of the other's.
+  EXPECT_TRUE(idle.metrics().CounterSnapshot().empty());
+  EXPECT_TRUE(idle.metrics().GaugeSnapshot().empty());
+  EXPECT_TRUE(idle.metrics().HistogramSnapshots().empty());
+  EXPECT_TRUE(idle.tracer().Snapshot().empty());
+  EXPECT_TRUE(idle.tracer().Summary().empty());
+  const sim::SkewProfiler::Snapshot skew = idle.skew().Snap();
+  for (const auto& shard : skew.shards) {
+    EXPECT_EQ(shard.pull_keys + shard.push_keys, 0u);
+    EXPECT_TRUE(shard.hot_keys.empty());
+  }
+  EXPECT_TRUE(skew.partitions.empty());
+  EXPECT_TRUE(idle.convergence().Snapshot().empty());
+  EXPECT_TRUE(idle.rpc_telemetry().Snapshot().empty());
+  EXPECT_TRUE(idle.events().Snapshot().empty());
+  EXPECT_EQ(idle.sampler().store().points(), 0u);
+  EXPECT_TRUE(idle.watchdog().rules().empty());
+  EXPECT_TRUE(idle.watchdog().firings().empty());
+}
+
+// A bare cluster's report is complete with no install step: its own
+// sampler is armed at construction, so the timeseries section fills.
+TEST(RunReportTest, BareClusterReportHasTimeseries) {
+  sim::SimCluster cluster(BareConfig());
+  net::RpcFabric fabric(&cluster);
+  ps::PsContext psctx(&cluster, &fabric, nullptr);
+  ASSERT_TRUE(psctx.Start().ok());
+  auto meta = psctx.CreateMatrix("m", 64, 4);
+  ASSERT_TRUE(meta.ok());
+  ps::PsAgent agent(&psctx, cluster.config().executor(0));
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(agent.PullRows(*meta, {1, 2, 3, 40}).ok());
+  }
+  cluster.sampler().ForceSample(cluster.clock().MakespanTicks());
+
+  sim::RunReport report = sim::CollectRunReport("bare", &cluster);
+  EXPECT_GT(report.timeseries.points, 0u);
+  ASSERT_EQ(report.timeseries.series.count("rpc.total.calls"), 1u);
+  EXPECT_EQ(report.timeseries.series.at("rpc.total.calls").back(),
+            static_cast<double>(report.counters.at("rpc.calls")));
+  auto parsed = JsonValue::Parse(sim::RunReportToJson(report).Dump());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(sim::ValidateRunReportJson(*parsed).ok());
 }
 
 TEST(TracerTest, MaxSpansIsConfigurable) {
@@ -825,12 +929,11 @@ TEST(MetricsSamplerTest, PollAppendsOnePointPerCrossedBoundary) {
   EXPECT_EQ(store.Series("hist.rpc.queue_ticks.p99"), nullptr)
       << "denylisted histograms must never produce a series";
 
-  // Disabled samplers (interval 0, the Global() fallback) no-op.
+  // Disabled samplers (interval 0) no-op.
   MetricsSampler disabled;
   EXPECT_FALSE(disabled.enabled());
   disabled.Poll(1000000);
   EXPECT_EQ(disabled.store().points(), 0u);
-  EXPECT_FALSE(MetricsSampler::Global().enabled());
 }
 
 TEST(HistogramPercentilesTest, SharedHelperMatchesQuantiles) {
@@ -974,11 +1077,6 @@ TEST(WatchdogTest, AllThreeRuleFormsFireAndClear) {
   EXPECT_TRUE(wd.firings().empty());
   EXPECT_FALSE(wd.IsActive(0));
   EXPECT_EQ(wd.rules().size(), 3u);  // rules survive a reset
-
-  // The process-wide fallback is permanently disabled: evaluating it
-  // is a no-op, never a crash.
-  sim::Watchdog::Global().Evaluate(12345);
-  EXPECT_TRUE(sim::Watchdog::Global().firings().empty());
 }
 
 TEST(WatchdogTest, FireBelowAndBurnGuardAgainstZeroTraffic) {

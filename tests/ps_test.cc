@@ -471,9 +471,7 @@ struct SoloServer {
     cfg.num_servers = 1;
     cfg.server_mem_bytes = server_mem;
     cluster = std::make_unique<sim::SimCluster>(cfg);
-    cluster->set_metrics(&metrics);
-    cluster->set_skew(&skew);
-    skew.set_key_profiling(true);
+    cluster->skew().set_key_profiling(true);
     server = std::make_unique<PsServer>(0, 1, cluster.get(), nullptr);
     RegisterBuiltinPsFuncs();
   }
@@ -506,8 +504,6 @@ struct SoloServer {
     return server->PushAssign(id, std::vector<uint64_t>{key}, row);
   }
 
-  Metrics metrics;
-  sim::SkewProfiler skew;
   std::unique_ptr<sim::SimCluster> cluster;
   std::unique_ptr<PsServer> server;
 };
@@ -521,11 +517,11 @@ void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
   EXPECT_EQ(batched.cluster->memory().Peak(node),
             per_row.cluster->memory().Peak(node));
   // ps.rows_pushed and the per-server ps.server0.rows_pushed.
-  EXPECT_EQ(batched.metrics.CounterSnapshot(),
-            per_row.metrics.CounterSnapshot());
+  EXPECT_EQ(batched.cluster->metrics().CounterSnapshot(),
+            per_row.cluster->metrics().CounterSnapshot());
   // ps.push.keys_per_request and ps.push.service_ticks.
-  auto hb = batched.metrics.HistogramSnapshots();
-  auto hp = per_row.metrics.HistogramSnapshots();
+  auto hb = batched.cluster->metrics().HistogramSnapshots();
+  auto hp = per_row.cluster->metrics().HistogramSnapshots();
   ASSERT_EQ(hb.size(), hp.size());
   for (const auto& [name, want] : hp) {
     ASSERT_EQ(hb.count(name), 1u) << name;
@@ -537,8 +533,8 @@ void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
     EXPECT_EQ(got.buckets, want.buckets) << name;
   }
   // Same key sequence into the hot-key sketch.
-  auto sb = batched.skew.Snap();
-  auto sp = per_row.skew.Snap();
+  auto sb = batched.cluster->skew().Snap();
+  auto sp = per_row.cluster->skew().Snap();
   ASSERT_EQ(sb.shards.size(), sp.shards.size());
   for (size_t i = 0; i < sp.shards.size(); ++i) {
     EXPECT_EQ(sb.shards[i].push_keys, sp.shards[i].push_keys);
@@ -706,7 +702,7 @@ TEST(PsFuncBatchTest, MidBatchMemoryLimitStopsAtTheSameRow) {
   EXPECT_TRUE(ref.IsMemoryLimitExceeded()) << ref.ToString();
   ExpectSameCharges(batched, per_row);
   EXPECT_EQ(RowsOf(batched, 1), RowsOf(per_row, 1));
-  EXPECT_GT(batched.metrics.Get("ps.rows_pushed"), 0u);
+  EXPECT_GT(batched.cluster->metrics().Get("ps.rows_pushed"), 0u);
 }
 
 TEST_F(PsTest, DuplicatePushKeysApplyInArrivalOrder) {

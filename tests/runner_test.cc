@@ -105,7 +105,8 @@ TEST(GraphRunnerTest, SavesOutputToHdfs) {
 }
 
 TEST(GraphIoTest, VertexDoubleRoundTrip) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(sim::ClusterConfig{});
+  storage::Hdfs hdfs(&cluster);
   std::vector<double> values{0.5, 1.25, -3.75, 1e-9};
   ASSERT_TRUE(SaveVertexDoubles(hdfs, "v.txt", values).ok());
   auto back = LoadVertexDoubles(hdfs, "v.txt");
@@ -117,7 +118,8 @@ TEST(GraphIoTest, VertexDoubleRoundTrip) {
 }
 
 TEST(GraphIoTest, EmbeddingRoundTripAndValidation) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(sim::ClusterConfig{});
+  storage::Hdfs hdfs(&cluster);
   std::vector<float> emb(6 * 4);
   for (size_t i = 0; i < emb.size(); ++i) emb[i] = 0.25f * i;
   ASSERT_TRUE(SaveEmbeddings(hdfs, "e.bin", emb, 6, 4).ok());

@@ -52,15 +52,6 @@ struct Stack {
         fabric(&cluster),
         hdfs(&cluster),
         ps(&cluster, &fabric, &hdfs) {
-    // The bare SimCluster reports into the process-global registries;
-    // start each stack from zero so counter assertions (and the
-    // byte-identical-report test) see only this stack's activity.
-    cluster.metrics().Reset();
-    cluster.tracer().Reset();
-    cluster.skew().Reset();
-    cluster.convergence().Reset();
-    cluster.rpc_telemetry().Reset();
-    cluster.events().Reset();
     PSG_CHECK_OK(ps.Start());
     PSG_CHECK_OK(
         ps.CreateMatrix("emb", kKeySpace, kDim).status());

@@ -105,7 +105,8 @@ TEST(FailureInjectorTest, FiresOnceAtIteration) {
 }
 
 TEST(HdfsTest, WriteReadRoundTrip) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(Config2x2());
+  storage::Hdfs hdfs(&cluster);
   ASSERT_TRUE(hdfs.WriteString("a/b.txt", "contents", -1).ok());
   auto r = hdfs.ReadString("a/b.txt", -1);
   ASSERT_TRUE(r.ok());
@@ -116,7 +117,8 @@ TEST(HdfsTest, WriteReadRoundTrip) {
 }
 
 TEST(HdfsTest, ListRenameDelete) {
-  storage::Hdfs hdfs;
+  sim::SimCluster cluster(Config2x2());
+  storage::Hdfs hdfs(&cluster);
   ASSERT_TRUE(hdfs.WriteString("dir/x", "1", -1).ok());
   ASSERT_TRUE(hdfs.WriteString("dir/y", "2", -1).ok());
   ASSERT_TRUE(hdfs.WriteString("other/z", "3", -1).ok());
