@@ -97,7 +97,7 @@ inline JsonValue CellToJson(const char* system, const char* workload,
 /// capture wins; the bench payload survives captures). Set() entries
 /// carry the bench's own table under "bench". Write() emits
 /// BENCH_<name>.json into the working directory, which
-/// scripts/check_bench_regression.py validates and diffs in CI.
+/// scripts/check_bench_regression.py diffs against its baseline in CI.
 class BenchReport {
  public:
   explicit BenchReport(const std::string& name) { report_.name = name; }
@@ -138,20 +138,20 @@ class BenchReport {
 
   const sim::RunReport& report() const { return report_; }
 
-  /// Writes BENCH_<name>.json; prints a warning instead of failing the
-  /// bench when the file cannot be written. When PSGRAPH_TRACE_OUT is
-  /// set, also exports the last captured cluster's spans as a
-  /// Chrome-trace/Perfetto JSON (open in chrome://tracing or
+  /// Writes BENCH_<name>.json, or exits the bench non-zero when the
+  /// report fails schema validation or cannot be written. When
+  /// PSGRAPH_TRACE_OUT is set, also exports the last captured cluster's
+  /// spans as a Chrome-trace/Perfetto JSON (open in chrome://tracing or
   /// ui.perfetto.dev; validate with scripts/trace_summary.py).
   void Write() {
     const std::string path = "BENCH_" + report_.name + ".json";
     Status st = sim::WriteRunReport(report_, path);
     if (!st.ok()) {
       std::fprintf(stderr, "bench report: %s\n", st.ToString().c_str());
-    } else {
-      std::printf("wrote %s\n", path.c_str());
-      PrintCriticalPath();
+      std::exit(EXIT_FAILURE);
     }
+    std::printf("wrote %s\n", path.c_str());
+    PrintCriticalPath();
     const std::string trace_path = TraceOutPathFromEnv();
     if (trace_path.empty()) return;
     TraceExportOptions options;
@@ -211,7 +211,7 @@ class BenchReport {
   /// the bench log itself, not only in the JSON.
   void PrintCriticalPath() const {
     const sim::CriticalPathReport& cp = report_.critical_path;
-    if (!cp.valid || cp.makespan_ticks <= 0) return;
+    if (cp.makespan_ticks <= 0) return;
     std::string breakdown;
     for (int c = 0; c < sim::kNumCostCategories; ++c) {
       const int64_t ticks = cp.categories[static_cast<size_t>(c)];

@@ -4,8 +4,9 @@
 Usage:
     scripts/bench_diff.py BASELINE.json CURRENT.json
 
-Both files are ``BENCH_<name>.json`` run reports (schema v6+). The tool
-reads each report's ``critical_path`` section — the deterministic
+Each file is a ``BENCH_<name>.json`` run report (schema v6+) or its
+committed baseline (check_bench_regression.py's projection of one). The
+tool reads each file's ``critical_path`` section — the deterministic
 makespan attribution whose categories sum exactly to the simulated
 makespan — and prints *where* the delta went:
 
@@ -28,18 +29,6 @@ Exit status is always 0: this is a diagnostic lens, not a gate.
 import json
 import sys
 
-CATEGORIES = [
-    "compute",
-    "rpc.serialize",
-    "rpc.wait",
-    "barrier.skew",
-    "recovery",
-    "replication.merge",
-    "serving.queue",
-    "stream.apply",
-    "stream.retrain",
-]
-
 
 def _pct(part, whole):
     if whole == 0:
@@ -49,18 +38,21 @@ def _pct(part, whole):
 
 def attribute(baseline, current):
     """Returns human-readable attribution lines for the makespan delta
-    between two parsed run-report dicts. Empty list when neither report
-    carries a critical_path section (pre-v6 reports, or no cluster)."""
+    between two parsed run reports or baselines. A single note when
+    either lacks a critical_path section (a pre-v6 report)."""
     b_cp = baseline.get("critical_path")
     c_cp = current.get("critical_path")
     if not isinstance(b_cp, dict) or not isinstance(c_cp, dict):
         return ["no critical_path section on one side "
-                "(pre-v6 report or clusterless run) — "
-                "no attribution possible"]
+                "(pre-v6 report) — no attribution possible"]
 
     lines = []
-    b_make = b_cp.get("makespan_ticks", 0)
-    c_make = c_cp.get("makespan_ticks", 0)
+    b_cats = b_cp.get("categories", {})
+    c_cats = c_cp.get("categories", {})
+    # The categories conserve, so their sum is the makespan (a committed
+    # baseline keeps the categories but not critical_path.makespan_ticks).
+    b_make = sum(b_cats.values())
+    c_make = sum(c_cats.values())
     delta = c_make - b_make
     lines.append("makespan_ticks %d -> %d (%+d, %s)" %
                  (b_make, c_make, delta, _pct(delta, b_make)))
@@ -68,9 +60,9 @@ def attribute(baseline, current):
     # Category attribution. Conservation on both sides means these
     # deltas sum exactly to the makespan delta.
     cat_deltas = []
-    for cat in CATEGORIES:
-        b = b_cp.get("categories", {}).get(cat, 0)
-        c = c_cp.get("categories", {}).get(cat, 0)
+    for cat in set(b_cats) | set(c_cats):
+        b = b_cats.get(cat, 0)
+        c = c_cats.get(cat, 0)
         if b != c:
             cat_deltas.append((cat, c - b, b, c))
     cat_deltas.sort(key=lambda e: (-abs(e[1]), e[0]))

@@ -1,78 +1,34 @@
 #!/usr/bin/env python3
-"""Validates bench run reports and gates on simulated-time regressions.
+"""Gates bench run reports on simulated-time regressions.
 
 Usage:
     scripts/check_bench_regression.py [--report-dir DIR] \
-        [--baseline-dir bench/baselines] [--tolerance 0.05]
+        [--baseline-dir bench/baselines] [--tolerance 0.05] [--update]
 
-For every baseline ``BENCH_<name>.json`` committed under the baseline
-directory, the freshly produced report of the same name (in the report
-directory, default cwd) is
+A committed baseline ``BENCH_<name>.json`` is the projection of a run
+report onto the leaves gated here (``project``); ``--update`` writes
+the projection of every ``BENCH_*.json`` in --report-dir into
+--baseline-dir. Each baseline is diffed against the fresh report of
+the same name. Gated leaves, all derived from the simulated clock:
 
-  1. schema-validated (mirrors ``sim::ValidateRunReportJson``), and
-  2. diffed against the baseline on *simulated* quantities only.
+  * cluster.makespan_ticks, each node's busy_ticks, and the
+    critical_path.categories makespan attribution;
+  * p50/p95/p99/p999 and (exactly) count of GATED_HISTOGRAMS;
+  * every bench-payload value under a key ending in ``sim_ticks``,
+    ``sim_seconds`` or ``_bytes``, and (exactly) under ``oom`` or
+    ``sim_ticks_identical``;
+  * bench-payload kernel entries ``{"value": N, "unit": U}``: the unit
+    exactly, the value exactly when U is ``bytes``.
 
-Gated quantities — all derived from the deterministic simulated clock,
-so at parallelism 1 they are bit-identical run-to-run and any drift is a
-real behaviour change:
-
-  * cluster.makespan_ticks and each per-node busy_ticks
-  * p50/p95/p99/p999/count of the pull/push/serving latency histograms
-    (agent.pull.latency_ticks, agent.push.latency_ticks,
-    ps.pull.service_ticks, ps.push.service_ticks,
-    serving.request.latency_ticks)
-  * every numeric bench-payload leaf whose key ends in ``sim_ticks``
-    or ``sim_seconds`` (tolerance band) or equals ``oom`` /
-    ``sim_ticks_identical`` (exact) — this covers the fig6 table rows,
-    the ablation cells, the scaling sweep, BENCH_parallel's
-    determinism contract, and BENCH_table2_failure's
-    ``time_to_recovery_sim_ticks`` uniformly.
-  * every numeric bench-payload leaf whose key ends in ``_bytes``
-    (tolerance band): wire payload and snapshot blob sizes are pure
-    functions of the format and the deterministic workload, so a drift
-    is a wire-format or workload change.
-  * kernel-table entries — any bench-payload object of the form
-    ``{"value": N, "unit": "ticks"|"bytes"}`` (BENCH_micro's
-    ``kernels`` section). Entries without a valid ``unit`` label fail
-    schema validation; ``bytes`` entries diff exactly, ``ticks``
-    entries within the band.
-
-Deliberately NOT gated: wall-clock fields (machine-dependent),
-rpc.queue_ticks (queueing order is nondeterministic at parallelism > 1;
-see DESIGN.md "Observability"), span summaries (trace-gated), the
-schema_version-2 ``skew``/``convergence`` flight-recorder sections
-(hot-key sketch contents are accumulation-order-dependent at
-parallelism > 1), and the schema_version-3 ``rpc``/``events`` sections
-(their deterministic aggregates surface per-cell in the bench payload
-where the suffix rules gate them) — those are schema-validated only.
-The schema_version-4 ``serving`` section's latency histogram gates via
-GATED_HISTOGRAMS; its counters gate through the bench payload's
-suffix rules like every other sim-derived quantity. The
-schema_version-5 ``timeseries``/``alerts`` sections are
-schema-validated only (every series array must be exactly ``points``
-long, every firing must index a declared rule) — the series *values*
-mirror counters/gauges that already gate elsewhere, and the alert
-fire/clear contracts are asserted by the benches themselves.
-The schema_version-6 ``critical_path`` section gates its per-category
-makespan attribution (tolerance band; the conservation invariant —
-categories summing exactly to cluster.makespan_ticks — is re-checked
-here so a hand-edited baseline cannot lie about where time went).
-Schema version 7 adds the ``stream.apply``/``stream.retrain`` cost
-categories (the arrays grow to 9 entries, gated like the rest) and the
-optional ``freshness`` bench-payload section: every freshness cell
-must carry numeric staleness_p50/p99 sim-tick leaves (gated by the
-suffix rules) and a zero ``torn_requests`` count.
-
-When the makespan itself (cluster.makespan_ticks or a per-node
-busy_ticks) trips the gate, the raw "leaf moved" lines are replaced by
-a single failure that root-causes the delta with bench_diff.py: which
-cost category absorbed the ticks, whether the straggler moved, and
-which span names slowed on the critical node.
-
-A tolerance band (default 5%) allows intentional cost-model tuning to
-pass while catching order-of-magnitude regressions; exact-match fields
-(counts, sim_ticks_identical) ignore the band. Exits non-zero on any
-schema violation or out-of-band drift.
+Leaves compare within the relative --tolerance band unless marked
+exact above; node ids, strings and booleans always compare exactly.
+Nothing else gates: wall clock varies by host. A failed makespan,
+busy_ticks or category leaf is reported once per bench, root-caused by
+bench_diff.py. Every gate run first checks that the baseline directory
+holds only ``BENCH_*.json`` files, that each baseline is its own
+projection, and that its categories sum to its makespan. The report
+schema is checked by sim::ValidateRunReportJson when a bench writes
+its report, not here.
 """
 
 import argparse
@@ -91,521 +47,15 @@ GATED_HISTOGRAMS = [
     "serving.request.latency_ticks",
 ]
 GATED_QUANTILES = ["p50", "p95", "p99", "p999"]
-
-HIST_NUMERIC_FIELDS = [
-    "count", "sum", "min", "max", "mean", "p50", "p95", "p99", "p999",
-]
-
-SERVING_NUMERIC_FIELDS = [
-    "requests_completed", "requests_failed", "torn_reads", "lookup_keys",
-    "infer_nodes", "cache_hits", "cache_misses", "cache_hit_rate",
-    "batches", "mean_batch_occupancy", "swaps", "snapshots_published",
-]
+EXACT_KEYS = ("oom", "sim_ticks_identical")
+TOLERANT_SUFFIXES = ("sim_ticks", "sim_seconds", "_bytes")
+# Ungated fields a baseline keeps so that bench_diff.attribute can
+# explain a failed makespan gate.
+ATTRIBUTION_FIELDS = ("critical_node", "critical_role", "top_spans")
 
 
 def fail(errors, fmt, *args):
     errors.append(fmt % args if args else fmt)
-
-
-def validate_schema(report, path, errors):
-    """Mirrors sim::ValidateRunReportJson — a report CI would gate on
-    must be readable by tooling that only knows the schema."""
-    def err(fmt, *args):
-        fail(errors, "%s: %s" % (path, fmt % args if args else fmt))
-
-    if not isinstance(report, dict):
-        err("top level is not an object")
-        return
-    if report.get("schema") != "psgraph.run_report":
-        err("bad schema marker %r", report.get("schema"))
-    if report.get("schema_version") != 7:
-        err("unsupported schema_version %r", report.get("schema_version"))
-    if not isinstance(report.get("name"), str) or not report.get("name"):
-        err("missing name")
-    for section in ("counters", "gauges", "histograms", "spans"):
-        if not isinstance(report.get(section), dict):
-            err("missing section %r", section)
-    if "bench" not in report:
-        err("missing bench payload")
-    for name, hist in report.get("histograms", {}).items():
-        if not isinstance(hist, dict):
-            err("histogram %r is not an object", name)
-            continue
-        for field in HIST_NUMERIC_FIELDS:
-            if not isinstance(hist.get(field), (int, float)):
-                err("histogram %r missing numeric %r", name, field)
-        if not isinstance(hist.get("buckets"), list):
-            err("histogram %r missing buckets array", name)
-    cluster = report.get("cluster")
-    if cluster is not None:
-        if not isinstance(cluster, dict):
-            err("cluster is neither null nor an object")
-        else:
-            nodes = cluster.get("nodes")
-            if not isinstance(nodes, list) or not nodes:
-                err("cluster.nodes missing or empty")
-            else:
-                for node in nodes:
-                    if not isinstance(node, dict):
-                        err("cluster node is not an object")
-                        continue
-                    for field in ("mem_usage_bytes", "mem_peak_bytes",
-                                  "mem_budget_bytes"):
-                        if not isinstance(node.get(field), int):
-                            err("cluster node missing integer %r", field)
-            if not isinstance(cluster.get("makespan_ticks"), int):
-                err("cluster.makespan_ticks missing")
-
-    skew = report.get("skew")
-    if not isinstance(skew, dict):
-        err("missing 'skew' section")
-    else:
-        shards = skew.get("shards")
-        if not isinstance(shards, list):
-            err("skew.shards must be an array")
-        else:
-            for shard in shards:
-                if not isinstance(shard, dict):
-                    err("skew shard is not an object")
-                    continue
-                for field in ("server", "pull_keys", "push_keys",
-                              "load_share", "topk_share"):
-                    if not isinstance(shard.get(field), (int, float)):
-                        err("skew shard missing numeric %r", field)
-                if not isinstance(shard.get("hot_keys"), list):
-                    err("skew shard missing hot_keys array")
-        if not isinstance(skew.get("partitions"), list):
-            err("skew.partitions must be an array")
-        if not isinstance(skew.get("partition_imbalance"), (int, float)):
-            err("skew.partition_imbalance must be numeric")
-
-    convergence = report.get("convergence")
-    if not isinstance(convergence, dict):
-        err("missing 'convergence' section")
-    else:
-        series = convergence.get("series")
-        if not isinstance(series, dict):
-            err("convergence.series must be an object")
-        else:
-            for sname, points in series.items():
-                if not isinstance(points, list):
-                    err("convergence series %r must be an array", sname)
-                    continue
-                last_iter = None
-                for p in points:
-                    if (not isinstance(p, list) or len(p) != 2
-                            or not isinstance(p[0], int)
-                            or not isinstance(p[1], (int, float))):
-                        err("convergence series %r points must be "
-                            "[iteration, value] pairs", sname)
-                        break
-                    if last_iter is not None and p[0] <= last_iter:
-                        err("convergence series %r iterations must "
-                            "increase", sname)
-                        break
-                    last_iter = p[0]
-        if not isinstance(convergence.get("rejected_points"), int):
-            err("convergence.rejected_points must be an integer")
-
-    rpc = report.get("rpc")
-    if not isinstance(rpc, dict):
-        err("missing 'rpc' section")
-    else:
-        methods = rpc.get("methods")
-        if not isinstance(methods, list):
-            err("rpc.methods must be an array")
-        else:
-            for entry in methods:
-                if not isinstance(entry, dict):
-                    err("rpc method entry is not an object")
-                    continue
-                if (not isinstance(entry.get("method"), str)
-                        or not entry.get("method")):
-                    err("rpc entry missing 'method' string")
-                for field in ("node", "calls", "request_bytes",
-                              "response_bytes", "callee_busy_ticks",
-                              "caller_wait_ticks", "errors_unavailable",
-                              "errors_handler"):
-                    if not isinstance(entry.get(field), int):
-                        err("rpc entry missing integer %r", field)
-
-    events = report.get("events")
-    if not isinstance(events, dict):
-        err("missing 'events' section")
-    else:
-        counts = events.get("counts")
-        if not isinstance(counts, dict):
-            err("events.counts must be an object")
-        else:
-            for etype, count in counts.items():
-                if not isinstance(count, int):
-                    err("events.counts[%r] must be an integer", etype)
-        failures = events.get("failures")
-        if not isinstance(failures, list):
-            err("events.failures must be an array")
-        else:
-            for ev in failures:
-                if not isinstance(ev, dict):
-                    err("failure event is not an object")
-                    continue
-                if (not isinstance(ev.get("type"), str)
-                        or not ev.get("type")):
-                    err("failure event missing 'type' string")
-                for field in ("node", "iteration", "ticks", "value"):
-                    if not isinstance(ev.get(field), int):
-                        err("failure event missing integer %r", field)
-        recovery = events.get("recovery")
-        if not isinstance(recovery, dict):
-            err("events.recovery must be an object")
-        else:
-            for field in ("episodes", "total_ticks", "max_ticks"):
-                if not isinstance(recovery.get(field), int):
-                    err("events.recovery.%s must be an integer" % field)
-        if not isinstance(events.get("dropped"), int):
-            err("events.dropped must be an integer")
-
-    # Kernel tables: every entry in a bench-payload "kernels" object
-    # must be {"value": <number>, "unit": "ticks"|"bytes"} — an
-    # unlabeled measurement cannot be gated and is rejected outright.
-    bench = report.get("bench")
-    if isinstance(bench, dict) and "kernels" in bench:
-        kernels = bench["kernels"]
-        if not isinstance(kernels, dict):
-            err("bench.kernels must be an object")
-        else:
-            for kname, entry in kernels.items():
-                if not isinstance(entry, dict):
-                    err("bench.kernels[%r] is not an object", kname)
-                    continue
-                if not isinstance(entry.get("value"), (int, float)):
-                    err("bench.kernels[%r] missing numeric 'value'", kname)
-                if entry.get("unit") not in ("ticks", "bytes"):
-                    err("bench.kernels[%r] has no 'ticks'/'bytes' unit "
-                        "label (got %r)", kname, entry.get("unit"))
-
-    # Freshness tables: a bench payload carrying a "freshness" section
-    # (bench_freshness) must report gateable staleness percentiles and a
-    # zero torn-read count in every rate cell — a freshness report that
-    # cannot be gated, or one that tore a read, is rejected outright.
-    if isinstance(bench, dict) and "freshness" in bench:
-        if not isinstance(bench["freshness"], dict):
-            err("bench.freshness must be an object")
-        cells = [(k, v) for k, v in bench.items()
-                 if isinstance(v, dict) and "staleness_p50_sim_ticks" in v]
-        if not cells:
-            err("bench.freshness present but no rate cell carries "
-                "staleness_p50_sim_ticks")
-        for cname, cell in cells:
-            for field in ("staleness_p50_sim_ticks",
-                          "staleness_p99_sim_ticks",
-                          "touched_fraction_max", "rank_rel_l1_err"):
-                if not isinstance(cell.get(field), (int, float)):
-                    err("bench[%r] missing numeric %r", cname, field)
-            if cell.get("torn_requests") != 0:
-                err("bench[%r].torn_requests must be 0 (got %r)", cname,
-                    cell.get("torn_requests"))
-
-    serving = report.get("serving")
-    if not isinstance(serving, dict):
-        err("missing 'serving' section")
-    else:
-        for field in SERVING_NUMERIC_FIELDS:
-            if not isinstance(serving.get(field), (int, float)):
-                err("serving.%s must be numeric" % field)
-        latency = serving.get("latency_ticks")
-        if not isinstance(latency, dict):
-            err("serving.latency_ticks must be an object")
-        else:
-            for field in ("count", "p50", "p99", "p999"):
-                if not isinstance(latency.get(field), (int, float)):
-                    err("serving.latency_ticks.%s must be numeric" % field)
-
-    timeseries = report.get("timeseries")
-    if not isinstance(timeseries, dict):
-        err("missing 'timeseries' section")
-    else:
-        for field in ("base_interval_ticks", "interval_ticks",
-                      "compactions", "points"):
-            if not isinstance(timeseries.get(field), int):
-                err("timeseries.%s must be an integer" % field)
-        series = timeseries.get("series")
-        if not isinstance(series, dict):
-            err("timeseries.series must be an object")
-        else:
-            points = timeseries.get("points")
-            for sname, values in series.items():
-                if not isinstance(values, list):
-                    err("timeseries series %r must be an array", sname)
-                    continue
-                if isinstance(points, int) and len(values) != points:
-                    err("timeseries series %r has %d values, expected "
-                        "%d points", sname, len(values), points)
-                if not all(isinstance(v, (int, float)) for v in values):
-                    err("timeseries series %r has non-numeric values",
-                        sname)
-
-    # critical_path (schema v6): null exactly when the run had no
-    # cluster; otherwise the categories must conserve — sum exactly to
-    # the cluster makespan — and the path must tile [0, makespan].
-    if "critical_path" not in report:
-        err("missing 'critical_path' section")
-    cp = report.get("critical_path")
-    if cp is None:
-        if cluster is not None:
-            err("critical_path is null but the report has a cluster")
-    elif not isinstance(cp, dict):
-        err("critical_path is neither null nor an object")
-    elif cluster is None:
-        err("critical_path present but the report has no cluster")
-    else:
-        for field in ("critical_node", "makespan_ticks"):
-            if not isinstance(cp.get(field), int):
-                err("critical_path.%s must be an integer" % field)
-        if not isinstance(cp.get("critical_role"), str) \
-                or not cp.get("critical_role"):
-            err("critical_path.critical_role missing")
-        makespan = cp.get("makespan_ticks")
-        if (isinstance(cluster, dict)
-                and makespan != cluster.get("makespan_ticks")):
-            err("critical_path.makespan_ticks %r != cluster.makespan_"
-                "ticks %r", makespan, cluster.get("makespan_ticks"))
-        cats = cp.get("categories")
-        if not isinstance(cats, dict):
-            err("critical_path.categories must be an object")
-        else:
-            if sorted(cats) != sorted(bench_diff.CATEGORIES):
-                err("critical_path.categories keys %r != the fixed "
-                    "taxonomy %r", sorted(cats),
-                    sorted(bench_diff.CATEGORIES))
-            bad = False
-            for cat, ticks in cats.items():
-                if not isinstance(ticks, int) or ticks < 0:
-                    err("critical_path.categories[%r] must be a "
-                        "non-negative integer", cat)
-                    bad = True
-            if (not bad and isinstance(makespan, int)
-                    and sum(cats.values()) != makespan):
-                err("critical-path conservation violated: categories "
-                    "sum to %d but makespan_ticks is %d",
-                    sum(cats.values()), makespan)
-        cp_path = cp.get("path")
-        if not isinstance(cp_path, list):
-            err("critical_path.path must be an array")
-        else:
-            if isinstance(makespan, int) and makespan > 0 \
-                    and not cp_path:
-                err("critical_path.path empty despite makespan %d",
-                    makespan)
-            prev_end = 0
-            for i, seg in enumerate(cp_path):
-                if not isinstance(seg, dict):
-                    err("critical_path.path[%d] is not an object", i)
-                    break
-                for field in ("node", "begin_ticks", "end_ticks",
-                              "ticks"):
-                    if not isinstance(seg.get(field), int):
-                        err("critical_path.path[%d].%s must be an "
-                            "integer", i, field)
-                if seg.get("begin_ticks") != prev_end:
-                    err("critical_path.path[%d] begins at %r, expected "
-                        "%d (path must tile the makespan)", i,
-                        seg.get("begin_ticks"), prev_end)
-                    break
-                if not isinstance(seg.get("end_ticks"), int) \
-                        or seg["end_ticks"] <= prev_end:
-                    err("critical_path.path[%d] does not advance", i)
-                    break
-                if seg.get("ticks") != seg["end_ticks"] - prev_end:
-                    err("critical_path.path[%d].ticks inconsistent", i)
-                prev_end = seg["end_ticks"]
-            else:
-                if cp_path and isinstance(makespan, int) \
-                        and prev_end != makespan:
-                    err("critical_path.path ends at %d, expected the "
-                        "makespan %d", prev_end, makespan)
-        for span in cp.get("top_spans", []) \
-                if isinstance(cp.get("top_spans"), list) else []:
-            if not isinstance(span, dict) \
-                    or not isinstance(span.get("name"), str):
-                err("critical_path.top_spans entry malformed")
-                continue
-            for field in ("critical_node_ticks", "total_ticks", "count"):
-                if not isinstance(span.get(field), int):
-                    err("critical_path.top_spans[%r].%s must be an "
-                        "integer", span.get("name"), field)
-        if not isinstance(cp.get("top_spans"), list):
-            err("critical_path.top_spans must be an array")
-        what_if = cp.get("what_if")
-        if not isinstance(what_if, list):
-            err("critical_path.what_if must be an array")
-        else:
-            for entry in what_if:
-                if not isinstance(entry, dict) \
-                        or not isinstance(entry.get("name"), str):
-                    err("critical_path.what_if entry malformed")
-                    continue
-                for field in ("factor", "speedup"):
-                    if not isinstance(entry.get(field), (int, float)):
-                        err("critical_path.what_if[%r].%s must be "
-                            "numeric", entry.get("name"), field)
-                projected = entry.get("projected_makespan_ticks")
-                if not isinstance(projected, int):
-                    err("critical_path.what_if[%r].projected_makespan_"
-                        "ticks must be an integer", entry.get("name"))
-                elif isinstance(makespan, int) and projected > makespan:
-                    err("critical_path.what_if[%r] projects %d > the "
-                        "makespan %d (shrinking work cannot slow the "
-                        "run)", entry.get("name"), projected, makespan)
-
-    alerts = report.get("alerts")
-    if not isinstance(alerts, dict):
-        err("missing 'alerts' section")
-    else:
-        rules = alerts.get("rules")
-        if not isinstance(rules, list):
-            err("alerts.rules must be an array")
-            rules = []
-        for rule in rules:
-            if not isinstance(rule, dict):
-                err("alert rule is not an object")
-                continue
-            for field in ("name", "form"):
-                if (not isinstance(rule.get(field), str)
-                        or not rule.get(field)):
-                    err("alert rule missing %r string", field)
-            for field in ("threshold", "window", "error_budget",
-                          "burn_threshold"):
-                if not isinstance(rule.get(field), (int, float)):
-                    err("alert rule missing numeric %r", field)
-        firings = alerts.get("firings")
-        if not isinstance(firings, list):
-            err("alerts.firings must be an array")
-        else:
-            for firing in firings:
-                if not isinstance(firing, dict):
-                    err("alert firing is not an object")
-                    continue
-                for field in ("rule", "fire_ticks", "clear_ticks"):
-                    if not isinstance(firing.get(field), int):
-                        err("alert firing missing integer %r", field)
-                if not isinstance(firing.get("value"), (int, float)):
-                    err("alert firing missing numeric 'value'")
-                if not isinstance(firing.get("rule_name"), str):
-                    err("alert firing missing 'rule_name' string")
-                rule_idx = firing.get("rule")
-                if (isinstance(rule_idx, int)
-                        and not 0 <= rule_idx < len(rules)):
-                    err("alert firing rule index %r out of range "
-                        "(%d rules declared)", rule_idx, len(rules))
-
-
-def within(baseline, current, tolerance):
-    if baseline == current:
-        return True
-    if baseline == 0:
-        return abs(current) <= tolerance
-    return abs(current - baseline) <= tolerance * abs(baseline)
-
-
-def diff_value(label, baseline, current, tolerance, errors, exact=False):
-    if current is None:
-        fail(errors, "%s: missing in current report (baseline %s)",
-             label, baseline)
-        return
-    if exact:
-        if baseline != current:
-            fail(errors, "%s: %s -> %s (exact-match field)", label,
-                 baseline, current)
-    elif not within(baseline, current, tolerance):
-        drift = ((current - baseline) / baseline * 100.0
-                 if baseline else float("inf"))
-        fail(errors, "%s: %s -> %s (%+.1f%%, tolerance %.0f%%)", label,
-             baseline, current, drift, tolerance * 100)
-
-
-def diff_reports(name, baseline, current, tolerance, errors):
-    # Simulated makespan: the headline number. Its failures (and the
-    # per-node busy_ticks ones) are collected separately: a raw "leaf
-    # moved" line cannot be acted on, so when any of them trips we emit
-    # one failure root-caused by bench_diff's category attribution.
-    makespan_errors = []
-    b_cluster = baseline.get("cluster")
-    c_cluster = current.get("cluster")
-    if b_cluster is not None:
-        if c_cluster is None:
-            fail(errors, "%s: cluster section disappeared", name)
-        else:
-            diff_value("%s: cluster.makespan_ticks" % name,
-                       b_cluster.get("makespan_ticks"),
-                       c_cluster.get("makespan_ticks"), tolerance,
-                       makespan_errors)
-            # .get, not [..]: a node entry without a "node" id must be a
-            # named failure, not a bare KeyError traceback.
-            b_nodes = {n.get("node"): n for n in b_cluster.get("nodes", [])}
-            c_nodes = {n.get("node"): n for n in c_cluster.get("nodes", [])}
-            if None in b_nodes:
-                fail(errors, "%s: baseline cluster node without a "
-                     "'node' id", name)
-                del b_nodes[None]
-            for node_id, b_node in sorted(b_nodes.items()):
-                c_node = c_nodes.get(node_id)
-                diff_value(
-                    "%s: node %s busy_ticks" % (name, node_id),
-                    b_node.get("busy_ticks"),
-                    c_node.get("busy_ticks") if c_node else None,
-                    tolerance, makespan_errors)
-            # Per-category makespan attribution drifting past the band
-            # is a behaviour change even when the total happens to
-            # compensate (e.g. compute shrank but rpc.wait grew).
-            b_cp = baseline.get("critical_path")
-            c_cp = current.get("critical_path")
-            if isinstance(b_cp, dict):
-                c_cats = (c_cp.get("categories", {})
-                          if isinstance(c_cp, dict) else {})
-                for cat in bench_diff.CATEGORIES:
-                    b_ticks = b_cp.get("categories", {}).get(cat)
-                    if b_ticks is None:
-                        continue
-                    diff_value("%s: critical_path.%s" % (name, cat),
-                               b_ticks, c_cats.get(cat), tolerance,
-                               makespan_errors)
-    if makespan_errors:
-        lines = makespan_errors + ["root cause (scripts/bench_diff.py):"]
-        lines += ["  " + l for l in
-                  bench_diff.attribute(baseline, current)]
-        fail(errors, "%s", "\n       ".join(lines))
-
-    # Pull/push latency distributions.
-    for hist_name in GATED_HISTOGRAMS:
-        b_hist = baseline.get("histograms", {}).get(hist_name)
-        if b_hist is None:
-            continue  # this bench does not exercise that path
-        c_hist = current.get("histograms", {}).get(hist_name)
-        if c_hist is None:
-            fail(errors, "%s: histogram %r disappeared", name, hist_name)
-            continue
-        # A baseline histogram missing a gated leaf is itself a finding
-        # (stale or hand-edited baseline) — report the bench and the
-        # leaf path instead of dying with a bare KeyError.
-        for q, exact in [("count", True)] + [(q, False)
-                                             for q in GATED_QUANTILES]:
-            if q not in b_hist:
-                fail(errors,
-                     "%s: baseline histogram %s lacks leaf %r that the "
-                     "candidate report gates on", name, hist_name, q)
-                continue
-            diff_value("%s: %s.%s" % (name, hist_name, q), b_hist[q],
-                       c_hist.get(q), tolerance, errors, exact=exact)
-
-    # Bench payload: walk the baseline recursively and gate every
-    # simulated leaf (sim_ticks/sim_seconds with tolerance; oom and
-    # sim_ticks_identical exactly). Wall-clock leaves never gate.
-    diff_bench_payload("%s: bench" % name, baseline.get("bench"),
-                       current.get("bench"), tolerance, errors)
-
-
-EXACT_KEYS = ("oom", "sim_ticks_identical")
-TOLERANT_SUFFIXES = ("sim_ticks", "sim_seconds", "_bytes")
 
 
 def gate_kind(key):
@@ -617,39 +67,198 @@ def gate_kind(key):
     return None
 
 
-def diff_bench_payload(label, baseline, current, tolerance, errors,
-                       kind=None):
-    if (isinstance(baseline, dict) and "unit" in baseline
-            and "value" in baseline):
-        # Kernel entry: the unit decides the gate — byte counts are
-        # exact functions of the wire format, tick counts get the band.
-        sub = current if isinstance(current, dict) else {}
-        if sub.get("unit") != baseline["unit"]:
-            fail(errors, "%s: unit %r -> %r", label, baseline["unit"],
-                 sub.get("unit"))
-        diff_value("%s.value" % label, baseline["value"],
-                   sub.get("value"), tolerance, errors,
-                   exact=(baseline["unit"] == "bytes"))
+def is_kernel(value):
+    return isinstance(value, dict) and "unit" in value and "value" in value
+
+
+def as_dict(value):
+    return value if isinstance(value, dict) else {}
+
+
+def bench_leaves(path, value):
+    if is_kernel(value):
+        yield path + ("unit",), value["unit"], True
+        yield path + ("value",), value["value"], value["unit"] == "bytes"
         return
-    if isinstance(baseline, dict):
-        sub = current if isinstance(current, dict) else {}
-        for key, b_val in sorted(baseline.items()):
-            diff_bench_payload("%s.%s" % (label, key), b_val,
-                               sub.get(key), tolerance, errors,
-                               kind or gate_kind(key))
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        kind = gate_kind(key) if isinstance(key, str) else None
+        if kind is None or is_kernel(sub):
+            yield from bench_leaves(path + (key,), sub)
+        elif isinstance(sub, (int, float, list, dict)):
+            # Everything under a gated key gates, leaf by leaf.
+            yield path + (key,), sub, kind == "exact"
+
+
+def gated_leaves(report):
+    """Yields (path, value, exact) for every leaf the gate reads. A path
+    is a tuple of object keys and array indices; nodes pair by index,
+    which the node id leaf pins."""
+    cluster = as_dict(report.get("cluster"))
+    yield ("cluster", "makespan_ticks"), cluster.get("makespan_ticks"), False
+    nodes = cluster.get("nodes")
+    for i, node in enumerate(nodes if isinstance(nodes, list) else []):
+        node = as_dict(node)
+        yield ("cluster", "nodes", i, "node"), node.get("node"), True
+        yield (("cluster", "nodes", i, "busy_ticks"), node.get("busy_ticks"),
+               False)
+    categories = as_dict(as_dict(report.get("critical_path")).get("categories"))
+    for cat, ticks in categories.items():
+        yield ("critical_path", "categories", cat), ticks, False
+    histograms = as_dict(report.get("histograms"))
+    for name in GATED_HISTOGRAMS:
+        if name in histograms:
+            hist = as_dict(histograms[name])
+            for field in ["count"] + GATED_QUANTILES:
+                yield ("histograms", name, field), hist.get(field), \
+                    field == "count"
+    yield from bench_leaves(("bench",), report.get("bench"))
+
+
+def put(tree, path, value):
+    """Stores `value` at `path`, creating objects and arrays on the way;
+    array slots that hold no gated leaf stay null."""
+    for i, key in enumerate(path):
+        leaf = i == len(path) - 1
+        new = value if leaf else [] if isinstance(path[i + 1], int) else {}
+        if isinstance(tree, list):
+            tree.extend([None] * (key + 1 - len(tree)))
+            if leaf or tree[key] is None:
+                tree[key] = new
+        elif leaf or key not in tree:
+            tree[key] = new
+        tree = tree[key]
+
+
+def project(report):
+    """The baseline form of a run report: its gated leaves plus the
+    ATTRIBUTION_FIELDS of its critical path."""
+    out = {}
+    for path, value, _ in gated_leaves(report):
+        put(out, path, value)
+    critical_path = as_dict(report.get("critical_path"))
+    for field in ATTRIBUTION_FIELDS:
+        put(out, ("critical_path", field), critical_path.get(field))
+    return out
+
+
+def label_of(path):
+    return "".join("[%d]" % key if isinstance(key, int)
+                   else ("." if i else "") + key
+                   for i, key in enumerate(path))
+
+
+def within(baseline, current, tolerance):
+    if baseline == 0:
+        return abs(current) <= tolerance
+    return abs(current - baseline) <= tolerance * abs(baseline)
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def diff_value(label, baseline, current, tolerance, errors, exact):
+    """Compares one gated leaf; a gated object or array compares member
+    by member, and an array must keep its length."""
+    if baseline == current:
+        return
+    if current is None:
+        fail(errors, "%s: missing in current report (baseline %s)", label,
+             baseline)
+    elif isinstance(baseline, dict):
+        for key, sub in sorted(baseline.items()):
+            diff_value("%s.%s" % (label, key), sub, as_dict(current).get(key),
+                       tolerance, errors, exact)
     elif isinstance(baseline, list):
-        sub = current if isinstance(current, list) else []
-        if kind is not None and len(sub) != len(baseline):
-            fail(errors, "%s: length %d -> %d", label, len(baseline),
-                 len(sub))
+        if not isinstance(current, list) or len(current) != len(baseline):
+            fail(errors, "%s: length %d -> %s", label, len(baseline),
+                 len(current) if isinstance(current, list) else current)
             return
-        for i, b_val in enumerate(baseline):
-            diff_bench_payload("%s[%d]" % (label, i), b_val,
-                               sub[i] if i < len(sub) else None,
-                               tolerance, errors, kind)
-    elif kind is not None and isinstance(baseline, (int, float, bool)):
-        diff_value(label, baseline, current, tolerance, errors,
-                   exact=(kind == "exact" or isinstance(baseline, bool)))
+        for i, (b_val, c_val) in enumerate(zip(baseline, current)):
+            diff_value("%s[%d]" % (label, i), b_val, c_val, tolerance, errors,
+                       exact)
+    elif exact or not (is_number(baseline) and is_number(current)):
+        fail(errors, "%s: %s -> %s (exact-match field)", label, baseline,
+             current)
+    elif not within(baseline, current, tolerance):
+        drift = ((current - baseline) / baseline * 100.0
+                 if baseline else float("inf"))
+        fail(errors, "%s: %s -> %s (%+.1f%%, tolerance %.0f%%)", label,
+             baseline, current, drift, tolerance * 100)
+
+
+def diff_reports(name, baseline, current, tolerance, errors):
+    fresh = {path: value for path, value, _ in gated_leaves(current)}
+    # A raw "makespan moved" line cannot be acted on, so the cluster and
+    # critical-path failures become one failure root-caused by
+    # bench_diff's category attribution.
+    makespan_errors = []
+    for path, value, exact in gated_leaves(baseline):
+        sink = (makespan_errors if path[0] in ("cluster", "critical_path")
+                else errors)
+        diff_value("%s: %s" % (name, label_of(path)), value, fresh.get(path),
+                   tolerance, sink, exact)
+    if makespan_errors:
+        lines = makespan_errors + ["root cause (scripts/bench_diff.py):"]
+        lines += ["  " + l for l in bench_diff.attribute(baseline, current)]
+        fail(errors, "%s", "\n       ".join(lines))
+
+
+def is_report_name(fname):
+    return fname.startswith("BENCH_") and fname.endswith(".json")
+
+
+def load_baselines(baseline_dir, errors):
+    """Returns {file name: baseline}, failing every file that breaks the
+    baseline hygiene rules."""
+    baselines = {}
+    for fname in sorted(os.listdir(baseline_dir)):
+        path = os.path.join(baseline_dir, fname)
+        if not is_report_name(fname):
+            fail(errors, "%s: stray file in baseline dir (only BENCH_*.json "
+                 "belongs there)", path)
+            continue
+        try:
+            with open(path) as f:
+                baseline = json.load(f)
+        except ValueError as exc:
+            fail(errors, "%s: not valid JSON (%s)", path, exc)
+            continue
+        if not isinstance(baseline, dict):
+            fail(errors, "%s: not a JSON object", path)
+            continue
+        if project(baseline) != baseline:
+            fail(errors, "%s: not the projection of a run report (it holds "
+                 "leaves the gate does not read, or lacks some); rewrite it "
+                 "with --update", path)
+        categories = as_dict(as_dict(baseline.get("critical_path"))
+                             .get("categories")).values()
+        total = sum(v for v in categories if is_number(v))
+        makespan = as_dict(baseline.get("cluster")).get("makespan_ticks")
+        if total != makespan:
+            fail(errors, "%s: critical_path.categories sum to %d but "
+                 "cluster.makespan_ticks is %s", path, total, makespan)
+        baselines[fname] = baseline
+    return baselines
+
+
+def update(report_dir, baseline_dir):
+    reports = sorted(f for f in os.listdir(report_dir) if is_report_name(f))
+    if not reports:
+        print("error: no BENCH_*.json reports in %s" % report_dir)
+        return 1
+    os.makedirs(baseline_dir, exist_ok=True)
+    for fname in reports:
+        with open(os.path.join(report_dir, fname)) as f:
+            baseline = project(json.load(f))
+        path = os.path.join(baseline_dir, fname)
+        with open(path, "w") as f:
+            json.dump(baseline, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print("wrote %s" % path)
+    return 0
 
 
 def main():
@@ -660,76 +269,31 @@ def main():
                         help="directory holding committed baselines")
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="relative tolerance band (default 0.05)")
-    parser.add_argument("--validate-only", action="store_true",
-                        help="schema-validate every baseline file and "
-                             "exit — no fresh reports needed (the CI "
-                             "baseline-hygiene step)")
+    parser.add_argument("--update", action="store_true",
+                        help="write the projection of every report in "
+                             "--report-dir into --baseline-dir, then exit")
     args = parser.parse_args()
-
-    baselines = sorted(
-        f for f in os.listdir(args.baseline_dir)
-        if f.startswith("BENCH_") and f.endswith(".json"))
-    if not baselines:
-        print("error: no baselines in %s" % args.baseline_dir)
-        return 1
+    if args.update:
+        return update(args.report_dir, args.baseline_dir)
 
     errors = []
-    if args.validate_only:
-        # Baseline hygiene: a hand-edited or stale-schema baseline must
-        # fail the build here instead of silently passing the gate.
-        stray = sorted(
-            f for f in os.listdir(args.baseline_dir)
-            if not (f.startswith("BENCH_") and f.endswith(".json")))
-        for fname in stray:
-            fail(errors, "%s: stray file in baseline dir (only "
-                 "BENCH_*.json belongs there)",
-                 os.path.join(args.baseline_dir, fname))
-        for fname in baselines:
-            path = os.path.join(args.baseline_dir, fname)
-            try:
-                with open(path) as f:
-                    validate_schema(json.load(f), path, errors)
-            except ValueError as exc:
-                fail(errors, "%s: not valid JSON (%s)", path, exc)
-            print("validated %s" % path)
-        if errors:
-            print("\n%d baseline-hygiene failure(s):" % len(errors))
-            for e in errors:
-                print("  FAIL %s" % e)
-            return 1
-        print("OK: %d baseline(s) schema-valid" % len(baselines))
-        return 0
+    baselines = load_baselines(args.baseline_dir, errors)
+    if not baselines and not errors:
+        print("error: no baselines in %s" % args.baseline_dir)
+        return 1
     checked = 0
-    for fname in baselines:
-        baseline_path = os.path.join(args.baseline_dir, fname)
+    for fname, baseline in sorted(baselines.items()):
         current_path = os.path.join(args.report_dir, fname)
-        with open(baseline_path) as f:
-            baseline = json.load(f)
         if not os.path.exists(current_path):
             fail(errors, "%s: report not produced (expected at %s)", fname,
                  current_path)
             continue
         with open(current_path) as f:
             current = json.load(f)
-        validate_schema(baseline, baseline_path, errors)
-        validate_schema(current, current_path, errors)
         diff_reports(fname, baseline, current, args.tolerance, errors)
         checked += 1
-        print("checked %s against %s" % (current_path, baseline_path))
-
-    # Reports without a committed baseline (e.g. the long-running scaling
-    # bench) still get schema-validated so a malformed skew/convergence
-    # section cannot ship silently.
-    if os.path.isdir(args.report_dir):
-        extras = sorted(
-            f for f in os.listdir(args.report_dir)
-            if f.startswith("BENCH_") and f.endswith(".json")
-            and f not in baselines)
-        for fname in extras:
-            path = os.path.join(args.report_dir, fname)
-            with open(path) as f:
-                validate_schema(json.load(f), path, errors)
-            print("validated %s (no baseline)" % path)
+        print("checked %s against %s" %
+              (current_path, os.path.join(args.baseline_dir, fname)))
 
     if errors:
         print("\n%d regression check failure(s):" % len(errors))

@@ -122,16 +122,13 @@ def render_sparkline(name, values, span_ticks, interval_ticks, firings):
     )
 
 
-# Fixed color per cost category (sim/cost_ledger.h taxonomy) so the
-# same category reads the same across every bench's bar.
-CATEGORY_COLORS = [
-    ("compute", "#2266cc"),
-    ("rpc.serialize", "#66aadd"),
-    ("rpc.wait", "#ee9933"),
-    ("barrier.skew", "#cc2222"),
-    ("recovery", "#882299"),
-    ("replication.merge", "#22aa55"),
-    ("serving.queue", "#aa8844"),
+# Colors by category position. The validator fixes the categories to
+# the sim/cost_ledger.h taxonomy and the writer emits them in that
+# order, so a category reads the same across every bench's bar; a
+# category past the end of the palette reuses a color but is drawn.
+PALETTE = [
+    "#2266cc", "#66aadd", "#ee9933", "#cc2222", "#882299", "#22aa55",
+    "#aa8844", "#33bbaa", "#dd66aa",
 ]
 
 BAR_W = 720
@@ -143,8 +140,8 @@ def render_critical_path(cp):
     The categories conserve (sum exactly to the makespan), so the bar
     has no gaps and no overflow by construction."""
     if not isinstance(cp, dict):
-        return ("<p class='muted'>no critical_path section (clusterless "
-                "run or pre-v6 report)</p>")
+        return ("<p class='muted'>no critical_path section (pre-v6 "
+                "report)</p>")
     makespan = cp.get("makespan_ticks", 0)
     cats = cp.get("categories", {})
     if makespan <= 0:
@@ -152,8 +149,8 @@ def render_critical_path(cp):
     rects = []
     x = 0.0
     rows = []
-    for cat, color in CATEGORY_COLORS:
-        ticks = cats.get(cat, 0)
+    for i, (cat, ticks) in enumerate(cats.items()):
+        color = PALETTE[i % len(PALETTE)]
         if ticks <= 0:
             continue
         w = BAR_W * ticks / makespan

@@ -14,9 +14,21 @@ import os
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_diff  # noqa: E402
 
+FIXTURE_CATEGORIES = [
+    "compute",
+    "rpc.serialize",
+    "rpc.wait",
+    "barrier.skew",
+    "recovery",
+    "replication.merge",
+    "serving.queue",
+    "stream.apply",
+    "stream.retrain",
+]
+
 
 def make_report(makespan, categories, top_spans, node=1):
-    cats = {c: 0 for c in bench_diff.CATEGORIES}
+    cats = {c: 0 for c in FIXTURE_CATEGORIES}
     cats.update(categories)
     assert sum(cats.values()) == makespan, "test fixture must conserve"
     return {
@@ -50,7 +62,7 @@ def run():
 
     assert "makespan_ticks 1000 -> 1500 (+500, +50.0%)" in lines[0], lines[0]
     cat_lines = [l for l in lines if l.strip().startswith(
-        tuple(bench_diff.CATEGORIES))]
+        tuple(FIXTURE_CATEGORIES))]
     assert cat_lines, "no category attribution lines:\n" + text
     first = cat_lines[0].split()
     assert first[0] == "rpc.wait", \

@@ -350,8 +350,8 @@ def check_critical_path(doc, xs, report_path):
         fail(str(e))
     cp = report.get("critical_path")
     if not isinstance(cp, dict):
-        fail(f"{report_path} has no critical_path object (clusterless "
-             "run or pre-v6 schema) — nothing to cross-validate")
+        fail(f"{report_path} has no critical_path object (pre-v6 "
+             "schema) — nothing to cross-validate")
     makespan = cp.get("makespan_ticks")
     path = cp.get("path", [])
     if not isinstance(makespan, int) or not isinstance(path, list):

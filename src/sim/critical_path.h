@@ -57,8 +57,8 @@ class SimCluster;
 inline constexpr double kWhatIfFactors[] = {0.5, 0.0};
 
 struct CriticalPathReport {
-  /// False when the run had no cluster (report collected from bare
-  /// registries) — emitted as JSON null.
+  /// Set by AnalyzeCriticalPath; false only for a default-constructed
+  /// report.
   bool valid = false;
 
   int32_t critical_node = -1;

@@ -8,62 +8,6 @@ namespace psgraph::sim {
 
 namespace {
 
-RoleStats CollectRole(const SimCluster& cluster, NodeId begin,
-                      NodeId end) {
-  RoleStats stats;
-  if (begin >= end) return stats;
-  stats.min_time = 1e300;
-  // Clock/memory accessors are const-safe; the cluster reference is
-  // conceptually read-only here.
-  auto& mutable_cluster = const_cast<SimCluster&>(cluster);
-  double total = 0.0;
-  for (NodeId n = begin; n < end; ++n) {
-    double t = mutable_cluster.clock().Now(n);
-    stats.min_time = std::min(stats.min_time, t);
-    stats.max_time = std::max(stats.max_time, t);
-    total += t;
-    stats.max_peak_mem =
-        std::max(stats.max_peak_mem, mutable_cluster.memory().Peak(n));
-    stats.budget = mutable_cluster.memory().Budget(n);
-  }
-  stats.avg_time = total / static_cast<double>(end - begin);
-  return stats;
-}
-
-}  // namespace
-
-ClusterReport CollectReport(const SimCluster& cluster) {
-  ClusterReport report;
-  const ClusterConfig& cfg = cluster.config();
-  report.executors = CollectRole(cluster, 0, cfg.num_executors);
-  report.servers =
-      CollectRole(cluster, cfg.num_executors,
-                  cfg.num_executors + cfg.num_servers);
-  report.makespan = const_cast<SimCluster&>(cluster).clock().Makespan();
-  return report;
-}
-
-std::string FormatReport(const ClusterReport& report) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "cluster report: makespan %.3fs\n"
-      "  executors: busy avg %.3fs max %.3fs | peak mem %.1f%% of budget\n"
-      "  servers:   busy avg %.3fs max %.3fs | peak mem %.1f%% of budget",
-      report.makespan, report.executors.avg_time,
-      report.executors.max_time,
-      report.executors.budget
-          ? 100.0 * report.executors.max_peak_mem / report.executors.budget
-          : 0.0,
-      report.servers.avg_time, report.servers.max_time,
-      report.servers.budget
-          ? 100.0 * report.servers.max_peak_mem / report.servers.budget
-          : 0.0);
-  return buf;
-}
-
-namespace {
-
 uint64_t CounterOr0(const std::map<std::string, uint64_t>& counters,
                     const char* name) {
   auto it = counters.find(name);
@@ -71,7 +15,7 @@ uint64_t CounterOr0(const std::map<std::string, uint64_t>& counters,
 }
 
 /// The "serving" section is a pure rollup of the serving.* metrics, so
-/// every collection path (with or without a cluster) reports it.
+/// every run reports it (all zeros when nothing was served).
 void FillServingStats(RunReport* report) {
   RunReport::ServingStats& s = report->serving;
   s.requests_completed =
@@ -103,22 +47,15 @@ void FillServingStats(RunReport* report) {
 
 }  // namespace
 
-RunReport CollectRunReport(const std::string& name, Metrics& metrics,
-                           Tracer& tracer) {
+RunReport CollectRunReport(const std::string& name, SimCluster* cluster) {
   RunReport report;
   report.name = name;
-  report.counters = metrics.CounterSnapshot();
-  report.gauges = metrics.GaugeSnapshot();
-  report.histograms = metrics.HistogramSnapshots();
-  report.spans = tracer.Summary();
-  report.spans_dropped = tracer.dropped();
+  report.counters = cluster->metrics().CounterSnapshot();
+  report.gauges = cluster->metrics().GaugeSnapshot();
+  report.histograms = cluster->metrics().HistogramSnapshots();
+  report.spans = cluster->tracer().Summary();
+  report.spans_dropped = cluster->tracer().dropped();
   FillServingStats(&report);
-  return report;
-}
-
-RunReport CollectRunReport(const std::string& name, SimCluster* cluster) {
-  RunReport report =
-      CollectRunReport(name, cluster->metrics(), cluster->tracer());
   report.skew = cluster->skew().Snap();
   report.convergence = cluster->convergence().Snapshot();
   report.convergence_rejected = cluster->convergence().rejected();
@@ -134,7 +71,6 @@ RunReport CollectRunReport(const std::string& name, SimCluster* cluster) {
   report.recovery = EventJournal::SummarizeRecovery(events);
   report.events_dropped = cluster->events().dropped();
   const ClusterConfig& cfg = cluster->config();
-  report.has_cluster = true;
   report.num_executors = cfg.num_executors;
   report.num_servers = cfg.num_servers;
   for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
@@ -218,78 +154,70 @@ JsonValue RunReportToJson(const RunReport& report) {
   doc.Set("spans", std::move(spans));
   doc.Set("spans_dropped", report.spans_dropped);
 
-  if (report.has_cluster) {
-    JsonValue cluster = JsonValue::Object();
-    cluster.Set("num_executors", static_cast<int64_t>(report.num_executors));
-    cluster.Set("num_servers", static_cast<int64_t>(report.num_servers));
-    cluster.Set("makespan_ticks", report.makespan_ticks);
-    cluster.Set("makespan_seconds", report.makespan_seconds);
-    JsonValue nodes = JsonValue::Array();
-    for (const auto& n : report.nodes) {
-      JsonValue node = JsonValue::Object();
-      node.Set("node", static_cast<int64_t>(n.node));
-      node.Set("role", n.role);
-      node.Set("busy_ticks", n.busy_ticks);
-      node.Set("busy_seconds", n.busy_seconds);
-      node.Set("mem_usage_bytes", n.mem_usage_bytes);
-      node.Set("mem_peak_bytes", n.mem_peak_bytes);
-      node.Set("mem_budget_bytes", n.mem_budget_bytes);
-      nodes.Append(std::move(node));
-    }
-    cluster.Set("nodes", std::move(nodes));
-    doc.Set("cluster", std::move(cluster));
-  } else {
-    doc.Set("cluster", JsonValue());
+  JsonValue cluster = JsonValue::Object();
+  cluster.Set("num_executors", static_cast<int64_t>(report.num_executors));
+  cluster.Set("num_servers", static_cast<int64_t>(report.num_servers));
+  cluster.Set("makespan_ticks", report.makespan_ticks);
+  cluster.Set("makespan_seconds", report.makespan_seconds);
+  JsonValue nodes = JsonValue::Array();
+  for (const auto& n : report.nodes) {
+    JsonValue node = JsonValue::Object();
+    node.Set("node", static_cast<int64_t>(n.node));
+    node.Set("role", n.role);
+    node.Set("busy_ticks", n.busy_ticks);
+    node.Set("busy_seconds", n.busy_seconds);
+    node.Set("mem_usage_bytes", n.mem_usage_bytes);
+    node.Set("mem_peak_bytes", n.mem_peak_bytes);
+    node.Set("mem_budget_bytes", n.mem_budget_bytes);
+    nodes.Append(std::move(node));
   }
+  cluster.Set("nodes", std::move(nodes));
+  doc.Set("cluster", std::move(cluster));
 
-  if (report.critical_path.valid) {
-    const CriticalPathReport& cp = report.critical_path;
-    JsonValue section = JsonValue::Object();
-    section.Set("critical_node", static_cast<int64_t>(cp.critical_node));
-    section.Set("critical_role", cp.critical_role);
-    section.Set("makespan_ticks", cp.makespan_ticks);
-    JsonValue categories = JsonValue::Object();
-    for (int c = 0; c < kNumCostCategories; ++c) {
-      categories.Set(kCostCategoryNames[c],
-                     cp.categories[static_cast<size_t>(c)]);
-    }
-    section.Set("categories", std::move(categories));
-    JsonValue path = JsonValue::Array();
-    for (const auto& seg : cp.path) {
-      JsonValue s = JsonValue::Object();
-      s.Set("node", static_cast<int64_t>(seg.node));
-      s.Set("role", seg.role);
-      s.Set("begin_ticks", seg.begin_ticks);
-      s.Set("end_ticks", seg.end_ticks);
-      s.Set("ticks", seg.end_ticks - seg.begin_ticks);
-      s.Set("gate", seg.gate);
-      path.Append(std::move(s));
-    }
-    section.Set("path", std::move(path));
-    JsonValue top_spans = JsonValue::Array();
-    for (const auto& span : cp.top_spans) {
-      JsonValue s = JsonValue::Object();
-      s.Set("name", span.name);
-      s.Set("critical_node_ticks", span.critical_node_ticks);
-      s.Set("total_ticks", span.total_ticks);
-      s.Set("count", span.count);
-      top_spans.Append(std::move(s));
-    }
-    section.Set("top_spans", std::move(top_spans));
-    JsonValue what_if = JsonValue::Array();
-    for (const auto& w : cp.what_if) {
-      JsonValue entry = JsonValue::Object();
-      entry.Set("name", w.name);
-      entry.Set("factor", w.factor);
-      entry.Set("projected_makespan_ticks", w.projected_makespan_ticks);
-      entry.Set("speedup", w.speedup);
-      what_if.Append(std::move(entry));
-    }
-    section.Set("what_if", std::move(what_if));
-    doc.Set("critical_path", std::move(section));
-  } else {
-    doc.Set("critical_path", JsonValue());
+  const CriticalPathReport& cp = report.critical_path;
+  JsonValue section = JsonValue::Object();
+  section.Set("critical_node", static_cast<int64_t>(cp.critical_node));
+  section.Set("critical_role", cp.critical_role);
+  section.Set("makespan_ticks", cp.makespan_ticks);
+  JsonValue categories = JsonValue::Object();
+  for (int c = 0; c < kNumCostCategories; ++c) {
+    categories.Set(kCostCategoryNames[c],
+                   cp.categories[static_cast<size_t>(c)]);
   }
+  section.Set("categories", std::move(categories));
+  JsonValue path = JsonValue::Array();
+  for (const auto& seg : cp.path) {
+    JsonValue s = JsonValue::Object();
+    s.Set("node", static_cast<int64_t>(seg.node));
+    s.Set("role", seg.role);
+    s.Set("begin_ticks", seg.begin_ticks);
+    s.Set("end_ticks", seg.end_ticks);
+    s.Set("ticks", seg.end_ticks - seg.begin_ticks);
+    s.Set("gate", seg.gate);
+    path.Append(std::move(s));
+  }
+  section.Set("path", std::move(path));
+  JsonValue top_spans = JsonValue::Array();
+  for (const auto& span : cp.top_spans) {
+    JsonValue s = JsonValue::Object();
+    s.Set("name", span.name);
+    s.Set("critical_node_ticks", span.critical_node_ticks);
+    s.Set("total_ticks", span.total_ticks);
+    s.Set("count", span.count);
+    top_spans.Append(std::move(s));
+  }
+  section.Set("top_spans", std::move(top_spans));
+  JsonValue what_if = JsonValue::Array();
+  for (const auto& w : cp.what_if) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("name", w.name);
+    entry.Set("factor", w.factor);
+    entry.Set("projected_makespan_ticks", w.projected_makespan_ticks);
+    entry.Set("speedup", w.speedup);
+    what_if.Append(std::move(entry));
+  }
+  section.Set("what_if", std::move(what_if));
+  doc.Set("critical_path", std::move(section));
 
   JsonValue skew = JsonValue::Object();
   skew.Set("key_profiling", report.skew.key_profiling);
@@ -515,51 +443,40 @@ Status ValidateRunReportJson(const JsonValue& doc) {
                              "histogram '" + hname + "' needs 'buckets'"));
   }
   const JsonValue* cluster = doc.Find("cluster");
-  PSG_RETURN_NOT_OK(
-      Expect(cluster != nullptr, "'cluster' must be present (may be null)"));
-  if (!cluster->is_null()) {
-    PSG_RETURN_NOT_OK(
-        Expect(cluster->is_object(), "'cluster' must be object or null"));
-    for (const char* field :
-         {"num_executors", "num_servers", "makespan_ticks",
-          "makespan_seconds"}) {
-      const JsonValue* f = cluster->Find(field);
+  PSG_RETURN_NOT_OK(Expect(cluster != nullptr && cluster->is_object(),
+                           "'cluster' must be an object"));
+  for (const char* field :
+       {"num_executors", "num_servers", "makespan_ticks",
+        "makespan_seconds"}) {
+    const JsonValue* f = cluster->Find(field);
+    PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
+                             std::string("'cluster.") + field +
+                                 "' must be numeric"));
+  }
+  const JsonValue* nodes = cluster->Find("nodes");
+  PSG_RETURN_NOT_OK(Expect(nodes != nullptr && nodes->is_array() &&
+                               nodes->size() > 0,
+                           "'cluster.nodes' must be a non-empty array"));
+  for (const JsonValue& node : nodes->elements()) {
+    const JsonValue* role = node.Find("role");
+    const JsonValue* busy = node.Find("busy_ticks");
+    PSG_RETURN_NOT_OK(Expect(
+        node.is_object() && role != nullptr && role->is_string() &&
+            busy != nullptr && busy->is_number(),
+        "every cluster node needs 'role' and 'busy_ticks'"));
+    for (const char* field : {"node", "mem_usage_bytes", "mem_peak_bytes",
+                              "mem_budget_bytes"}) {
+      const JsonValue* f = node.Find(field);
       PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
-                               std::string("'cluster.") + field +
-                                   "' must be numeric"));
-    }
-    const JsonValue* nodes = cluster->Find("nodes");
-    PSG_RETURN_NOT_OK(Expect(nodes != nullptr && nodes->is_array() &&
-                                 nodes->size() > 0,
-                             "'cluster.nodes' must be a non-empty array"));
-    for (const JsonValue& node : nodes->elements()) {
-      const JsonValue* role = node.Find("role");
-      const JsonValue* busy = node.Find("busy_ticks");
-      PSG_RETURN_NOT_OK(Expect(
-          node.is_object() && role != nullptr && role->is_string() &&
-              busy != nullptr && busy->is_number(),
-          "every cluster node needs 'role' and 'busy_ticks'"));
-      for (const char* field :
-           {"mem_usage_bytes", "mem_peak_bytes", "mem_budget_bytes"}) {
-        const JsonValue* f = node.Find(field);
-        PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
-                                 std::string("every cluster node needs "
-                                             "numeric '") +
-                                     field + "'"));
-      }
+                               std::string("every cluster node needs "
+                                           "numeric '") +
+                                   field + "'"));
     }
   }
   const JsonValue* critical = doc.Find("critical_path");
-  PSG_RETURN_NOT_OK(Expect(critical != nullptr,
-                           "'critical_path' must be present (may be null)"));
-  if (cluster->is_null()) {
-    PSG_RETURN_NOT_OK(Expect(critical->is_null(),
-                             "'critical_path' must be null when 'cluster' "
-                             "is null"));
-  } else {
-    PSG_RETURN_NOT_OK(Expect(critical->is_object(),
-                             "'critical_path' must be an object when the "
-                             "run had a cluster"));
+  PSG_RETURN_NOT_OK(Expect(critical != nullptr && critical->is_object(),
+                           "'critical_path' must be an object"));
+  {
     for (const char* field : {"critical_node", "makespan_ticks"}) {
       const JsonValue* f = critical->Find(field);
       PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
@@ -576,7 +493,7 @@ Status ValidateRunReportJson(const JsonValue& doc) {
         makespan == cluster->Find("makespan_ticks")->as_int(),
         "'critical_path.makespan_ticks' must equal "
         "'cluster.makespan_ticks'"));
-    // The conservation invariant: exactly the seven schema categories,
+    // The conservation invariant: exactly the schema's categories,
     // each non-negative, summing EXACTLY to the makespan. A negative
     // category means a ledger double-charge; a sum mismatch means a
     // clock advance escaped attribution. Either way the report lies
@@ -743,6 +660,10 @@ Status ValidateRunReportJson(const JsonValue& doc) {
         last_iter = p.at(0).as_int();
       }
     }
+    const JsonValue* rejected = convergence->Find("rejected_points");
+    PSG_RETURN_NOT_OK(Expect(rejected != nullptr && rejected->is_number(),
+                             "'convergence.rejected_points' must be "
+                             "numeric"));
   }
   const JsonValue* rpc = doc.Find("rpc");
   PSG_RETURN_NOT_OK(Expect(rpc != nullptr && rpc->is_object(),
@@ -918,6 +839,48 @@ Status ValidateRunReportJson(const JsonValue& doc) {
   const JsonValue* bench = doc.Find("bench");
   PSG_RETURN_NOT_OK(Expect(bench != nullptr,
                            "'bench' must be present (bench payload)"));
+  // Kernel tables: an entry without a unit label cannot be gated.
+  if (const JsonValue* kernels = bench->Find("kernels")) {
+    PSG_RETURN_NOT_OK(Expect(kernels->is_object(),
+                             "'bench.kernels' must be an object"));
+    for (const auto& [kname, entry] : kernels->members()) {
+      const JsonValue* value = entry.Find("value");
+      const JsonValue* unit = entry.Find("unit");
+      PSG_RETURN_NOT_OK(Expect(
+          value != nullptr && value->is_number() && unit != nullptr &&
+              unit->is_string() &&
+              (unit->as_string() == "ticks" || unit->as_string() == "bytes"),
+          "bench kernel '" + kname +
+              "' must be {value: number, unit: \"ticks\"|\"bytes\"}"));
+    }
+  }
+  // Freshness tables: every rate cell (a payload member carrying
+  // staleness_p50_sim_ticks) reports gateable staleness and never tore
+  // a read.
+  if (const JsonValue* freshness = bench->Find("freshness")) {
+    PSG_RETURN_NOT_OK(Expect(freshness->is_object(),
+                             "'bench.freshness' must be an object"));
+    size_t cells = 0;
+    for (const auto& [cname, cell] : bench->members()) {
+      if (cell.Find("staleness_p50_sim_ticks") == nullptr) continue;
+      ++cells;
+      for (const char* field :
+           {"staleness_p50_sim_ticks", "staleness_p99_sim_ticks",
+            "touched_fraction_max", "rank_rel_l1_err"}) {
+        const JsonValue* f = cell.Find(field);
+        PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
+                                 "freshness cell '" + cname +
+                                     "' needs numeric '" + field + "'"));
+      }
+      const JsonValue* torn = cell.Find("torn_requests");
+      PSG_RETURN_NOT_OK(Expect(
+          torn != nullptr && torn->is_number() && torn->as_double() == 0.0,
+          "freshness cell '" + cname + "' must have torn_requests == 0"));
+    }
+    PSG_RETURN_NOT_OK(Expect(cells > 0,
+                             "'bench.freshness' needs at least one cell "
+                             "with 'staleness_p50_sim_ticks'"));
+  }
   return Status::OK();
 }
 

@@ -1,15 +1,14 @@
 // Run reports: what a bench (or test) records about one run.
 //
-// Two layers:
-//  * ClusterReport — the original per-role busy-time / memory summary,
-//    still printed as a human-readable block.
-//  * RunReport — the machine-readable superset behind every
-//    BENCH_<name>.json: a versioned schema carrying counters, gauges,
-//    latency histograms (p50/p95/p99/max), span summaries and per-node
-//    simulated clock makespans. scripts/check_bench_regression.py
-//    validates the schema and diffs the simulated quantities against
-//    committed baselines in CI; only sim-derived fields gate (wall
-//    clock varies by host, simulated ticks must not).
+// RunReport is the machine-readable record behind every
+// BENCH_<name>.json: a versioned schema carrying counters, gauges,
+// latency histograms (p50/p95/p99/max), span summaries and per-node
+// simulated clock makespans. ValidateRunReportJson is the one schema
+// check, and WriteRunReport runs it on every report it writes.
+// scripts/check_bench_regression.py diffs the simulated quantities of
+// a fresh report against the committed baselines (their projections
+// onto the gated leaves) in CI; only sim-derived fields gate (wall
+// clock varies by host, simulated ticks must not).
 
 #ifndef PSGRAPH_SIM_REPORT_H_
 #define PSGRAPH_SIM_REPORT_H_
@@ -32,26 +31,6 @@
 #include "sim/watchdog.h"
 
 namespace psgraph::sim {
-
-struct RoleStats {
-  double min_time = 0.0;
-  double max_time = 0.0;
-  double avg_time = 0.0;
-  uint64_t max_peak_mem = 0;
-  uint64_t budget = 0;
-};
-
-struct ClusterReport {
-  RoleStats executors;
-  RoleStats servers;
-  double makespan = 0.0;
-};
-
-/// Collects the current clocks and memory peaks of `cluster`.
-ClusterReport CollectReport(const SimCluster& cluster);
-
-/// Renders the report as a short human-readable block.
-std::string FormatReport(const ClusterReport& report);
 
 /// The versioned JSON run-report schema. Version history:
 ///   1 — initial: counters/gauges/histograms/spans/cluster/bench.
@@ -100,8 +79,7 @@ struct RunReport {
   std::map<std::string, Tracer::SpanStats> spans;
   uint64_t spans_dropped = 0;
 
-  /// Per-node simulated busy time; empty when the run had no cluster
-  /// (the JSON then carries "cluster": null).
+  /// Per-node simulated busy time.
   struct NodeStat {
     int32_t node = 0;
     std::string role;  // "executor" | "server" | "driver"
@@ -113,7 +91,6 @@ struct RunReport {
     uint64_t mem_peak_bytes = 0;
     uint64_t mem_budget_bytes = 0;
   };
-  bool has_cluster = false;
   int32_t num_executors = 0;
   int32_t num_servers = 0;
   std::vector<NodeStat> nodes;
@@ -160,13 +137,12 @@ struct RunReport {
 
   /// Makespan attribution (the "critical_path" section, schema v6):
   /// category breakdown with exact conservation, straggler path
-  /// segments, top spans and what-if projections. valid=false (JSON
-  /// null) when the run had no cluster.
+  /// segments, top spans and what-if projections.
   CriticalPathReport critical_path;
 
   /// Continuous-telemetry series (the "timeseries" section, schema v5):
-  /// whatever the context's sampler recorded over the run — empty
-  /// (0 points) when sampling was disabled or the run had no cluster.
+  /// whatever the cluster's sampler recorded over the run — empty
+  /// (0 points) when sampling was disabled.
   TimeSeriesSnapshot timeseries;
   /// SLO watchdog state (the "alerts" section, schema v5): declared
   /// rules and the fire/clear episode timeline.
@@ -178,18 +154,16 @@ struct RunReport {
 };
 
 /// Snapshots every telemetry sink of `cluster` plus its per-node
-/// clocks and memory. The second form snapshots a bare metrics/tracer
-/// pair and leaves the cluster-derived sections empty.
+/// clocks and memory.
 RunReport CollectRunReport(const std::string& name, SimCluster* cluster);
-RunReport CollectRunReport(const std::string& name, Metrics& metrics,
-                           Tracer& tracer);
 
 /// Schema serialization: Parse(RunReportToJson(r).Dump()) validates.
 JsonValue RunReportToJson(const RunReport& report);
 
 /// Checks that a parsed document is a structurally valid run report
-/// (schema marker + version, and the required sections with the right
-/// shapes). Used by tests and mirrored by the CI regression checker.
+/// (schema marker + version, the required sections with the right
+/// shapes, and the bench-payload kernel and freshness rules). The only
+/// schema check: WriteRunReport runs it on every report it writes.
 Status ValidateRunReportJson(const JsonValue& doc);
 
 /// Serializes and writes `report` to `path` (pretty-printed).

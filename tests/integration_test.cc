@@ -139,13 +139,9 @@ TEST(IntegrationTest, FullPipelineOnSharedContext) {
   EXPECT_GT(ctx.metrics().Get("rpc.calls"), 0u);
   EXPECT_GT(ctx.metrics().GetHistogram("rpc.service_ticks").count(), 0u);
 
-  // The utilization report renders.
-  auto report = sim::CollectReport(ctx.cluster());
-  EXPECT_GT(report.makespan, 0.0);
-  EXPECT_FALSE(sim::FormatReport(report).empty());
-
   // The machine-readable run report validates against its own schema.
   sim::RunReport run = sim::CollectRunReport("integration", &ctx.cluster());
+  EXPECT_GT(run.makespan_ticks, 0);
   auto parsed = JsonValue::Parse(sim::RunReportToJson(run).Dump(2));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   Status valid = sim::ValidateRunReportJson(*parsed);

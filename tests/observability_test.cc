@@ -152,20 +152,27 @@ TEST(JsonTest, ParseRejectsTrailingJunk) {
   EXPECT_FALSE(JsonValue::Parse("").ok());
 }
 
-TEST(RunReportTest, CollectFromRegistriesRoundTrips) {
-  Metrics metrics;
-  Tracer tracer;
-  tracer.set_enabled(true);
-  metrics.Add("rpc.calls", 7);
-  metrics.SetGauge("parallelism", 4.0);
-  metrics.Observe("ps.pull.service_ticks", 100);
-  metrics.Observe("ps.pull.service_ticks", 200);
-  uint64_t id = tracer.Begin("ps.pull", 3, 0);
-  tracer.End(id, 42);
+sim::ClusterConfig BareConfig() {
+  sim::ClusterConfig cfg;
+  cfg.num_executors = 2;
+  cfg.num_servers = 2;
+  cfg.executor_mem_bytes = 64ull << 20;
+  cfg.server_mem_bytes = 64ull << 20;
+  return cfg;
+}
 
-  sim::RunReport report = sim::CollectRunReport("unit", metrics, tracer);
+TEST(RunReportTest, CollectFromBareClusterRoundTrips) {
+  sim::SimCluster cluster(BareConfig());
+  cluster.tracer().set_enabled(true);
+  cluster.metrics().Add("rpc.calls", 7);
+  cluster.metrics().SetGauge("parallelism", 4.0);
+  cluster.metrics().Observe("ps.pull.service_ticks", 100);
+  cluster.metrics().Observe("ps.pull.service_ticks", 200);
+  uint64_t id = cluster.tracer().Begin("ps.pull", 3, 0);
+  cluster.tracer().End(id, 42);
+
+  sim::RunReport report = sim::CollectRunReport("unit", &cluster);
   report.bench.Set("note", "hello");
-  EXPECT_FALSE(report.has_cluster);
   EXPECT_EQ(report.counters["rpc.calls"], 7u);
   EXPECT_EQ(report.histograms["ps.pull.service_ticks"].count, 2u);
   EXPECT_EQ(report.spans["ps.pull"].count, 1u);
@@ -175,10 +182,10 @@ TEST(RunReportTest, CollectFromRegistriesRoundTrips) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   Status valid = sim::ValidateRunReportJson(*parsed);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
-  // No cluster: the schema wants an explicit null, not a missing key.
-  const JsonValue* cluster = parsed->Find("cluster");
-  ASSERT_NE(cluster, nullptr);
-  EXPECT_TRUE(cluster->is_null());
+  // Even a cluster that never advanced its clock reports every node and
+  // a critical path.
+  EXPECT_EQ(parsed->Find("cluster")->Find("nodes")->size(), 5u);
+  EXPECT_TRUE(parsed->Find("critical_path")->is_object());
   const JsonValue* hist =
       parsed->Find("histograms")->Find("ps.pull.service_ticks");
   ASSERT_NE(hist, nullptr);
@@ -187,10 +194,9 @@ TEST(RunReportTest, CollectFromRegistriesRoundTrips) {
 }
 
 TEST(RunReportTest, ValidatorRejectsBrokenDocuments) {
-  Metrics metrics;
-  Tracer tracer;
-  metrics.Observe("h", 1);
-  sim::RunReport report = sim::CollectRunReport("unit", metrics, tracer);
+  sim::SimCluster cluster(BareConfig());
+  cluster.metrics().Observe("h", 1);
+  sim::RunReport report = sim::CollectRunReport("unit", &cluster);
   JsonValue good = sim::RunReportToJson(report);
   ASSERT_TRUE(sim::ValidateRunReportJson(good).ok());
 
@@ -223,6 +229,55 @@ TEST(RunReportTest, ValidatorRejectsBrokenDocuments) {
     bad.Set("events", std::move(events));
     EXPECT_FALSE(sim::ValidateRunReportJson(bad).ok());
   }
+  {
+    JsonValue bad = good;
+    bad.Set("cluster", JsonValue());  // every run has a cluster
+    EXPECT_FALSE(sim::ValidateRunReportJson(bad).ok());
+  }
+  {
+    JsonValue bad = good;
+    JsonValue convergence = JsonValue::Object();
+    convergence.Set("series", JsonValue::Object());  // no rejected_points
+    bad.Set("convergence", std::move(convergence));
+    EXPECT_FALSE(sim::ValidateRunReportJson(bad).ok());
+  }
+  // Bench-payload kernel entries must be {value: number, unit:
+  // "ticks"|"bytes"}: an unlabeled measurement cannot be gated.
+  auto with_kernel = [&good](JsonValue entry) {
+    JsonValue kernels = JsonValue::Object();
+    kernels.Set("pull_roundtrip_ticks", std::move(entry));
+    JsonValue bench = JsonValue::Object();
+    bench.Set("kernels", std::move(kernels));
+    JsonValue doc = good;
+    doc.Set("bench", std::move(bench));
+    return doc;
+  };
+  JsonValue kernel = JsonValue::Object();
+  kernel.Set("value", 5);
+  EXPECT_FALSE(sim::ValidateRunReportJson(with_kernel(kernel)).ok());
+  kernel.Set("unit", "ms");
+  EXPECT_FALSE(sim::ValidateRunReportJson(with_kernel(kernel)).ok());
+  kernel.Set("unit", "ticks");
+  EXPECT_TRUE(sim::ValidateRunReportJson(with_kernel(kernel)).ok());
+  // A freshness payload's rate cells carry gateable staleness and never
+  // tore a read.
+  auto with_cell = [&good](bool with_p99, int64_t torn) {
+    JsonValue cell = JsonValue::Object();
+    cell.Set("staleness_p50_sim_ticks", 10);
+    if (with_p99) cell.Set("staleness_p99_sim_ticks", 20);
+    cell.Set("touched_fraction_max", 0.5);
+    cell.Set("rank_rel_l1_err", 0.001);
+    cell.Set("torn_requests", torn);
+    JsonValue bench = JsonValue::Object();
+    bench.Set("rate_40", std::move(cell));
+    bench.Set("freshness", JsonValue::Object());
+    JsonValue doc = good;
+    doc.Set("bench", std::move(bench));
+    return doc;
+  };
+  EXPECT_TRUE(sim::ValidateRunReportJson(with_cell(true, 0)).ok());
+  EXPECT_FALSE(sim::ValidateRunReportJson(with_cell(true, 1)).ok());
+  EXPECT_FALSE(sim::ValidateRunReportJson(with_cell(false, 0)).ok());
   EXPECT_FALSE(sim::ValidateRunReportJson(JsonValue(3)).ok());
   EXPECT_FALSE(sim::ValidateRunReportJson(JsonValue::Object()).ok());
 }
@@ -295,7 +350,6 @@ TEST(RunReportTest, CollectFromClusterAddsNodeStats) {
 
   sim::RunReport report =
       sim::CollectRunReport("cluster_unit", &(*ctx)->cluster());
-  ASSERT_TRUE(report.has_cluster);
   EXPECT_EQ(report.num_executors, 2);
   EXPECT_EQ(report.num_servers, 1);
   ASSERT_EQ(report.nodes.size(), 4u);  // 2 exec + 1 server + driver
@@ -339,15 +393,6 @@ TEST(ContextMetricsTest, TwoContextsDoNotCrossContaminate) {
   EXPECT_GT((*a)->metrics().GetHistogram("ps.pull.service_ticks").count(),
             0u);
   EXPECT_EQ((*b)->metrics().Get("rpc.calls"), 0u);
-}
-
-sim::ClusterConfig BareConfig() {
-  sim::ClusterConfig cfg;
-  cfg.num_executors = 2;
-  cfg.num_servers = 2;
-  cfg.executor_mem_bytes = 64ull << 20;
-  cfg.server_mem_bytes = 64ull << 20;
-  return cfg;
 }
 
 // Every SimCluster owns its eight sinks. Traffic on one bare cluster
