@@ -28,10 +28,11 @@
 // absent from a later scrape (registry reset) records zero. Histograms
 // whose per-sample values are scheduling-dependent at parallelism > 1
 // (rpc.queue_ticks: queueing behind the endpoint's event loop;
-// dataflow.partition_ticks: brackets that can absorb work attributed
-// to whichever concurrent partition task touches a shared lineage
-// block first) are denylisted from scraping so the determinism
-// contract holds — their totals still reach the terminal report.
+// dataflow.partition_ticks: an engine computing partitions from its own
+// tasks can reach an unwritten shuffle lazily, and whichever task gets
+// there first absorbs its whole map stage) are denylisted from scraping
+// so the determinism contract holds — their totals still reach the
+// terminal report.
 //
 // The scrape interval is the PSGRAPH_TS_INTERVAL knob in simulated
 // microseconds (default 1000 = 1 ms of sim time; 0 disables sampling);

@@ -4,53 +4,6 @@
 
 namespace psgraph::dataflow {
 
-void ShuffleService::PutBlock(uint64_t shuffle_id, int32_t map_part,
-                              int32_t reduce_part,
-                              std::vector<uint8_t> bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  blocks_[{shuffle_id, map_part, reduce_part}] = std::move(bytes);
-}
-
-Result<std::vector<uint8_t>> ShuffleService::GetBlock(
-    uint64_t shuffle_id, int32_t map_part, int32_t reduce_part) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blocks_.find({shuffle_id, map_part, reduce_part});
-  if (it == blocks_.end()) {
-    return Status::NotFound("shuffle block (" + std::to_string(shuffle_id) +
-                            "," + std::to_string(map_part) + "," +
-                            std::to_string(reduce_part) + ") missing");
-  }
-  return it->second;
-}
-
-void ShuffleService::DropShuffle(uint64_t shuffle_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blocks_.lower_bound({shuffle_id, 0, 0});
-  while (it != blocks_.end() && std::get<0>(it->first) == shuffle_id) {
-    it = blocks_.erase(it);
-  }
-}
-
-Result<uint64_t> ShuffleService::BlockSize(uint64_t shuffle_id,
-                                           int32_t map_part,
-                                           int32_t reduce_part) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blocks_.find({shuffle_id, map_part, reduce_part});
-  if (it == blocks_.end()) {
-    return Status::NotFound("shuffle block (" + std::to_string(shuffle_id) +
-                            "," + std::to_string(map_part) + "," +
-                            std::to_string(reduce_part) + ") missing");
-  }
-  return static_cast<uint64_t>(it->second.size());
-}
-
-uint64_t ShuffleService::TotalBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [_, bytes] : blocks_) total += bytes.size();
-  return total;
-}
-
 void DataflowContext::ChargeCompute(int32_t partition, uint64_t ops) {
   const double t = cluster_->cost().ComputeTime(ops);
   cluster_->clock().Advance(ExecutorOf(partition), t);

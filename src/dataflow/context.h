@@ -7,53 +7,22 @@
 // charges from a single thread in a fixed order and the makespan math
 // stays exact and deterministic at any parallelism (see DESIGN.md,
 // "Execution model"). PSGRAPH_THREADS=1 forces the sequential reference
-// path.
+// path. The context holds no shuffle state: each ShuffleWriter owns its
+// blocks (dataset.h).
 
 #ifndef PSGRAPH_DATAFLOW_CONTEXT_H_
 #define PSGRAPH_DATAFLOW_CONTEXT_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/result.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "sim/cluster.h"
 
 namespace psgraph::dataflow {
-
-/// Storage for shuffle blocks: (shuffle id, map partition, reduce
-/// partition) -> serialized bytes. Blocks live on the *map* executor's
-/// local disk in Spark; block size is tracked so fetches can be charged.
-/// A shuffle's blocks are dropped when the lineage node that owns its
-/// writer is destroyed (nothing can recompute from them after that).
-class ShuffleService {
- public:
-  void PutBlock(uint64_t shuffle_id, int32_t map_part, int32_t reduce_part,
-                std::vector<uint8_t> bytes);
-  /// NotFound if the block was never written (or was dropped).
-  Result<std::vector<uint8_t>> GetBlock(uint64_t shuffle_id,
-                                        int32_t map_part,
-                                        int32_t reduce_part) const;
-  /// Size in bytes of one block; NotFound if missing. Lets the shuffle
-  /// fetch-accounting pass charge transfers without copying payloads.
-  Result<uint64_t> BlockSize(uint64_t shuffle_id, int32_t map_part,
-                             int32_t reduce_part) const;
-  /// Frees all blocks of one shuffle.
-  void DropShuffle(uint64_t shuffle_id);
-  uint64_t TotalBytes() const;
-
- private:
-  using Key = std::tuple<uint64_t, int32_t, int32_t>;
-  mutable std::mutex mu_;
-  std::map<Key, std::vector<uint8_t>> blocks_;
-};
 
 class DataflowContext {
  public:
@@ -71,13 +40,6 @@ class DataflowContext {
   int32_t ExecutorOf(int32_t partition) const {
     return partition % num_executors();
   }
-
-  ShuffleService& shuffle() { return *shuffle_; }
-  /// Non-owning handle for shuffle writers: a writer drops its blocks on
-  /// destruction only if the service (and so this context) still lives,
-  /// which keeps a Dataset that outlives its context safe to destroy.
-  std::weak_ptr<ShuffleService> shuffle_handle() const { return shuffle_; }
-  uint64_t NextShuffleId() { return next_shuffle_id_.fetch_add(1); }
 
   /// CPU accounting: charges `ops` record-operations to the executor that
   /// owns `partition`.
@@ -110,9 +72,6 @@ class DataflowContext {
 
  private:
   sim::SimCluster* cluster_;
-  std::shared_ptr<ShuffleService> shuffle_ =
-      std::make_shared<ShuffleService>();
-  std::atomic<uint64_t> next_shuffle_id_{1};
   // Sized once in the constructor, never resized (atomics cannot move).
   std::vector<std::atomic<uint64_t>> executor_epochs_;
 };

@@ -15,11 +15,18 @@
 // order, so every executor clock sees a single ordered charge stream and
 // simulated makespans are identical at any parallelism. Results are
 // assembled in partition order regardless of completion order.
+//
+// Before an action runs its partitions it walks its lineage
+// (Node::PrepareStages) and writes every shuffle map stage not yet
+// written, parents first, each as its own full-width stage — the order
+// in which Spark's scheduler submits parent stages. A shuffle's blocks
+// belong to its ShuffleWriter and are freed with it.
 
 #ifndef PSGRAPH_DATAFLOW_DATASET_H_
 #define PSGRAPH_DATAFLOW_DATASET_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -78,13 +85,15 @@ struct KeyHasher {
 inline Status RunPartitioned(DataflowContext* ctx, int32_t n,
                              const std::function<Status(int32_t)>& fn) {
   // Per-partition-task instrumentation: bracket each task with the owning
-  // executor's simulated clock. One executor's charges always come from
-  // one thread in ascending partition order, but a bracket can absorb
-  // work for a shared lineage block attributed to whichever concurrent
-  // task materializes it first — so individual "dataflow.partition_ticks"
-  // samples are scheduling-dependent at parallelism > 1 (the histogram
-  // is denylisted from the telemetry sampler for that reason; totals at
-  // barriers stay deterministic).
+  // executor's simulated clock. An action's brackets hold only its own
+  // partitions' work: its map stages ran before it (PrepareStages). An
+  // engine that calls ComputePartition/BorrowPartition from its own tasks
+  // can still reach an unwritten shuffle, whose map stage then runs
+  // nested in whichever task gets there first and is absorbed by that
+  // bracket — so individual "dataflow.partition_ticks" samples stay
+  // scheduling-dependent at parallelism > 1 (the histogram is denylisted
+  // from the telemetry sampler for that reason; totals at barriers stay
+  // deterministic).
   sim::SimCluster* cluster = ctx->cluster();
   auto run_one = [&](int32_t p) -> Status {
     const sim::NodeId exec = ctx->ExecutorOf(p);
@@ -141,6 +150,11 @@ class Node {
 
   virtual Result<std::vector<T>> Compute(int32_t partition) = 0;
 
+  /// Stage walk, post-order: writes every upstream shuffle map stage not
+  /// yet written, parents first and left before right. Actions call it
+  /// on their own thread before running their partitions.
+  virtual Status PrepareStages() = 0;
+
   /// Borrowing read of a partition: a cache shares its stored partition
   /// instead of copying it; any other node computes a fresh one. Charges
   /// exactly what Compute(partition) charges.
@@ -169,6 +183,7 @@ class SourceNode final : public Node<T> {
     this->ctx_->ChargeCompute(p, parts_[p].size());
     return parts_[p];
   }
+  Status PrepareStages() override { return Status::OK(); }
 
  private:
   std::vector<std::vector<T>> parts_;
@@ -190,6 +205,7 @@ class MapNode final : public Node<U> {
     for (auto& v : in) out.push_back(fn_(v));
     return out;
   }
+  Status PrepareStages() override { return parent_->PrepareStages(); }
 
  private:
   std::shared_ptr<Node<T>> parent_;
@@ -213,6 +229,7 @@ class FilterNode final : public Node<T> {
     }
     return out;
   }
+  Status PrepareStages() override { return parent_->PrepareStages(); }
 
  private:
   std::shared_ptr<Node<T>> parent_;
@@ -237,6 +254,7 @@ class FlatMapNode final : public Node<U> {
     this->ctx_->ChargeCompute(p, in.size() + out.size());
     return out;
   }
+  Status PrepareStages() override { return parent_->PrepareStages(); }
 
  private:
   std::shared_ptr<Node<T>> parent_;
@@ -256,6 +274,7 @@ class MapPartitionsNode final : public Node<U> {
     this->ctx_->ChargeCompute(p, in.size());
     return fn_(p, std::move(in));  // F -> Result<std::vector<U>>
   }
+  Status PrepareStages() override { return parent_->PrepareStages(); }
 
  private:
   std::shared_ptr<Node<T>> parent_;
@@ -273,6 +292,10 @@ class UnionNode final : public Node<T> {
   Result<std::vector<T>> Compute(int32_t p) override {
     if (p < a_->num_partitions()) return a_->Compute(p);
     return b_->Compute(p - a_->num_partitions());
+  }
+  Status PrepareStages() override {
+    PSG_RETURN_NOT_OK(a_->PrepareStages());
+    return b_->PrepareStages();
   }
 
  private:
@@ -320,6 +343,14 @@ class CacheNode final : public Node<T> {
     return slot.data;
   }
 
+  /// Nothing upstream is needed while every slot is current.
+  Status PrepareStages() override {
+    for (int32_t p = 0; p < this->num_partitions_; ++p) {
+      if (!Current(p)) return parent_->PrepareStages();
+    }
+    return Status::OK();
+  }
+
   /// Drops all cached partitions (Spark unpersist), releasing memory.
   void Unpersist() {
     for (int32_t p = 0; p < this->num_partitions_; ++p) {
@@ -337,6 +368,14 @@ class CacheNode final : public Node<T> {
   }
 
  private:
+  bool Current(int32_t p) {
+    Slot& slot = slots_[p];
+    std::lock_guard<std::mutex> lock(slot.mu);
+    return slot.data != nullptr &&
+           slot.epoch ==
+               this->ctx_->ExecutorEpoch(this->ctx_->ExecutorOf(p));
+  }
+
   struct Slot {
     std::mutex mu;
     std::shared_ptr<const std::vector<T>> data;
@@ -349,8 +388,8 @@ class CacheNode final : public Node<T> {
 };
 
 /// Runs the map side of a shuffle once: partitions parent records by key
-/// hash into per-reducer blocks. `Combine` is an optional map-side
-/// combiner (nullptr -> none).
+/// hash into per-reducer blocks, which it owns (they are freed with it).
+/// `Combine` is an optional map-side combiner (nullptr -> none).
 template <typename K, typename V>
 class ShuffleWriter {
  public:
@@ -362,34 +401,42 @@ class ShuffleWriter {
       : ctx_(ctx),
         parent_(std::move(parent)),
         num_reducers_(num_reducers),
-        combiner_(std::move(combiner)),
-        shuffle_id_(ctx_->NextShuffleId()),
-        service_(ctx_->shuffle_handle()) {}
+        combiner_(std::move(combiner)) {}
 
-  /// Drops this shuffle's blocks: the owning lineage node is going away,
-  /// so nothing can fetch or recompute from them anymore. Fetches were
-  /// charged when the map side was written, so no simulated charge
-  /// changes. Safe after the context died (the weak handle is empty).
-  ~ShuffleWriter() {
-    if (auto service = service_.lock()) service->DropShuffle(shuffle_id_);
-  }
-  ShuffleWriter(const ShuffleWriter&) = delete;
-  ShuffleWriter& operator=(const ShuffleWriter&) = delete;
-
-  uint64_t shuffle_id() const { return shuffle_id_; }
   int32_t num_map_partitions() const { return parent_->num_partitions(); }
 
-  /// Idempotent and thread-safe: the first caller runs the whole map
-  /// stage (concurrent reducers block on the once-guard until it
-  /// finishes); every caller shares the resulting status.
+  /// Map partition m's block for reduce partition r. Valid once
+  /// EnsureWritten() returned OK: its once-guard orders every map task's
+  /// write before the read.
+  const std::vector<uint8_t>& block(int32_t m, int32_t r) const {
+    return blocks_[static_cast<size_t>(m) * num_reducers_ + r];
+  }
+
+  /// The stage walk's step for this shuffle: returns at once when the
+  /// map side is written, else walks the parent and then writes it.
+  Status Prepare() {
+    if (!written_.load(std::memory_order_acquire)) {
+      PSG_RETURN_NOT_OK(parent_->PrepareStages());
+    }
+    return EnsureWritten();
+  }
+
+  /// The one place a map stage is written. Idempotent and thread-safe:
+  /// the first caller runs the whole map stage (a reduce task that gets
+  /// here lazily blocks the others on the once-guard until it finishes);
+  /// every caller shares the resulting status.
   Status EnsureWritten() {
-    std::call_once(once_, [&] { map_status_ = WriteAll(); });
+    std::call_once(once_, [&] {
+      map_status_ = WriteAll();
+      written_.store(true, std::memory_order_release);
+    });
     return map_status_;
   }
 
  private:
   Status WriteAll() {
     const int32_t num_maps = parent_->num_partitions();
+    blocks_.resize(static_cast<size_t>(num_maps) * num_reducers_);
     PSG_RETURN_NOT_OK(RunPartitioned(
         ctx_, num_maps, [&](int32_t m) { return WriteMapPartition(m); }));
     ctx_->StageBarrier();  // shuffle map side ends a stage
@@ -404,8 +451,7 @@ class ShuffleWriter {
     // already delivered.
     for (int32_t r = 0; r < num_reducers_; ++r) {
       for (int32_t m = 0; m < num_maps; ++m) {
-        PSG_ASSIGN_OR_RETURN(uint64_t bytes,
-                             ctx_->shuffle().BlockSize(shuffle_id_, m, r));
+        const uint64_t bytes = block(m, r).size();
         ctx_->ChargeDiskRead(m, bytes);
         ctx_->ChargeTransfer(m, r, bytes);
       }
@@ -414,8 +460,8 @@ class ShuffleWriter {
   }
 
   Status WriteMapPartition(int32_t m) {
-    auto in = parent_->Compute(m);
-    if (!in.ok()) return in.status();
+    // Borrow: a cached parent partition is read in place, not copied.
+    PSG_ASSIGN_OR_RETURN(auto in, parent_->Borrow(m));
     ctx_->ChargeCompute(m, in->size());
 
     std::vector<ByteBuffer> buckets(num_reducers_);
@@ -453,8 +499,8 @@ class ShuffleWriter {
     }
     ctx_->ChargeDiskWrite(m, total_bytes);
     for (int32_t r = 0; r < num_reducers_; ++r) {
-      ctx_->shuffle().PutBlock(shuffle_id_, m, r,
-                               std::move(buckets[r]).TakeData());
+      blocks_[static_cast<size_t>(m) * num_reducers_ + r] =
+          std::move(buckets[r]).TakeData();
     }
     if (transient > 0) ctx_->ReleasePartitionMemory(m, transient);
     return Status::OK();
@@ -464,9 +510,10 @@ class ShuffleWriter {
   std::shared_ptr<Node<std::pair<K, V>>> parent_;
   int32_t num_reducers_;
   Combiner combiner_;
-  uint64_t shuffle_id_;
-  std::weak_ptr<ShuffleService> service_;
+  // Row m (num_reducers_ blocks) is filled only by map task m.
+  std::vector<std::vector<uint8_t>> blocks_;
   std::once_flag once_;
+  std::atomic<bool> written_{false};
   Status map_status_;  // written inside the once-guard, read after it
 };
 
@@ -475,13 +522,10 @@ class ShuffleWriter {
 /// transfer time were already charged by the writer's deterministic
 /// fetch-accounting pass (see ShuffleWriter::WriteAll).
 template <typename K, typename V, typename Sink>
-Status FetchShuffleBlocks(DataflowContext* ctx, uint64_t shuffle_id,
-                          int32_t num_map_partitions, int32_t r,
+Status FetchShuffleBlocks(const ShuffleWriter<K, V>& writer, int32_t r,
                           Sink&& sink) {
-  for (int32_t m = 0; m < num_map_partitions; ++m) {
-    auto block = ctx->shuffle().GetBlock(shuffle_id, m, r);
-    if (!block.ok()) return block.status();
-    ByteReader reader(*block);
+  for (int32_t m = 0; m < writer.num_map_partitions(); ++m) {
+    ByteReader reader(writer.block(m, r));
     while (reader.remaining() > 0) {
       K k{};
       V v{};
@@ -508,22 +552,19 @@ class GroupByKeyNode final : public Node<std::pair<K, std::vector<V>>> {
     std::unordered_map<K, std::vector<V>, KeyHasher<K>> groups;
     uint64_t charged = 0;
     Status mem_ok;
-    Status fetch = FetchShuffleBlocks<K, V>(
-        ctx, writer_.shuffle_id(), writer_.num_map_partitions(), r,
-        [&](K k, V v) {
-          if (!mem_ok.ok()) return;
-          auto [it, inserted] = groups.try_emplace(std::move(k));
-          uint64_t delta = JvmBytesOf(v) +
-                           (inserted ? kJvmHashEntryOverhead : 0);
-          Status s = ctx->AllocatePartitionMemory(r, delta,
-                                                  "groupByKey hash table");
-          if (!s.ok()) {
-            mem_ok = s;
-            return;
-          }
-          charged += delta;
-          it->second.push_back(std::move(v));
-        });
+    Status fetch = FetchShuffleBlocks(writer_, r, [&](K k, V v) {
+      if (!mem_ok.ok()) return;
+      auto [it, inserted] = groups.try_emplace(std::move(k));
+      uint64_t delta = JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0);
+      Status s =
+          ctx->AllocatePartitionMemory(r, delta, "groupByKey hash table");
+      if (!s.ok()) {
+        mem_ok = s;
+        return;
+      }
+      charged += delta;
+      it->second.push_back(std::move(v));
+    });
     if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
       ctx->ReleasePartitionMemory(r, charged);
@@ -536,6 +577,7 @@ class GroupByKeyNode final : public Node<std::pair<K, std::vector<V>>> {
     ctx->ReleasePartitionMemory(r, charged);
     return out;
   }
+  Status PrepareStages() override { return writer_.Prepare(); }
 
  private:
   ShuffleWriter<K, V> writer_;
@@ -558,25 +600,23 @@ class ReduceByKeyNode final : public Node<std::pair<K, V>> {
     std::unordered_map<K, V, KeyHasher<K>> agg;
     uint64_t charged = 0;
     Status mem_ok;
-    Status fetch = FetchShuffleBlocks<K, V>(
-        ctx, writer_.shuffle_id(), writer_.num_map_partitions(), r,
-        [&](K k, V v) {
-          if (!mem_ok.ok()) return;
-          auto it = agg.find(k);
-          if (it != agg.end()) {
-            it->second = combiner_(it->second, v);
-            return;
-          }
-          uint64_t delta = kJvmHashEntryOverhead + JvmBytesOf(v);
-          Status s = ctx->AllocatePartitionMemory(r, delta,
-                                                  "reduceByKey hash table");
-          if (!s.ok()) {
-            mem_ok = s;
-            return;
-          }
-          charged += delta;
-          agg.emplace(std::move(k), std::move(v));
-        });
+    Status fetch = FetchShuffleBlocks(writer_, r, [&](K k, V v) {
+      if (!mem_ok.ok()) return;
+      auto it = agg.find(k);
+      if (it != agg.end()) {
+        it->second = combiner_(it->second, v);
+        return;
+      }
+      uint64_t delta = kJvmHashEntryOverhead + JvmBytesOf(v);
+      Status s = ctx->AllocatePartitionMemory(r, delta,
+                                              "reduceByKey hash table");
+      if (!s.ok()) {
+        mem_ok = s;
+        return;
+      }
+      charged += delta;
+      agg.emplace(std::move(k), std::move(v));
+    });
     if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
       ctx->ReleasePartitionMemory(r, charged);
@@ -587,6 +627,7 @@ class ReduceByKeyNode final : public Node<std::pair<K, V>> {
     ctx->ReleasePartitionMemory(r, charged);
     return out;
   }
+  Status PrepareStages() override { return writer_.Prepare(); }
 
  private:
   Combiner combiner_;
@@ -621,23 +662,19 @@ class CoGroupNode final
       if (!s.ok()) mem_ok = s;
       else charged += delta;
     };
-    Status fetch = FetchShuffleBlocks<K, V>(
-        ctx, left_writer_.shuffle_id(), left_writer_.num_map_partitions(),
-        r, [&](K k, V v) {
-          if (!mem_ok.ok()) return;
-          auto [it, inserted] = groups.try_emplace(std::move(k));
-          charge(JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0));
-          if (mem_ok.ok()) it->second.first.push_back(std::move(v));
-        });
+    Status fetch = FetchShuffleBlocks(left_writer_, r, [&](K k, V v) {
+      if (!mem_ok.ok()) return;
+      auto [it, inserted] = groups.try_emplace(std::move(k));
+      charge(JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0));
+      if (mem_ok.ok()) it->second.first.push_back(std::move(v));
+    });
     if (fetch.ok()) {
-      fetch = FetchShuffleBlocks<K, W>(
-          ctx, right_writer_.shuffle_id(),
-          right_writer_.num_map_partitions(), r, [&](K k, W w) {
-            if (!mem_ok.ok()) return;
-            auto [it, inserted] = groups.try_emplace(std::move(k));
-            charge(JvmBytesOf(w) + (inserted ? kJvmHashEntryOverhead : 0));
-            if (mem_ok.ok()) it->second.second.push_back(std::move(w));
-          });
+      fetch = FetchShuffleBlocks(right_writer_, r, [&](K k, W w) {
+        if (!mem_ok.ok()) return;
+        auto [it, inserted] = groups.try_emplace(std::move(k));
+        charge(JvmBytesOf(w) + (inserted ? kJvmHashEntryOverhead : 0));
+        if (mem_ok.ok()) it->second.second.push_back(std::move(w));
+      });
     }
     if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
@@ -650,6 +687,10 @@ class CoGroupNode final
     for (auto& [k, vw] : groups) out.emplace_back(k, std::move(vw));
     ctx->ReleasePartitionMemory(r, charged);
     return out;
+  }
+  Status PrepareStages() override {
+    PSG_RETURN_NOT_OK(left_writer_.Prepare());
+    return right_writer_.Prepare();
   }
 
  private:
@@ -842,16 +883,13 @@ class Dataset {
 
   /// Materializes every partition on the driver, in partition order.
   Result<std::vector<T>> Collect() const {
-    const int32_t num_parts = node_->num_partitions();
-    std::vector<std::vector<T>> parts(num_parts);
-    PSG_RETURN_NOT_OK(
-        RunPartitioned(ctx_, num_parts, [&](int32_t p) -> Status {
-          auto part = node_->Compute(p);
-          if (!part.ok()) return part.status();
-          parts[p] = std::move(*part);
-          return Status::OK();
-        }));
-    ctx_->StageBarrier();
+    std::vector<std::vector<T>> parts(node_->num_partitions());
+    PSG_RETURN_NOT_OK(RunAction([&](int32_t p) -> Status {
+      auto part = node_->Compute(p);
+      if (!part.ok()) return part.status();
+      parts[p] = std::move(*part);
+      return Status::OK();
+    }));
     size_t total = 0;
     for (const auto& part : parts) total += part.size();
     std::vector<T> all;
@@ -863,16 +901,13 @@ class Dataset {
   }
 
   Result<uint64_t> Count() const {
-    const int32_t num_parts = node_->num_partitions();
-    std::vector<uint64_t> sizes(num_parts, 0);
-    PSG_RETURN_NOT_OK(
-        RunPartitioned(ctx_, num_parts, [&](int32_t p) -> Status {
-          auto part = node_->Borrow(p);
-          if (!part.ok()) return part.status();
-          sizes[p] = (*part)->size();
-          return Status::OK();
-        }));
-    ctx_->StageBarrier();
+    std::vector<uint64_t> sizes(node_->num_partitions(), 0);
+    PSG_RETURN_NOT_OK(RunAction([&](int32_t p) -> Status {
+      auto part = node_->Borrow(p);
+      if (!part.ok()) return part.status();
+      sizes[p] = (*part)->size();
+      return Status::OK();
+    }));
     uint64_t n = 0;
     for (uint64_t s : sizes) n += s;
     return n;
@@ -880,11 +915,7 @@ class Dataset {
 
   /// Evaluates all partitions for side effects / materialization.
   Status Evaluate() const {
-    PSG_RETURN_NOT_OK(RunPartitioned(
-        ctx_, node_->num_partitions(),
-        [&](int32_t p) { return node_->Borrow(p).status(); }));
-    ctx_->StageBarrier();
-    return Status::OK();
+    return RunAction([&](int32_t p) { return node_->Borrow(p).status(); });
   }
 
   /// Streams each partition into `fn(p, std::move(rows))` on the
@@ -894,17 +925,23 @@ class Dataset {
   /// F: (int32_t partition, std::vector<T>&&) -> Status.
   template <typename F>
   Status ForeachPartition(F fn) const {
-    PSG_RETURN_NOT_OK(RunPartitioned(
-        ctx_, node_->num_partitions(), [&](int32_t p) -> Status {
-          auto part = node_->Compute(p);
-          if (!part.ok()) return part.status();
-          return fn(p, std::move(*part));
-        }));
+    return RunAction([&](int32_t p) -> Status {
+      auto part = node_->Compute(p);
+      if (!part.ok()) return part.status();
+      return fn(p, std::move(*part));
+    });
+  }
+
+ private:
+  /// Every action's core: the stage walk writes the upstream map stages,
+  /// then fn(p) runs for every partition, then the stage barrier.
+  Status RunAction(const std::function<Status(int32_t)>& fn) const {
+    PSG_RETURN_NOT_OK(node_->PrepareStages());
+    PSG_RETURN_NOT_OK(RunPartitioned(ctx_, node_->num_partitions(), fn));
     ctx_->StageBarrier();
     return Status::OK();
   }
 
- private:
   DataflowContext* ctx_;
   std::shared_ptr<detail::Node<T>> node_;
 };

