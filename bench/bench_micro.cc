@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 
 #include "bench/bench_util.h"
@@ -29,10 +30,10 @@ namespace psgraph {
 namespace {
 
 struct PsFixture {
-  PsFixture() {
+  explicit PsFixture(int32_t num_servers = 4) {
     sim::ClusterConfig cfg;
     cfg.num_executors = 4;
-    cfg.num_servers = 4;
+    cfg.num_servers = num_servers;
     cfg.executor_mem_bytes = 1ull << 30;
     cfg.server_mem_bytes = 1ull << 30;
     cluster = std::make_unique<sim::SimCluster>(cfg);
@@ -83,6 +84,43 @@ void BM_PsPullRows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PsPullRows)->Arg(256)->Arg(4096)->Arg(65536);
+
+// One agent pulling the adjacency of N random vertices of an RMAT graph
+// from two servers, whose neighbor shards are kept mutable (hash map, as
+// the freshness retrain reads them) or frozen to CSR: the server-side
+// ps.pull_nbrs encode plus the agent's flat NeighborBlock decode.
+void BM_PsPullNeighbors(benchmark::State& state) {
+  PsFixture fx(/*num_servers=*/2);
+  const size_t n = static_cast<size_t>(state.range(0));
+  graph::RmatParams rp;
+  rp.scale = 13;
+  rp.num_edges = 1 << 17;
+  rp.seed = 3;
+  const graph::EdgeList edges = graph::GenerateRmat(rp);
+  std::map<uint64_t, std::vector<uint64_t>> by_src;
+  for (const graph::Edge& e : edges) by_src[e.src].push_back(e.dst);
+  std::vector<graph::NeighborList> tables;
+  for (auto& [src, dsts] : by_src) tables.push_back({src, std::move(dsts), {}});
+  auto adj = fx.ctx->CreateMatrix("bench.nbrs", uint64_t{1} << rp.scale, 0,
+                                  ps::StorageKind::kNeighbors,
+                                  ps::Layout::kRowPartitioned,
+                                  ps::PartitionScheme::kHash);
+  PSG_CHECK_OK(adj.status());
+  PSG_CHECK_OK(fx.agent->PushNeighbors(*adj, tables));
+  if (state.range(1) != 0) PSG_CHECK_OK(fx.agent->FreezeNeighbors(*adj));
+  std::vector<uint64_t> keys(n);
+  Rng rng(4);
+  for (auto& k : keys) k = rng.NextBounded(uint64_t{1} << rp.scale);
+  for (auto _ : state) {
+    auto block = fx.agent->PullNeighbors(*adj, keys);
+    PSG_CHECK_OK(block.status());
+    benchmark::DoNotOptimize(block->neighbors(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PsPullNeighbors)
+    ->ArgNames({"keys", "frozen"})
+    ->ArgsProduct({{256, 4096}, {0, 1}});
 
 // One pagerank.advance psFunc over N materialized nonzero delta rows: the
 // server-side fold that runs once per PageRank iteration.

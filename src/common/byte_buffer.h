@@ -60,9 +60,17 @@ class ByteBuffer {
   }
 
   void WriteRaw(const void* src, size_t n) {
-    size_t off = data_.size();
+    if (n > 0) std::memcpy(Append(n), src, n);
+  }
+
+  /// Grows the buffer by `n` bytes and returns the start of the new
+  /// region, for encoders that know their exact size up front and fill
+  /// it in place (common/varint.h). The pointer is valid until the next
+  /// write.
+  uint8_t* Append(size_t n) {
+    const size_t off = data_.size();
     data_.resize(off + n);
-    if (n > 0) std::memcpy(data_.data() + off, src, n);
+    return data_.data() + off;
   }
 
  private:
@@ -79,6 +87,14 @@ class ByteReader {
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
+
+  /// Raw cursor and end of the unread bytes, for bulk decoders that scan
+  /// [cursor(), end()) themselves and then Skip() what they consumed.
+  const uint8_t* cursor() const { return data_ + pos_; }
+  const uint8_t* end() const { return data_ + size_; }
+  /// Advances past `n` bytes the caller has already decoded from
+  /// cursor(); `n` must not exceed remaining().
+  void Skip(size_t n) { pos_ += n; }
 
   template <typename T>
   Status Read(T* out) {

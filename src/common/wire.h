@@ -21,9 +21,14 @@
 
 namespace psgraph {
 
+/// Encoded size of WriteFloatBlock(n floats).
+inline size_t FloatBlockSize(size_t n) {
+  return Varint64Size(n) + n * sizeof(float);
+}
+
 inline void WriteFloatBlock(ByteBuffer* buf, const float* data, size_t n) {
-  PutVarint64(buf, n);
-  buf->WriteRaw(data, n * sizeof(float));
+  uint8_t* p = EncodeVarint64(buf->Append(FloatBlockSize(n)), n);
+  if (n > 0) std::memcpy(p, data, n * sizeof(float));
 }
 
 template <typename Alloc>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 
 #include "common/alias_table.h"
@@ -132,7 +133,7 @@ Result<DeepWalkResult> DeepWalk(PsGraphContext& ctx,
                              ctx.agent(e).PullNeighbors(adj, frontier));
         uint64_t ops = 0;
         for (size_t j = 0; j < active.size(); ++j) {
-          const auto& nbrs = entries[j].neighbors;
+          const std::span<const uint64_t> nbrs = entries.neighbors(j);
           if (nbrs.empty()) continue;  // walk ends at a sink
           size_t wi = active[j];
           graph::VertexId next;

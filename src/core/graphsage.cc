@@ -1,6 +1,7 @@
 #include "core/graphsage.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -227,7 +228,7 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
     }
     std::vector<std::vector<uint64_t>> samples1(bkeys.size());
     for (size_t i = 0; i < bkeys.size(); ++i) {
-      const auto& nbrs = badj[i].neighbors;
+      const std::span<const uint64_t> nbrs = badj.neighbors(i);
       if (nbrs.empty()) continue;
       for (int k = 0; k < opts.fanout1; ++k) {
         uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
@@ -250,8 +251,7 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
       involved_ids.push_back(v);
     }
     b.seg1.resize(nodes1_ids.size());
-    auto sample2 = [&](size_t node1_pos,
-                       const std::vector<uint64_t>& nbrs) {
+    auto sample2 = [&](size_t node1_pos, std::span<const uint64_t> nbrs) {
       if (nbrs.empty()) return;
       for (int k = 0; k < opts.fanout2; ++k) {
         uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
@@ -262,10 +262,10 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
       }
     };
     for (size_t i = 0; i < bkeys.size(); ++i) {
-      sample2(i, badj[i].neighbors);
+      sample2(i, badj.neighbors(i));
     }
     for (size_t i = 0; i < extra.size(); ++i) {
-      sample2(bkeys.size() + i, eadj[i].neighbors);
+      sample2(bkeys.size() + i, eadj.neighbors(i));
     }
     // seg2: per batch vertex, its layer-1 samples as nodes1 positions.
     b.seg2.resize(bkeys.size());

@@ -1,6 +1,7 @@
 #include "core/neighbor_algos.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -15,8 +16,8 @@ namespace {
 int g_nbr_job = 0;
 
 /// Sorted-vector intersection size.
-uint64_t IntersectionSize(const std::vector<uint64_t>& a,
-                          const std::vector<uint64_t>& b) {
+uint64_t IntersectionSize(std::span<const uint64_t> a,
+                          std::span<const uint64_t> b) {
   uint64_t n = 0;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -149,8 +150,9 @@ Result<CommonNeighborStats> CommonNeighbor(
                            ctx.agent(e).PullNeighbors(meta, keys));
       uint64_t ops = 0;
       for (uint64_t i = begin; i < end; ++i) {
-        const auto& nu = entries[(i - begin) * 2].neighbors;
-        const auto& nv = entries[(i - begin) * 2 + 1].neighbors;
+        const std::span<const uint64_t> nu = entries.neighbors((i - begin) * 2);
+        const std::span<const uint64_t> nv =
+            entries.neighbors((i - begin) * 2 + 1);
         uint64_t c = IntersectionSize(nu, nv);
         st.stats[e].pairs++;
         st.stats[e].total_common += c;
@@ -234,10 +236,11 @@ Result<uint64_t> TriangleCount(PsGraphContext& ctx,
                            ctx.agent(e).PullNeighbors(meta, keys));
       uint64_t ops = 0;
       for (uint64_t i = begin; i < end; ++i) {
-        sum += IntersectionSize(entries[(i - begin) * 2].neighbors,
-                                entries[(i - begin) * 2 + 1].neighbors);
-        ops += entries[(i - begin) * 2].neighbors.size() +
-               entries[(i - begin) * 2 + 1].neighbors.size();
+        const std::span<const uint64_t> nu = entries.neighbors((i - begin) * 2);
+        const std::span<const uint64_t> nv =
+            entries.neighbors((i - begin) * 2 + 1);
+        sum += IntersectionSize(nu, nv);
+        ops += nu.size() + nv.size();
       }
       ctx.cluster().clock().Advance(
           ctx.cluster().config().executor(e),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <span>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -353,9 +354,8 @@ Result<EulerResult> RunEulerGraphSage(const graph::LabeledGraph& g,
   const int fetch = std::max(1, opts.fetch_granularity);
 
   auto pull_neighbors = [&](int32_t w, const std::vector<uint64_t>& keys)
-      -> Result<std::vector<ps::NeighborEntry>> {
-    std::vector<ps::NeighborEntry> out;
-    out.reserve(keys.size());
+      -> Result<ps::NeighborBlock> {
+    ps::NeighborBlock out;
     for (size_t i = 0; i < keys.size();
          i += static_cast<size_t>(fetch)) {
       std::vector<uint64_t> chunk(
@@ -363,7 +363,7 @@ Result<EulerResult> RunEulerGraphSage(const graph::LabeledGraph& g,
           keys.begin() + std::min(keys.size(), i + fetch));
       PSG_ASSIGN_OR_RETURN(auto part,
                            agents[w]->PullNeighbors(adj_mat, chunk));
-      for (auto& entry : part) out.push_back(std::move(entry));
+      out.Append(part);
     }
     return out;
   };
@@ -404,7 +404,7 @@ Result<EulerResult> RunEulerGraphSage(const graph::LabeledGraph& g,
     }
     std::vector<std::vector<uint64_t>> samples1(bkeys.size());
     for (size_t i = 0; i < bkeys.size(); ++i) {
-      const auto& nbrs = badj[i].neighbors;
+      const std::span<const uint64_t> nbrs = badj.neighbors(i);
       if (nbrs.empty()) continue;
       for (int k = 0; k < opts.fanout1; ++k) {
         uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
@@ -424,7 +424,7 @@ Result<EulerResult> RunEulerGraphSage(const graph::LabeledGraph& g,
       involved_ids.push_back(v);
     }
     b.seg1.resize(nodes1_ids.size());
-    auto sample2 = [&](size_t pos, const std::vector<uint64_t>& nbrs) {
+    auto sample2 = [&](size_t pos, std::span<const uint64_t> nbrs) {
       if (nbrs.empty()) return;
       for (int k = 0; k < opts.fanout2; ++k) {
         uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
@@ -435,10 +435,10 @@ Result<EulerResult> RunEulerGraphSage(const graph::LabeledGraph& g,
       }
     };
     for (size_t i = 0; i < bkeys.size(); ++i) {
-      sample2(i, badj[i].neighbors);
+      sample2(i, badj.neighbors(i));
     }
     for (size_t i = 0; i < extra.size(); ++i) {
-      sample2(bkeys.size() + i, eadj[i].neighbors);
+      sample2(bkeys.size() + i, eadj.neighbors(i));
     }
     b.seg2.resize(bkeys.size());
     for (size_t i = 0; i < bkeys.size(); ++i) {

@@ -1,11 +1,13 @@
-// Dense per-executor accumulator for delta-PageRank sweeps.
+// Dense per-executor accumulator for delta-PageRank sweeps, and the
+// sort-or-scan rule every dense vertex set shares.
 //
 // A sweep adds each source's contribution into every out-neighbor and
 // then ships the sums, sorted by vertex id, to the PS. A hash map per
 // executor pays a probe and a node per destination; this keeps a dense
 // buffer over the vertex-id space plus the list of ids touched since the
-// last drain. Drain sorts only the touched list and resets the buffer by
-// walking it, so an incremental frontier costs its own size, not |V|.
+// last drain. Drain lists the touched ids in ascending order by the rule
+// below and resets the buffer by walking them, so an incremental
+// frontier costs its own size, not |V|.
 //
 // Sums are bit-identical to `map[id] += v` in the same Add order: every
 // slot starts at zero and receives the same additions. An id that is
@@ -19,6 +21,28 @@
 #include <vector>
 
 namespace psgraph::graph {
+
+/// A set that touched fewer than 1/kDenseScanDivisor of its id space
+/// sorts its touched list; a denser one is cheaper to list by scanning
+/// its flags in id order (a sequential pass beats an n log n sort once
+/// the set covers a fair share of the ids).
+inline constexpr uint64_t kDenseScanDivisor = 16;
+
+/// Puts `touched` — the distinct ids whose slot in `flags` is nonzero,
+/// in any order — into ascending order, by sorting it or by rewriting it
+/// from a scan of `flags`, whichever the density rule picks. Both give
+/// the same ids.
+template <typename Flags>
+void SortTouched(const Flags& flags, std::vector<uint64_t>* touched) {
+  if (touched->size() * kDenseScanDivisor < flags.size()) {
+    std::sort(touched->begin(), touched->end());
+    return;
+  }
+  size_t n = 0;
+  for (uint64_t id = 0; n < touched->size(); ++id) {
+    if (flags[id]) (*touched)[n++] = id;
+  }
+}
 
 template <typename V>
 class DenseAccumulator {
@@ -43,7 +67,7 @@ class DenseAccumulator {
   /// Appends every touched id in ascending order to `ids` and its sum to
   /// `sums`, then resets exactly those slots.
   void Drain(std::vector<uint64_t>* ids, std::vector<V>* sums) {
-    std::sort(touched_.begin(), touched_.end());
+    SortTouched(touched_flag_, &touched_);
     ids->reserve(ids->size() + touched_.size());
     sums->reserve(sums->size() + touched_.size());
     for (uint64_t id : touched_) {

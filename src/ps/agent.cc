@@ -454,9 +454,45 @@ Status PsAgent::FreezeNeighbors(const MatrixMeta& meta) {
   return Status::OK();
 }
 
-Result<std::vector<NeighborEntry>> PsAgent::PullNeighbors(
+Status NeighborBlock::DecodeResponse(const std::vector<uint8_t>& response,
+                                     std::span<const uint32_t> key_index) {
+  ByteReader reader(response);
+  for (uint32_t idx : key_index) {
+    Range& r = ranges_[idx];
+    r.ids_begin = ids_.size();
+    PSG_RETURN_NOT_OK(GetDeltaList(&reader, &ids_));
+    r.ids_end = ids_.size();
+    r.weights_begin = weights_.size();
+    PSG_RETURN_NOT_OK(ReadFloatBlock(&reader, &weights_));
+    r.weights_end = weights_.size();
+  }
+  if (reader.remaining() != 0) {
+    return Status::InvalidArgument(
+        "pull_nbrs: " + std::to_string(reader.remaining()) +
+        " bytes left over at offset " + std::to_string(reader.position()) +
+        " after the last of " + std::to_string(key_index.size()) + " keys");
+  }
+  return Status::OK();
+}
+
+void NeighborBlock::Append(const NeighborBlock& other) {
+  const size_t ids_base = ids_.size();
+  const size_t weights_base = weights_.size();
+  ids_.insert(ids_.end(), other.ids_.begin(), other.ids_.end());
+  weights_.insert(weights_.end(), other.weights_.begin(),
+                  other.weights_.end());
+  for (Range r : other.ranges_) {
+    r.ids_begin += ids_base;
+    r.ids_end += ids_base;
+    r.weights_begin += weights_base;
+    r.weights_end += weights_base;
+    ranges_.push_back(r);
+  }
+}
+
+Result<NeighborBlock> PsAgent::PullNeighbors(
     const MatrixMeta& meta, const std::vector<uint64_t>& keys) {
-  std::vector<NeighborEntry> out(keys.size());
+  NeighborBlock out(keys.size());
   const int64_t t0 = NowTicks();
   ScopedSpan span(&tracer(), "agent.pull_nbrs", node_, t0,
                   [this] { return NowTicks(); });
@@ -480,12 +516,8 @@ Result<std::vector<NeighborEntry>> PsAgent::PullNeighbors(
   metrics().Observe("agent.pull_nbrs.latency_ticks",
                     static_cast<uint64_t>(NowTicks() - t0));
   for (size_t c = 0; c < responses.size(); ++c) {
-    int32_t s = call_server[c];
-    ByteReader reader(responses[c]);
-    for (uint32_t idx : by_server[s]) {
-      PSG_RETURN_NOT_OK(GetDeltaList(&reader, &out[idx].neighbors));
-      PSG_RETURN_NOT_OK(ReadFloatBlock(&reader, &out[idx].weights));
-    }
+    PSG_RETURN_NOT_OK(
+        out.DecodeResponse(responses[c], by_server[call_server[c]]));
   }
   return out;
 }

@@ -7,6 +7,7 @@
 #define PSGRAPH_PS_AGENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,46 @@ struct EdgeMutation {
   uint64_t dst = 0;
   float weight = 1.0f;  ///< used only on weighted tables
   bool insert = true;
+};
+
+/// Adjacency of a pulled key batch, flat: every key's neighbor ids and
+/// weights sit in two arrays in the order the server responses were
+/// decoded, and one range per requested key (request order) points into
+/// them, so nothing is scattered or copied twice. An unknown key gets
+/// empty spans; its weights are empty when the table is unweighted.
+class NeighborBlock {
+ public:
+  explicit NeighborBlock(size_t num_keys = 0) : ranges_(num_keys) {}
+
+  size_t size() const { return ranges_.size(); }
+  std::span<const uint64_t> neighbors(size_t i) const {
+    const Range& r = ranges_[i];
+    return {ids_.data() + r.ids_begin, r.ids_end - r.ids_begin};
+  }
+  std::span<const float> weights(size_t i) const {
+    const Range& r = ranges_[i];
+    return {weights_.data() + r.weights_begin,
+            r.weights_end - r.weights_begin};
+  }
+
+  /// Decodes one server's "ps.pull_nbrs" response, which holds the lists
+  /// of the keys at positions `key_index` of this block, in that order.
+  /// Fails loud — naming the byte offset — on a truncated or corrupt
+  /// response and on bytes left over after its last key.
+  Status DecodeResponse(const std::vector<uint8_t>& response,
+                        std::span<const uint32_t> key_index);
+
+  /// Appends `other`'s keys after this block's (chunked pulls).
+  void Append(const NeighborBlock& other);
+
+ private:
+  struct Range {
+    size_t ids_begin = 0, ids_end = 0;
+    size_t weights_begin = 0, weights_end = 0;
+  };
+  std::vector<uint64_t> ids_;
+  std::vector<float> weights_;
+  std::vector<Range> ranges_;
 };
 
 class PsAgent {
@@ -80,9 +121,10 @@ class PsAgent {
   Status MutateNeighbors(const MatrixMeta& meta,
                          const std::vector<EdgeMutation>& mutations,
                          bool weighted = false);
-  /// Pulls adjacency for `keys`, in key order (empty for unknown).
-  Result<std::vector<NeighborEntry>> PullNeighbors(
-      const MatrixMeta& meta, const std::vector<uint64_t>& keys);
+  /// Pulls adjacency for `keys`: block.neighbors(i) / weights(i) belong
+  /// to keys[i] (empty for unknown).
+  Result<NeighborBlock> PullNeighbors(const MatrixMeta& meta,
+                                      const std::vector<uint64_t>& keys);
 
   /// Freezes the neighbor shards of `meta` into compact CSR images on
   /// every server (read-only afterwards).

@@ -485,13 +485,21 @@ Status PsServer::MutateNeighbors(MatrixId id,
 
 Status PsServer::PullNeighbors(MatrixId id,
                                std::span<const uint64_t> keys,
-                               std::vector<NeighborEntry>* out) {
+                               ByteBuffer* out) {
   const int64_t t0 = NowTicks();
   ScopedSpan span(&tracer(), "ps.pull_nbrs", node_, t0,
                   [this] { return NowTicks(); });
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, GetShard(id));
   ChargeCompute(keys.size());
-  out->reserve(out->size() + keys.size());
+  // Resolve every key to its stored lists once (empty for an unknown
+  // vertex), size the response exactly, then encode each list straight
+  // from the store: no per-key copy and one buffer allocation.
+  struct Lists {
+    std::span<const uint64_t> neighbors;
+    std::span<const float> weights;
+  };
+  std::vector<Lists> lists;
+  lists.reserve(keys.size());
   if (shard->csr.has_value()) {
     const CsrStore& csr = *shard->csr;
     // The agent sends each server's keys sorted (GroupKeysByServer), so
@@ -506,28 +514,35 @@ Status PsServer::PullNeighbors(MatrixId id,
       auto it = std::lower_bound(hint, csr.keys.end(), key);
       hint = it;
       if (it == csr.keys.end() || *it != key) {
-        out->push_back({});
+        lists.push_back({});
         continue;
       }
-      size_t i = static_cast<size_t>(it - csr.keys.begin());
-      NeighborEntry entry;
-      entry.neighbors.assign(csr.neighbors.begin() + csr.offsets[i],
-                             csr.neighbors.begin() + csr.offsets[i + 1]);
-      if (!csr.weights.empty()) {
-        entry.weights.assign(csr.weights.begin() + csr.offsets[i],
-                             csr.weights.begin() + csr.offsets[i + 1]);
-      }
-      out->push_back(std::move(entry));
+      const size_t i = static_cast<size_t>(it - csr.keys.begin());
+      const size_t begin = csr.offsets[i];
+      const size_t n = csr.offsets[i + 1] - begin;
+      Lists l{{csr.neighbors.data() + begin, n}, {}};
+      if (!csr.weights.empty()) l.weights = {csr.weights.data() + begin, n};
+      lists.push_back(l);
     }
   } else {
     for (uint64_t key : keys) {
       auto it = shard->neighbors.find(key);
-      if (it != shard->neighbors.end()) {
-        out->push_back(it->second);
+      if (it == shard->neighbors.end()) {
+        lists.push_back({});
       } else {
-        out->push_back({});
+        lists.push_back({it->second.neighbors, it->second.weights});
       }
     }
+  }
+  size_t bytes = out->size();
+  for (const Lists& l : lists) {
+    bytes += DeltaListSize(l.neighbors.data(), l.neighbors.size()) +
+             FloatBlockSize(l.weights.size());
+  }
+  out->Reserve(bytes);
+  for (const Lists& l : lists) {
+    PutDeltaList(out, l.neighbors.data(), l.neighbors.size());
+    WriteFloatBlock(out, l.weights.data(), l.weights.size());
   }
   skew().RecordKeyAccess(server_index_, /*is_pull=*/true, keys);
   metrics().Add("ps.neighbor_entries_pulled", keys.size());

@@ -211,9 +211,13 @@ class PsServer {
   /// image and releases the map (further pushes are rejected). Reduces
   /// resident memory by the per-entry overhead; pulls are unchanged.
   Status FreezeNeighbors(MatrixId id);
-  /// Appends entries for `keys` to `out` (empty entry if unknown vertex).
+  /// Serves "ps.pull_nbrs": appends each key's adjacency to `out` as
+  /// [delta list of neighbors][float block of weights] (both empty for
+  /// an unknown vertex; weights empty when unweighted), encoded straight
+  /// from the hash map or the frozen CSR image into one exactly sized
+  /// region.
   Status PullNeighbors(MatrixId id, std::span<const uint64_t> keys,
-                       std::vector<NeighborEntry>* out);
+                       ByteBuffer* out);
 
   Result<ByteBuffer> CallFunc(const std::string& name,
                               const std::vector<uint8_t>& args);

@@ -176,14 +176,9 @@ void PsServer::RegisterHandlers(net::RpcEndpoint* endpoint) {
         auto keys = MakeArenaVector<uint64_t>(&request_arena_);
         PSG_RETURN_NOT_OK(reader.Read(&id));
         PSG_RETURN_NOT_OK(GetDeltaList(&reader, &keys));
-        std::vector<NeighborEntry> entries;
-        PSG_RETURN_NOT_OK(
-            PullNeighbors(id, {keys.data(), keys.size()}, &entries));
         ByteBuffer resp;
-        for (const NeighborEntry& entry : entries) {
-          PutDeltaList(&resp, entry.neighbors);
-          WriteFloatBlock(&resp, entry.weights);
-        }
+        PSG_RETURN_NOT_OK(
+            PullNeighbors(id, {keys.data(), keys.size()}, &resp));
         return resp;
       });
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_set>
+#include <span>
 
 #include "common/byte_buffer.h"
 #include "dataflow/dataset.h"
@@ -112,7 +112,7 @@ Result<DeltaStats> DeltaPageRankEngine::ApplyMutationsAndRecompute(
   std::sort(srcs.begin(), srcs.end());
   srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
 
-  PSG_ASSIGN_OR_RETURN(std::vector<ps::NeighborEntry> old_adj,
+  PSG_ASSIGN_OR_RETURN(ps::NeighborBlock old_adj,
                        driver_agent.PullNeighbors(adjacency_, srcs));
   PSG_ASSIGN_OR_RETURN(std::vector<float> src_ranks,
                        driver_agent.PullRows(ranks_, srcs));
@@ -123,41 +123,48 @@ Result<DeltaStats> DeltaPageRankEngine::ApplyMutationsAndRecompute(
 
   sim::ScopedWaitAlias alias(ctx_->cluster().cost_ledger(),
                              sim::CostCategory::kStreamRetrain);
-  PSG_ASSIGN_OR_RETURN(std::vector<ps::NeighborEntry> new_adj,
+  PSG_ASSIGN_OR_RETURN(ps::NeighborBlock new_adj,
                        driver_agent.PullNeighbors(adjacency_, srcs));
 
   // Residual seed: delta_v gets damp * R_u * (M_new - M_old)[v, u] for
-  // every mutated source u (see the header derivation). std::map keeps
-  // the seed keys sorted for free.
+  // every mutated source u (see the header derivation), summed in the
+  // dense merge buffer (`x += -c` rounds exactly like `x -= c`), which
+  // drains the seed keys in ascending order.
   const double damp = 1.0 - opts_.reset_prob;
-  std::map<uint64_t, double> seeds;
+  graph::DenseAccumulator<double>& seeds = merged_;
+  seeds.Clear();
   uint64_t scanned = 0;
   for (size_t i = 0; i < srcs.size(); ++i) {
     const double r = src_ranks[i];
-    scanned += old_adj[i].neighbors.size() + new_adj[i].neighbors.size();
+    const std::span<const uint64_t> added = new_adj.neighbors(i);
+    const std::span<const uint64_t> removed = old_adj.neighbors(i);
+    scanned += removed.size() + added.size();
     if (r == 0.0) continue;
-    if (!new_adj[i].neighbors.empty()) {
-      const double c = damp * r / new_adj[i].neighbors.size();
-      for (uint64_t v : new_adj[i].neighbors) seeds[v] += c;
+    if (!added.empty()) {
+      const double c = damp * r / added.size();
+      for (uint64_t v : added) seeds.Add(v, c);
     }
-    if (!old_adj[i].neighbors.empty()) {
-      const double c = damp * r / old_adj[i].neighbors.size();
-      for (uint64_t v : old_adj[i].neighbors) seeds[v] -= c;
+    if (!removed.empty()) {
+      const double c = damp * r / removed.size();
+      for (uint64_t v : removed) seeds.Add(v, -c);
     }
   }
   ctx_->cluster().clock().Advance(
       ctx_->cluster().config().driver(),
       ctx_->cluster().cost().ComputeTime(scanned + mutations.size()));
 
+  std::vector<uint64_t> seed_ids;
+  std::vector<double> seed_sums;
+  seeds.Drain(&seed_ids, &seed_sums);
   std::vector<uint64_t> frontier;
   std::vector<uint64_t> seed_keys;
   std::vector<float> seed_vals;
-  frontier.reserve(seeds.size());
-  for (const auto& [v, d] : seeds) {
-    const float f = static_cast<float>(d);
+  frontier.reserve(seed_ids.size());
+  for (size_t j = 0; j < seed_ids.size(); ++j) {
+    const float f = static_cast<float>(seed_sums[j]);
     if (f == 0.0f) continue;  // exact cancellation: nothing to propagate
-    frontier.push_back(v);
-    seed_keys.push_back(v);
+    frontier.push_back(seed_ids[j]);
+    seed_keys.push_back(seed_ids[j]);
     seed_vals.push_back(f);
   }
   if (!seed_keys.empty()) {
@@ -182,7 +189,6 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
   const int32_t E = ctx_->num_executors();
   const double damp = 1.0 - opts_.reset_prob;
   ps::PsAgent driver_agent(&ctx_->ps(), ctx_->cluster().config().driver());
-  std::unordered_set<uint64_t> touched;
   if (updates_.size() != static_cast<size_t>(E)) {
     updates_.assign(static_cast<size_t>(E),
                     graph::DenseAccumulator<float>(num_vertices_));
@@ -190,6 +196,7 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
   // Drop whatever an aborted earlier sweep left pending.
   for (auto& local : updates_) local.Clear();
   merged_.Clear();
+  touched_.assign(num_vertices_, 0);
 
   ByteBuffer advance_args;
   advance_args.Write<ps::MatrixId>(deltas_.id);
@@ -197,7 +204,11 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
 
   int iter = 0;
   while (!frontier.empty() && iter < opts_.max_iterations) {
-    touched.insert(frontier.begin(), frontier.end());
+    for (uint64_t v : frontier) {
+      if (v >= touched_.size()) touched_.resize(v + 1, 0);
+      stats.vertices_touched += touched_[v] == 0;
+      touched_[v] = 1;
+    }
     stats.frontier_total += frontier.size();
 
     // Sweep phase: each executor pulls its frontier chunk's residuals
@@ -213,14 +224,14 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
           PSG_ASSIGN_OR_RETURN(std::vector<float> ds,
                                ctx_->agent(e).PullRows(deltas_, keys));
           PSG_ASSIGN_OR_RETURN(
-              std::vector<ps::NeighborEntry> adj,
+              ps::NeighborBlock adj,
               ctx_->agent(e).PullNeighbors(adjacency_, keys));
           auto& local = updates_[static_cast<size_t>(e)];
           uint64_t edges_processed = 0;
           for (size_t i = 0; i < keys.size(); ++i) {
             const double d = ds[i];
             if (std::fabs(d) <= opts_.prune_epsilon) continue;
-            const auto& dsts = adj[i].neighbors;
+            const std::span<const uint64_t> dsts = adj.neighbors(i);
             if (dsts.empty()) continue;
             const float contrib = static_cast<float>(
                 damp * d / static_cast<double>(dsts.size()));
@@ -297,7 +308,6 @@ Result<DeltaStats> DeltaPageRankEngine::RunFrontier(
       double tail, driver_agent.CallFuncSum("pagerank.advance",
                                             advance_args));
   stats.final_delta_l1 = tail;
-  stats.vertices_touched = touched.size();
   return stats;
 }
 
@@ -353,6 +363,10 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
                              sim::CostCategory::kStreamRetrain);
   const int32_t E = ctx_->num_executors();
   const uint32_t d = emb_.num_cols;
+  if (row_pos_.size() != static_cast<size_t>(E)) {
+    row_pos_.assign(static_cast<size_t>(E),
+                    std::vector<uint32_t>(num_vertices_, 0));
+  }
   for (int step = 0; step < opts_.steps; ++step) {
     // Phase 1: pull everything and stage the smoothed rows; no pushes
     // until every executor joined, so reads never race writes.
@@ -365,24 +379,37 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
               dirty.begin() + static_cast<ptrdiff_t>(begin),
               dirty.begin() + static_cast<ptrdiff_t>(end));
           PSG_ASSIGN_OR_RETURN(
-              std::vector<ps::NeighborEntry> adj,
+              ps::NeighborBlock adj,
               ctx_->agent(e).PullNeighbors(adjacency_, chunk));
-          // Rows needed: the chunk plus every neighbor it averages over.
-          std::vector<uint64_t> needed = chunk;
-          for (const ps::NeighborEntry& a : adj) {
-            needed.insert(needed.end(), a.neighbors.begin(),
-                          a.neighbors.end());
+          // Rows needed: the chunk plus every neighbor it averages over,
+          // marked in this executor's position array, listed ascending,
+          // then numbered: pos[v] = 1 + v's row in the pull.
+          std::vector<uint32_t>& pos = row_pos_[static_cast<size_t>(e)];
+          std::vector<uint64_t> needed;
+          auto mark = [&](uint64_t v) {
+            if (v >= pos.size()) pos.resize(v + 1, 0);
+            if (pos[v] == 0) {
+              pos[v] = 1;
+              needed.push_back(v);
+            }
+          };
+          for (uint64_t v : chunk) mark(v);
+          for (size_t i = 0; i < adj.size(); ++i) {
+            for (uint64_t u : adj.neighbors(i)) mark(u);
           }
-          std::sort(needed.begin(), needed.end());
-          needed.erase(std::unique(needed.begin(), needed.end()),
-                       needed.end());
-          PSG_ASSIGN_OR_RETURN(std::vector<float> rows,
-                               ctx_->agent(e).PullRows(emb_, needed));
+          graph::SortTouched(pos, &needed);
+          for (size_t j = 0; j < needed.size(); ++j) {
+            pos[needed[j]] = static_cast<uint32_t>(j + 1);
+          }
+          Result<std::vector<float>> pulled =
+              ctx_->agent(e).PullRows(emb_, needed);
+          if (!pulled.ok()) {
+            for (uint64_t v : needed) pos[v] = 0;
+            return pulled.status();
+          }
+          const std::vector<float>& rows = *pulled;
           auto row_of = [&](uint64_t v) -> const float* {
-            const size_t i = static_cast<size_t>(
-                std::lower_bound(needed.begin(), needed.end(), v) -
-                needed.begin());
-            return rows.data() + i * d;
+            return rows.data() + size_t{pos[v] - 1} * d;
           };
           std::vector<float>& out = staged[e];
           out.resize(chunk.size() * d);
@@ -391,7 +418,7 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
           for (size_t i = 0; i < chunk.size(); ++i) {
             const float* self = row_of(chunk[i]);
             float* dst = out.data() + i * d;
-            const auto& nbrs = adj[i].neighbors;
+            const std::span<const uint64_t> nbrs = adj.neighbors(i);
             if (nbrs.empty()) {
               std::copy(self, self + d, dst);
               continue;
@@ -409,6 +436,7 @@ Result<uint64_t> IncrementalEmbedder::ReembedDirty(
             }
             averaged += nbrs.size();
           }
+          for (uint64_t v : needed) pos[v] = 0;
           ctx_->cluster().clock().Advance(
               ctx_->cluster().config().executor(e),
               ctx_->cluster().cost().ComputeTime(averaged * d));

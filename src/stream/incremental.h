@@ -125,9 +125,13 @@ class DeltaPageRankEngine {
   int64_t epoch_ = 0;
   int64_t step_ = 0;  ///< monotone convergence-row index across epochs
   /// Sweep scratch kept across epochs, so an incremental frontier costs
-  /// its own size: per-executor contribution sums and their merge.
+  /// its own size: per-executor contribution sums and their merge (which
+  /// also sums an incremental recompute's residual seeds).
   std::vector<graph::DenseAccumulator<float>> updates_;
   graph::DenseAccumulator<double> merged_;
+  /// Vertices whose residual a recompute pulled (nonzero = touched),
+  /// over the id space; DeltaStats::vertices_touched counts them.
+  std::vector<uint8_t> touched_;
 };
 
 struct ReembedOptions {
@@ -169,6 +173,10 @@ class IncrementalEmbedder {
   ReembedOptions opts_;
   int64_t epoch_ = 0;
   int64_t step_ = 0;
+  /// Per-executor row positions over the id space, kept across calls:
+  /// 0 = not needed, else 1 + the vertex's row in that executor's pull.
+  /// Only the marked slots are reset after each use.
+  std::vector<std::vector<uint32_t>> row_pos_;
 };
 
 }  // namespace psgraph::stream

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <set>
 #include <unordered_set>
 
 #include "graph/algo_math.h"
 #include "graph/csr.h"
+#include "graph/dense_accumulator.h"
 #include "graph/datasets.h"
 #include "graph/degree.h"
 #include "graph/edge_io.h"
@@ -225,6 +228,74 @@ TEST(AlgoMathTest, LouvainStaysWithoutImprovement) {
   // Candidate community with tiny weight but huge tot -> negative gain.
   std::vector<LouvainCandidate> candidates{{7, {0.1f, 90.0f}}};
   EXPECT_EQ(LouvainChooseCommunity(1, 2.0f, 2.0f, 10.0, candidates), 1u);
+}
+
+// Drains on both sides of the density rule: with 1024 ids the
+// accumulator sorts a touched list of fewer than 64 ids and scans its
+// flags for 64 or more. Each sweep must give the ascending ids and
+// bit-equal sums of a std::map fed the same adds, and leave every slot
+// clean for the next sweep (the sweeps reuse overlapping ids).
+TEST(DenseAccumulatorTest, DrainEqualsOrderedMapAcrossDensityRule) {
+  const uint64_t kIds = 1024;
+  ASSERT_EQ(kIds / kDenseScanDivisor, 64u);
+  Rng rng(17);
+  for (uint64_t presized : {kIds, uint64_t{0}}) {  // 0: grows on demand
+    DenseAccumulator<double> acc(presized);
+    for (size_t distinct : {1u, 9u, 63u, 64u, 65u, 300u, 1024u, 5u}) {
+      std::vector<uint64_t> ids(kIds);
+      for (uint64_t i = 0; i < kIds; ++i) ids[i] = i;
+      for (uint64_t i = kIds - 1; i > 0; --i) {
+        std::swap(ids[i], ids[rng.NextBounded(i + 1)]);
+      }
+      ids.resize(distinct);
+      std::map<uint64_t, double> want;
+      for (int round = 0; round < 3; ++round) {
+        for (uint64_t id : ids) {
+          const double v = rng.NextDouble() - 0.5;
+          acc.Add(id, v);
+          want[id] += v;
+        }
+      }
+      // A slot that sums back to zero is still drained.
+      acc.Add(ids[0], -want[ids[0]]);
+      want[ids[0]] += -want[ids[0]];
+      ASSERT_EQ(acc.size(), distinct);
+
+      std::vector<uint64_t> got_ids = {7};  // Drain appends
+      std::vector<double> got_sums = {7.0};
+      acc.Drain(&got_ids, &got_sums);
+      EXPECT_TRUE(acc.empty());
+      ASSERT_EQ(got_ids.size(), distinct + 1) << "distinct " << distinct;
+      ASSERT_EQ(got_sums.size(), distinct + 1);
+      size_t j = 1;
+      for (const auto& [id, sum] : want) {
+        EXPECT_EQ(got_ids[j], id) << "distinct " << distinct;
+        EXPECT_EQ(std::memcmp(&got_sums[j], &sum, sizeof(double)), 0)
+            << "distinct " << distinct << " id " << id;
+        ++j;
+      }
+    }
+  }
+}
+
+TEST(DenseAccumulatorTest, SortTouchedScansOrSortsToTheSameOrder) {
+  for (size_t space : {16u, 100u, 4096u}) {
+    Rng rng(space);
+    std::vector<uint32_t> flags(space, 0);
+    std::vector<uint64_t> touched;
+    for (size_t k = 0; k < space / 2; ++k) {
+      const uint64_t id = rng.NextBounded(space);
+      if (flags[id] == 0) {
+        flags[id] = 1 + static_cast<uint32_t>(k);
+        touched.push_back(id);
+      }
+      std::vector<uint64_t> got = touched;
+      SortTouched(flags, &got);
+      std::vector<uint64_t> want = touched;
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want) << "space " << space << " size " << want.size();
+    }
+  }
 }
 
 }  // namespace

@@ -228,13 +228,73 @@ TEST(CsrFreezeTest, FreezePreservesPullsAndShrinksMemory) {
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after->size(), before->size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ((*after)[i].neighbors, (*before)[i].neighbors)
+    EXPECT_TRUE(std::ranges::equal(after->neighbors(i), before->neighbors(i)))
         << "key " << keys[i];
   }
 
   // Frozen shards reject further pushes.
   Status push = agent.PushNeighbors(*meta, {tables[0]});
   EXPECT_FALSE(push.ok());
+}
+
+TEST(CsrFreezeTest, FrozenAndMutableShardsGiveEqualBlocks) {
+  core::PsGraphContext::Options opts;
+  opts.cluster = TestCluster();
+  auto ctx = core::PsGraphContext::Create(opts);
+  PSG_CHECK_OK(ctx.status());
+  ps::PsAgent agent(&(*ctx)->ps(), (*ctx)->cluster().config().executor(0));
+  // Weighted lists throughout (a frozen image pads unweighted lists of a
+  // weighted shard with unit weights), including an empty one.
+  std::vector<graph::NeighborList> tables;
+  Rng rng(5);
+  for (VertexId v = 0; v < 300; ++v) {
+    graph::NeighborList nl;
+    nl.vertex = v;
+    const size_t deg = v == 17 ? 0 : 1 + rng.NextBounded(12);
+    for (size_t i = 0; i < deg; ++i) {
+      nl.neighbors.push_back(rng.NextBounded(1 << 20));
+      nl.weights.push_back(static_cast<float>(rng.NextDouble()));
+    }
+    tables.push_back(std::move(nl));
+  }
+  std::vector<ps::MatrixMeta> metas;
+  for (const char* name : {"mutable", "frozen"}) {
+    auto meta = (*ctx)->ps().CreateMatrix(
+        name, 0, 0, ps::StorageKind::kNeighbors,
+        ps::Layout::kRowPartitioned, ps::PartitionScheme::kHash);
+    ASSERT_TRUE(meta.ok());
+    ASSERT_TRUE(agent.PushNeighbors(*meta, tables).ok());
+    metas.push_back(*meta);
+  }
+  ASSERT_TRUE(agent.FreezeNeighbors(metas[1]).ok());
+
+  // Unsorted, with a duplicate, the empty list and an unknown vertex.
+  std::vector<uint64_t> keys{250, 3, 17, 99, 3, 4242, 0, 299};
+  auto mutable_block = agent.PullNeighbors(metas[0], keys);
+  auto frozen_block = agent.PullNeighbors(metas[1], keys);
+  ASSERT_TRUE(mutable_block.ok());
+  ASSERT_TRUE(frozen_block.ok());
+  ASSERT_EQ(mutable_block->size(), keys.size());
+  ASSERT_EQ(frozen_block->size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(mutable_block->neighbors(i),
+                                   frozen_block->neighbors(i)))
+        << "key " << keys[i];
+    EXPECT_TRUE(std::ranges::equal(mutable_block->weights(i),
+                                   frozen_block->weights(i)))
+        << "key " << keys[i];
+    if (keys[i] < tables.size()) {
+      EXPECT_TRUE(std::ranges::equal(frozen_block->neighbors(i),
+                                     tables[keys[i]].neighbors))
+          << "key " << keys[i];
+      EXPECT_TRUE(std::ranges::equal(frozen_block->weights(i),
+                                     tables[keys[i]].weights))
+          << "key " << keys[i];
+    } else {
+      EXPECT_TRUE(frozen_block->neighbors(i).empty());
+      EXPECT_TRUE(frozen_block->weights(i).empty());
+    }
+  }
 }
 
 TEST(CsrFreezeTest, FrozenShardSurvivesCheckpointRestore) {
@@ -259,10 +319,12 @@ TEST(CsrFreezeTest, FrozenShardSurvivesCheckpointRestore) {
   auto recovered =
       (*ctx)->master().CheckAndRecover(ps::RecoveryMode::kPartial);
   ASSERT_TRUE(recovered.ok());
-  auto entries = agent.PullNeighbors(*meta, {1, 2, 42});
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ((*entries)[0].neighbors, (std::vector<uint64_t>{2, 3}));
-  EXPECT_EQ((*entries)[2].neighbors, (std::vector<uint64_t>{1, 2, 3}));
+  auto block = agent.PullNeighbors(*meta, {1, 2, 42});
+  ASSERT_TRUE(block.ok());
+  EXPECT_TRUE(std::ranges::equal(block->neighbors(0),
+                                 std::vector<uint64_t>{2, 3}));
+  EXPECT_TRUE(std::ranges::equal(block->neighbors(2),
+                                 std::vector<uint64_t>{1, 2, 3}));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,11 @@
 
 namespace psgraph::ps {
 namespace {
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
 
 class PsTest : public ::testing::Test {
  protected:
@@ -152,12 +158,93 @@ TEST_F(PsTest, NeighborTableRoundTrip) {
   tables[1] = {2, {1}, {}};
   tables[2] = {77, {1, 2}, {0.5f, 0.25f}};
   ASSERT_TRUE(agent_->PushNeighbors(*meta, tables).ok());
-  auto entries = agent_->PullNeighbors(*meta, {77, 1, 999});
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ((*entries)[0].neighbors, (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ((*entries)[0].weights.size(), 2u);
-  EXPECT_EQ((*entries)[1].neighbors, (std::vector<uint64_t>{2, 3, 4}));
-  EXPECT_TRUE((*entries)[2].neighbors.empty());
+  auto block = agent_->PullNeighbors(*meta, {77, 1, 999});
+  ASSERT_TRUE(block.ok());
+  ASSERT_EQ(block->size(), 3u);
+  EXPECT_EQ(ToVector(block->neighbors(0)), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(ToVector(block->weights(0)), (std::vector<float>{0.5f, 0.25f}));
+  EXPECT_EQ(ToVector(block->neighbors(1)), (std::vector<uint64_t>{2, 3, 4}));
+  EXPECT_TRUE(block->weights(1).empty());
+  EXPECT_TRUE(block->neighbors(2).empty());
+  EXPECT_TRUE(block->weights(2).empty());
+}
+
+TEST_F(PsTest, NeighborBlockFollowsRequestOrderAcrossServers) {
+  auto meta = ctx_->CreateMatrix("nbrs", 0, 0, StorageKind::kNeighbors,
+                                 Layout::kRowPartitioned,
+                                 PartitionScheme::kHash);
+  ASSERT_TRUE(meta.ok());
+  // Vertex v links to {v+1, ..., v+1+v%4}: the list names its key.
+  std::vector<graph::NeighborList> tables;
+  for (uint64_t v = 0; v < 40; ++v) {
+    graph::NeighborList nl;
+    nl.vertex = v;
+    for (uint64_t k = 0; k <= v % 4; ++k) nl.neighbors.push_back(v + 1 + k);
+    if (v % 3 == 0) nl.weights.assign(nl.neighbors.size(), 0.5f * v);
+    tables.push_back(std::move(nl));
+  }
+  ASSERT_TRUE(agent_->PushNeighbors(*meta, tables).ok());
+
+  // Descending keys land on all three servers, and each server's share
+  // is re-sorted on the wire; a duplicated key and an unknown one ride
+  // along.
+  std::vector<uint64_t> keys;
+  for (uint64_t v = 40; v-- > 0;) keys.push_back(v);
+  keys.insert(keys.begin() + 5, 17);
+  keys.push_back(17);
+  keys.push_back(12345);
+  Partitioner part(meta->scheme, meta->num_rows, ctx_->num_servers());
+  std::set<int32_t> servers;
+  for (uint64_t k : keys) servers.insert(part.PartitionOf(k));
+  ASSERT_EQ(servers.size(), 3u);
+
+  auto block = agent_->PullNeighbors(*meta, keys);
+  ASSERT_TRUE(block.ok()) << block.status().ToString();
+  ASSERT_EQ(block->size(), keys.size());
+  // Every known key, the duplicated one at both of its positions (5 and
+  // keys.size() - 2), gets its own list and weights.
+  for (size_t i = 0; i + 1 < keys.size(); ++i) {
+    const uint64_t v = keys[i];
+    EXPECT_EQ(ToVector(block->neighbors(i)), tables[v].neighbors)
+        << "position " << i << " key " << v;
+    EXPECT_EQ(ToVector(block->weights(i)), tables[v].weights)
+        << "position " << i << " key " << v;
+  }
+  // The unknown key got empty spans.
+  EXPECT_TRUE(block->neighbors(keys.size() - 1).empty());
+  EXPECT_TRUE(block->weights(keys.size() - 1).empty());
+}
+
+TEST_F(PsTest, NeighborBlockRejectsLeftoverResponseBytes) {
+  auto meta = ctx_->CreateMatrix("nbrs", 0, 0, StorageKind::kNeighbors,
+                                 Layout::kRowPartitioned,
+                                 PartitionScheme::kHash);
+  ASSERT_TRUE(meta.ok());
+  ASSERT_TRUE(agent_->PushNeighbors(*meta, {{3, {4, 5}, {}}}).ok());
+  Partitioner part(meta->scheme, meta->num_rows, ctx_->num_servers());
+  ByteBuffer req;
+  req.Write<MatrixId>(meta->id);
+  PutDeltaList(&req, std::vector<uint64_t>{3});
+  auto resp = fabric_->Call(cluster_->config().executor(0),
+                            ctx_->ServerNode(part.PartitionOf(3)),
+                            "ps.pull_nbrs", req);
+  ASSERT_TRUE(resp.ok());
+  const std::vector<uint32_t> index{0};
+  {
+    NeighborBlock block(1);
+    ASSERT_TRUE(block.DecodeResponse(*resp, index).ok());
+    EXPECT_EQ(ToVector(block.neighbors(0)), (std::vector<uint64_t>{4, 5}));
+  }
+  std::vector<uint8_t> padded = *resp;
+  padded.push_back(0);
+  NeighborBlock block(1);
+  Status st = block.DecodeResponse(padded, index);
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.code() == StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.ToString().find("1 bytes left over at offset " +
+                               std::to_string(resp->size())),
+            std::string::npos)
+      << st.ToString();
 }
 
 TEST_F(PsTest, ColumnPartitionedPullReassemblesFullRows) {

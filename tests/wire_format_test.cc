@@ -1,20 +1,28 @@
 // Tests for the varint/delta wire framing (common/varint.h,
 // common/wire.h): LEB128 boundaries, fail-loud truncated/overlong
 // decoding, delta-list round trips for sorted/unsorted/duplicate key
-// lists, and float blocks.
+// lists, float blocks, and every strict prefix of real ps.pull_nbrs
+// responses and key lists failing with the byte decoder's status.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/byte_buffer.h"
 #include "common/random.h"
 #include "common/varint.h"
 #include "common/wire.h"
+#include "net/rpc.h"
+#include "ps/agent.h"
+#include "ps/context.h"
+#include "sim/cluster.h"
+#include "storage/hdfs.h"
 
 namespace psgraph {
 namespace {
@@ -244,6 +252,237 @@ TEST(WireFormatTest, MixedFramesDecodeInSequence) {
   EXPECT_EQ(keys_out, keys);
   EXPECT_EQ(vals_out, vals);
   EXPECT_EQ(nbrs_out, nbrs);
+}
+
+// --- Strict prefixes of real payloads -------------------------------
+//
+// The decoders as they read before the one-pass rewrite, one byte per
+// ByteReader call: the oracle for the status every cut must produce.
+
+Status RefVarint(ByteReader* reader, uint64_t* out) {
+  const size_t start = reader->position();
+  uint64_t value = 0;
+  for (size_t i = 0; i < kMaxVarint64Bytes; ++i) {
+    uint8_t byte = 0;
+    if (!reader->Read(&byte).ok()) {
+      return Status::OutOfRange("varint: truncated at offset " +
+                                std::to_string(start));
+    }
+    if (i == kMaxVarint64Bytes - 1 && byte > 0x01) {
+      return Status::InvalidArgument("varint: overflow at offset " +
+                                     std::to_string(start));
+    }
+    value |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
+    if ((byte & 0x80) == 0) {
+      *out = value;
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument("varint: overlong encoding at offset " +
+                                 std::to_string(start));
+}
+
+Status RefDeltaList(ByteReader* reader, std::vector<uint64_t>* out) {
+  const size_t start = reader->position();
+  uint64_t count = 0;
+  PSG_RETURN_NOT_OK(RefVarint(reader, &count));
+  if (count > reader->remaining()) {
+    return Status::OutOfRange(
+        "delta list: count " + std::to_string(count) + " at offset " +
+        std::to_string(start) + " exceeds remaining " +
+        std::to_string(reader->remaining()) + " bytes");
+  }
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t raw = 0;
+    PSG_RETURN_NOT_OK(RefVarint(reader, &raw));
+    prev = (i == 0) ? raw : prev + static_cast<uint64_t>(ZigZagDecode(raw));
+    out->push_back(prev);
+  }
+  return Status::OK();
+}
+
+Status RefFloatBlock(ByteReader* reader, std::vector<float>* out) {
+  const size_t start = reader->position();
+  uint64_t n = 0;
+  PSG_RETURN_NOT_OK(RefVarint(reader, &n));
+  if (n > reader->remaining() / sizeof(float)) {
+    return Status::OutOfRange(
+        "float block: count " + std::to_string(n) + " at offset " +
+        std::to_string(start) + " exceeds remaining " +
+        std::to_string(reader->remaining()) + " bytes");
+  }
+  const size_t base = out->size();
+  out->resize(base + n);
+  return reader->ReadRaw(out->data() + base, n * sizeof(float));
+}
+
+/// The byte decoder's reading of a ps.pull_nbrs response for `num_keys`.
+Status RefPullResponse(const std::vector<uint8_t>& bytes, size_t num_keys) {
+  ByteReader reader(bytes);
+  std::vector<uint64_t> ids;
+  std::vector<float> weights;
+  for (size_t k = 0; k < num_keys; ++k) {
+    PSG_RETURN_NOT_OK(RefDeltaList(&reader, &ids));
+    PSG_RETURN_NOT_OK(RefFloatBlock(&reader, &weights));
+  }
+  return Status::OK();
+}
+
+/// The N of the "offset N" a decode error names (npos if none).
+size_t NamedOffset(const Status& st) {
+  const std::string msg = st.ToString();
+  const size_t at = msg.find("offset ");
+  if (at == std::string::npos) return std::string::npos;
+  return std::stoull(msg.substr(at + 7));
+}
+
+/// A one-server PS holding a neighbor table whose lists mix small and
+/// multi-byte ids, unsorted runs, an empty list and one weighted list.
+class PullResponseTest : public ::testing::Test {
+ protected:
+  PullResponseTest() {
+    sim::ClusterConfig cfg;
+    cfg.num_executors = 1;
+    cfg.num_servers = 1;
+    cluster_ = std::make_unique<sim::SimCluster>(cfg);
+    hdfs_ = std::make_unique<storage::Hdfs>(cluster_.get());
+    fabric_ = std::make_unique<net::RpcFabric>(cluster_.get());
+    ctx_ = std::make_unique<ps::PsContext>(cluster_.get(), fabric_.get(),
+                                           hdfs_.get());
+    PSG_CHECK_OK(ctx_->Start());
+    agent_ = std::make_unique<ps::PsAgent>(ctx_.get(),
+                                           cluster_->config().executor(0));
+    auto meta = ctx_->CreateMatrix("nbrs", 0, 0, ps::StorageKind::kNeighbors,
+                                   ps::Layout::kRowPartitioned,
+                                   ps::PartitionScheme::kHash);
+    PSG_CHECK_OK(meta.status());
+    meta_ = *meta;
+    std::vector<graph::NeighborList> tables = {
+        {3, {4, 1, 900000, 5}, {}},
+        {8, {}, {}},
+        {20, {70000, 70001, 2}, {0.5f, -1.25f, 3.0f}},
+        {1ull << 40, {1ull << 41, 7}, {}},
+    };
+    PSG_CHECK_OK(agent_->PushNeighbors(meta_, tables));
+  }
+
+  /// The server's response bytes for `keys`, as the handler returns them.
+  std::vector<uint8_t> Pull() {
+    ByteBuffer req;
+    req.Write<ps::MatrixId>(meta_.id);
+    PutDeltaList(&req, keys_);
+    auto resp = fabric_->Call(cluster_->config().executor(0),
+                              ctx_->ServerNode(0), "ps.pull_nbrs", req);
+    PSG_CHECK_OK(resp.status());
+    return *resp;
+  }
+
+  /// Block positions of every key, in request order.
+  std::vector<uint32_t> AllKeys() const {
+    std::vector<uint32_t> index(keys_.size());
+    for (uint32_t i = 0; i < index.size(); ++i) index[i] = i;
+    return index;
+  }
+
+  /// Decodes every strict prefix of `resp` with the block decoder and
+  /// checks each against the byte decoder: same code, same message, and
+  /// the named offset lies inside the prefix.
+  void CheckEveryPrefix(const std::vector<uint8_t>& resp) {
+    const std::vector<uint32_t> index = AllKeys();
+    ps::NeighborBlock whole(keys_.size());
+    ASSERT_TRUE(whole.DecodeResponse(resp, index).ok());
+    ASSERT_TRUE(RefPullResponse(resp, keys_.size()).ok());
+    for (size_t len = 0; len < resp.size(); ++len) {
+      const std::vector<uint8_t> prefix(resp.begin(), resp.begin() + len);
+      ps::NeighborBlock block(keys_.size());
+      const Status got = block.DecodeResponse(prefix, index);
+      const Status want = RefPullResponse(prefix, keys_.size());
+      ASSERT_FALSE(got.ok()) << "prefix " << len << " decoded";
+      EXPECT_TRUE(got.code() == want.code())
+          << "prefix " << len << ": " << got.ToString() << " vs "
+          << want.ToString();
+      EXPECT_EQ(got.ToString(), want.ToString()) << "prefix " << len;
+      EXPECT_LE(NamedOffset(got), len) << got.ToString();
+    }
+  }
+
+  std::unique_ptr<sim::SimCluster> cluster_;
+  std::unique_ptr<storage::Hdfs> hdfs_;
+  std::unique_ptr<net::RpcFabric> fabric_;
+  std::unique_ptr<ps::PsContext> ctx_;
+  std::unique_ptr<ps::PsAgent> agent_;
+  ps::MatrixMeta meta_;
+  // Sorted like the agent's per-server batch; 99 is unknown.
+  std::vector<uint64_t> keys_ = {3, 8, 20, 99, 1ull << 40};
+};
+
+TEST_F(PullResponseTest, EveryStrictPrefixFailsLikeTheByteDecoder) {
+  const std::vector<uint8_t> mutable_resp = Pull();
+  CheckEveryPrefix(mutable_resp);
+  ASSERT_TRUE(agent_->FreezeNeighbors(meta_).ok());
+  const std::vector<uint8_t> frozen_resp = Pull();
+  // The frozen image pads the unweighted lists with unit weights.
+  EXPECT_GT(frozen_resp.size(), mutable_resp.size());
+  CheckEveryPrefix(frozen_resp);
+
+  // A real key list, as the agent encodes a per-server batch.
+  ByteBuffer key_list;
+  PutDeltaList(&key_list, keys_);
+  const std::vector<uint8_t>& bytes = key_list.data();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    ByteReader got_reader(bytes.data(), len);
+    ByteReader want_reader(bytes.data(), len);
+    std::vector<uint64_t> got_keys, want_keys;
+    const Status got = GetDeltaList(&got_reader, &got_keys);
+    const Status want = RefDeltaList(&want_reader, &want_keys);
+    ASSERT_FALSE(got.ok()) << "prefix " << len << " decoded";
+    EXPECT_EQ(got.ToString(), want.ToString()) << "prefix " << len;
+    EXPECT_LE(NamedOffset(got), len) << got.ToString();
+  }
+}
+
+TEST_F(PullResponseTest, InflatedPerKeyCountRejectedBeforeAllocation) {
+  const std::vector<uint8_t> resp = Pull();
+  // Walk to key 2's frames: [delta list][float block] per key.
+  ByteReader reader(resp);
+  std::vector<uint64_t> ids;
+  std::vector<float> weights;
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_TRUE(RefDeltaList(&reader, &ids).ok());
+    ASSERT_TRUE(RefFloatBlock(&reader, &weights).ok());
+  }
+  const size_t list_at = reader.position();
+  ASSERT_TRUE(RefDeltaList(&reader, &ids).ok());
+  const size_t block_at = reader.position();
+  // Key 2's counts (3 ids, 3 weights) are one-byte varints.
+  ASSERT_EQ(resp[list_at], 3);
+  ASSERT_EQ(resp[block_at], 3);
+
+  // Replaces the one-byte count at `at` with 2^40: that many ids (or
+  // floats) would be terabytes, so the count check has to come before
+  // anything is sized from it.
+  auto inflate = [&](size_t at) {
+    ByteBuffer buf;
+    buf.WriteRaw(resp.data(), at);
+    PutVarint64(&buf, 1ull << 40);
+    buf.WriteRaw(resp.data() + at + 1, resp.size() - at - 1);
+    return buf.data();
+  };
+  const std::vector<uint32_t> index = AllKeys();
+  for (const auto& [at, what] : {std::pair{list_at, "delta list"},
+                                 std::pair{block_at, "float block"}}) {
+    const std::vector<uint8_t> bad = inflate(at);
+    ps::NeighborBlock block(keys_.size());
+    const Status st = block.DecodeResponse(bad, index);
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.code() == StatusCode::kOutOfRange) << st.ToString();
+    EXPECT_NE(st.ToString().find(std::string(what) + ": count 1099511627776"
+                                 " at offset " + std::to_string(at)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(st.ToString(), RefPullResponse(bad, keys_.size()).ToString());
+  }
 }
 
 }  // namespace
