@@ -61,7 +61,8 @@ sim::ClusterConfig MakeCluster(const Geometry& g, double scale) {
 /// Runs a PSGraph algorithm inside a fresh context; reports OOM cleanly.
 /// Captures the context's flight-recorder state into `report` under
 /// `cell_key` before teardown (the table cells are the "bench" payload;
-/// skew + convergence come from the last PSGraph cell captured).
+/// convergence series accumulate across cells, every other section
+/// comes from the last PSGraph cell captured).
 CellResult RunPsgraph(
     BenchReport* report, const std::string& cell_key, const Geometry& geo,
     double scale, const EdgeList& edges,
@@ -158,7 +159,7 @@ void Run() {
 
   // Every table cell goes both to stdout and to the run report. Each
   // PSGraph cell also captures its context's flight-recorder state
-  // (convergence series keyed by cell; the cluster/skew sections come
+  // (convergence series keyed by cell; the cluster-level sections come
   // from the last cell captured).
   BenchReport report("fig6_traditional");
   JsonValue rows = JsonValue::Array();

@@ -16,18 +16,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
+#include "common/env.h"  // EnvU64, which reads the benches' PSG_* scale knobs
 #include "common/trace_export.h"
 #include "sim/report.h"
 
 namespace psgraph::bench {
-
-/// Environment-variable override with default (benches stay fast by
-/// default but can be scaled up: PSG_SCALE_DENOM=1000 runs 10x bigger).
-/// Validating wrapper — garbage values abort with a message.
-inline uint64_t EnvU64(const char* name, uint64_t def) {
-  return psgraph::EnvU64(name, def);
-}
 
 inline std::string FormatDuration(double seconds) {
   char buf[64];

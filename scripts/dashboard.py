@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Renders the BENCH_*.json run reports into a static HTML dashboard.
 
-Reads every schema-v6 run report in --report-dir and writes a single
-self-contained HTML file (--out): one card per bench with the
+Reads every run report (schema v6 or later) in --report-dir and writes
+a single self-contained HTML file (--out): one card per bench with the
 critical-path makespan attribution (a horizontal stacked bar over the
 fixed cost-category taxonomy, plus the ticks/percent table), inline-SVG
 sparklines for each telemetry time series (sim/timeseries: the

@@ -34,7 +34,7 @@ def full_report():
             "mem_peak_bytes": 64, "mem_budget_bytes": 1024}
     return {
         "schema": "psgraph.run_report",
-        "schema_version": 7,
+        "schema_version": 8,
         "name": "synthetic",
         "counters": {"rpc.calls": 12},
         "gauges": {"parallelism": 1.0},

@@ -2,8 +2,8 @@
 //
 // Snapshot blobs ship full fp32 embedding tables to every serving
 // shard; at PSGraph scale the blob bytes — not the lookup compute — set
-// the publish and preload cost. Two lossy codecs shrink them behind the
-// PSGRAPH_SNAPSHOT_QUANT knob:
+// the publish and preload cost. Two lossy codecs shrink them, chosen by
+// SnapshotOptions::quant (serving/snapshot.h):
 //
 //   fp16  IEEE 754 half precision, round-to-nearest-even. 2x smaller,
 //         ~1e-3 relative error on unit-scale embeddings.
@@ -149,8 +149,11 @@ inline double QuantizeRowAppend(QuantMode mode, const float* row, size_t cols,
                         : 0;
         q = std::min(127, std::max(-127, q));
         out->Write<int8_t>(static_cast<int8_t>(q));
+        // Measured on the float the decoder returns, not the exact
+        // product, so the reported error bounds every served value.
+        const float decoded = static_cast<float>(q) * scale;
         max_err = std::max(max_err,
-                           std::fabs(static_cast<double>(q) * scale - row[i]));
+                           std::fabs(static_cast<double>(decoded) - row[i]));
       }
       return max_err;
     }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/env.h"
-
 namespace psgraph {
 
 TimeSeriesStore::TimeSeriesStore(int64_t base_interval_ticks,
@@ -151,16 +149,6 @@ void MetricsSampler::ForceSample(int64_t now_ticks) {
   std::map<std::string, double> values;
   ScrapeInto(&values);
   AppendLocked(values);
-}
-
-int64_t MetricsSampler::IntervalTicksFromEnv() {
-  // PSGRAPH_TS_INTERVAL is simulated *microseconds*; 1 tick = 1 ps.
-  const uint64_t us = EnvU64("PSGRAPH_TS_INTERVAL", 1000);
-  return static_cast<int64_t>(us) * 1000000;
-}
-
-size_t MetricsSampler::CapacityFromEnv() {
-  return static_cast<size_t>(EnvU64("PSGRAPH_TS_CAPACITY", 256, 4));
 }
 
 }  // namespace psgraph

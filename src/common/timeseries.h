@@ -34,9 +34,9 @@
 // so the determinism contract holds — their totals still reach the
 // terminal report.
 //
-// The scrape interval is the PSGRAPH_TS_INTERVAL knob in simulated
-// microseconds (default 1000 = 1 ms of sim time; 0 disables sampling);
-// capacity is PSGRAPH_TS_CAPACITY points (rounded up to even).
+// The scrape interval and capacity are MetricsSampler::Options; a
+// SimCluster's sampler scrapes once per simulated millisecond into 256
+// points (capacity is rounded up to even).
 
 #ifndef PSGRAPH_COMMON_TIMESERIES_H_
 #define PSGRAPH_COMMON_TIMESERIES_H_
@@ -162,11 +162,6 @@ class MetricsSampler {
   void ForceSample(int64_t now_ticks);
 
   const TimeSeriesStore& store() const { return store_; }
-
-  /// PSGRAPH_TS_INTERVAL (simulated microseconds, default 1000, 0 =
-  /// disabled) converted to ticks; PSGRAPH_TS_CAPACITY (default 256).
-  static int64_t IntervalTicksFromEnv();
-  static size_t CapacityFromEnv();
 
  private:
   void ScrapeInto(std::map<std::string, double>* out) const;

@@ -61,7 +61,8 @@ class Tracer {
 
   size_t max_spans() const { return max_spans_; }
   void set_max_spans(size_t cap) { max_spans_ = cap; }
-  /// PSGRAPH_TRACE_MAX_SPANS, or kMaxSpans when unset/zero/garbage.
+  /// PSGRAPH_TRACE_MAX_SPANS, or kMaxSpans when unset or zero; a
+  /// garbage value aborts (EnvU64).
   static size_t MaxSpansFromEnv();
 
   /// Opens a span; returns its id (0 when disabled or at capacity —

@@ -62,7 +62,6 @@ class PsGraphContext {
   /// three default SLO rules to watchdog().
   Metrics& metrics() { return cluster_->metrics(); }
   Tracer& tracer() { return cluster_->tracer(); }
-  sim::SkewProfiler& skew() { return cluster_->skew(); }
   sim::ConvergenceLog& convergence() { return cluster_->convergence(); }
   RpcTelemetry& rpc_telemetry() { return cluster_->rpc_telemetry(); }
   sim::EventJournal& events() { return cluster_->events(); }

@@ -7,21 +7,18 @@ namespace psgraph::dataflow {
 void DataflowContext::ChargeCompute(int32_t partition, uint64_t ops) {
   const double t = cluster_->cost().ComputeTime(ops);
   cluster_->clock().Advance(ExecutorOf(partition), t);
-  cluster_->skew().RecordPartitionTicks(partition, sim::SimClock::TicksOf(t));
 }
 
 void DataflowContext::ChargeDiskWrite(int32_t partition, uint64_t bytes) {
   metrics().Add("dataflow.shuffle_bytes_written", bytes);
   const double t = cluster_->cost().DiskWriteTime(bytes);
   cluster_->clock().Advance(ExecutorOf(partition), t);
-  cluster_->skew().RecordPartitionTicks(partition, sim::SimClock::TicksOf(t));
 }
 
 void DataflowContext::ChargeDiskRead(int32_t partition, uint64_t bytes) {
   metrics().Add("dataflow.shuffle_bytes_read", bytes);
   const double t = cluster_->cost().DiskReadTime(bytes);
   cluster_->clock().Advance(ExecutorOf(partition), t);
-  cluster_->skew().RecordPartitionTicks(partition, sim::SimClock::TicksOf(t));
 }
 
 void DataflowContext::ChargeTransfer(int32_t from_part, int32_t to_part,
@@ -38,7 +35,6 @@ void DataflowContext::ChargeTransfer(int32_t from_part, int32_t to_part,
   const int64_t jump = cluster_->clock().AdvanceToTicksJump(
       to, cluster_->clock().NowTicks(from));
   cluster_->cost_ledger().Record(to, sim::CostCategory::kRpcWait, jump);
-  cluster_->skew().RecordPartitionTicks(from_part, wire);
 }
 
 Status DataflowContext::AllocatePartitionMemory(int32_t partition,

@@ -12,7 +12,7 @@
 //
 // Functions that write rows one at a time go through PsServer::RowBatch:
 // each row is charged exactly like a one-key PushAdd/PushAssign, but the
-// clock, metrics and skew profiler are taken once per call, not per row.
+// clock and metrics are taken once per call, not per row.
 
 #include <cmath>
 #include <cstring>

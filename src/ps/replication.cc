@@ -146,35 +146,6 @@ Status ReplicationManager::SeedHotKeys(MatrixId id,
   return Status::OK();
 }
 
-Status ReplicationManager::SeedFromProfiler(
-    const sim::SkewProfiler::Snapshot& snapshot, MatrixId id) {
-  // Estimated counts summed across shard sketches; the space-saving
-  // estimate is an upper bound, which only risks promoting a warm key —
-  // never missing one the sketch retained.
-  std::map<uint64_t, uint64_t> counts;
-  for (const auto& shard : snapshot.shards) {
-    for (const auto& entry : shard.hot_keys) {
-      counts[entry.key] += entry.count;
-    }
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> ranked;  // (key, count)
-  for (const auto& [key, count] : counts) {
-    if (count >= options_.hot_min_count) ranked.push_back({key, count});
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (ranked.size() > options_.max_hot_keys) {
-    ranked.resize(options_.max_hot_keys);
-  }
-  std::vector<uint64_t> keys;
-  keys.reserve(ranked.size());
-  for (const auto& [key, count] : ranked) keys.push_back(key);
-  return SeedHotKeys(id, std::move(keys));
-}
-
 Status ReplicationManager::Refresh() {
   for (auto& [id, meta] : tracked_) {
     // 1. Flush every executor's pending deltas home — a key about to be

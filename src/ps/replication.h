@@ -20,8 +20,8 @@
 // deterministic at any PSGRAPH_THREADS). Refresh() aggregates in
 // executor order, classifies keys with count >= hot_min_count (ties
 // broken by ascending key), caps the set at max_hot_keys, and installs
-// the new hot set everywhere. SeedFromProfiler() bootstraps the first
-// hot set from the PR 3 space-saving sketch snapshot instead.
+// the new hot set everywhere. SeedHotKeys() installs a caller-chosen
+// first hot set instead.
 //
 // Consistency: between merges an executor sees home-state-at-last-merge
 // plus its own deltas — the bounded-staleness window BSP training
@@ -44,7 +44,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "ps/matrix_meta.h"
-#include "sim/skew.h"
 
 namespace psgraph::ps {
 
@@ -133,15 +132,6 @@ class ReplicationManager {
   /// Installs `keys` (deduplicated, capped at max_hot_keys) as the hot
   /// set and broadcasts their current home values to every executor.
   Status SeedHotKeys(MatrixId id, std::vector<uint64_t> keys);
-
-  /// Bootstraps the hot set from a PR 3 skew-profiler snapshot: shard
-  /// sketches are aggregated (estimated counts summed per key), keys
-  /// with count >= hot_min_count win by (count desc, key asc). Note the
-  /// sketch itself is accumulation-order-dependent at parallelism > 1
-  /// (see DESIGN.md); the online Refresh() path is the deterministic
-  /// classifier.
-  Status SeedFromProfiler(const sim::SkewProfiler::Snapshot& snapshot,
-                          MatrixId id);
 
   /// Classification refresh at a barrier: flush every executor's pending
   /// deltas home (so a demoted key loses nothing), aggregate the access

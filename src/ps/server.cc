@@ -171,7 +171,6 @@ Status PsServer::PullRows(MatrixId id, std::span<const uint64_t> keys,
     }
     dst += cols;
   }
-  skew().RecordKeyAccess(server_index_, /*is_pull=*/true, keys);
   metrics().Add("ps.rows_pulled", keys.size());
   metrics().Add(pulled_counter_name_, keys.size());
   metrics().Observe("ps.pull.keys_per_request", keys.size());
@@ -193,7 +192,6 @@ Status PsServer::PushAdd(MatrixId id, std::span<const uint64_t> keys,
   }
   ChargeCompute(values.size() / 4 + keys.size());
   PSG_RETURN_NOT_OK(ApplyRows(shard, keys, values, /*add=*/true));
-  skew().RecordKeyAccess(server_index_, /*is_pull=*/false, keys);
   metrics().Add("ps.rows_pushed", keys.size());
   metrics().Add(pushed_counter_name_, keys.size());
   metrics().Observe("ps.push.keys_per_request", keys.size());
@@ -242,12 +240,10 @@ Status PsServer::ApplyRows(MatrixShard* shard,
 PsServer::RowBatch::~RowBatch() {
   PsServer& s = *server_;
   if (ticks_ > 0) s.cluster_->clock().AdvanceTicks(s.node_, ticks_);
-  if (keys_.empty()) return;
-  s.skew().RecordKeyAccess(s.server_index_, /*is_pull=*/false, keys_);
-  s.metrics().Add("ps.rows_pushed", keys_.size());
-  s.metrics().Add(s.pushed_counter_name_, keys_.size());
-  s.metrics().GetHistogram("ps.push.keys_per_request")
-      .RecordN(1, keys_.size());
+  if (rows_ == 0) return;
+  s.metrics().Add("ps.rows_pushed", rows_);
+  s.metrics().Add(s.pushed_counter_name_, rows_);
+  s.metrics().GetHistogram("ps.push.keys_per_request").RecordN(1, rows_);
   Histogram& service = s.metrics().GetHistogram("ps.push.service_ticks");
   for (const auto& [ticks, n] : service_runs_) service.RecordN(ticks, n);
 }
@@ -271,7 +267,7 @@ Status PsServer::RowBatch::Write(MatrixId id, uint64_t key,
       server_->cluster_->cost().ComputeTime(row.size() / 4 + 1));
   ticks_ += row_ticks;
   PSG_RETURN_NOT_OK(server_->ApplyRows(shard, {&key, 1}, row, add));
-  keys_.push_back(key);
+  ++rows_;
   const uint64_t sample = static_cast<uint64_t>(row_ticks);
   if (!service_runs_.empty() && service_runs_.back().first == sample) {
     ++service_runs_.back().second;
@@ -295,8 +291,8 @@ Status PsServer::MergeRows(MatrixId id, std::span<const uint64_t> keys,
   }
   ChargeCompute(deltas.size() / 4 + keys.size());
   PSG_RETURN_NOT_OK(ApplyRows(shard, keys, deltas, /*add=*/true));
-  // Deliberately no skew().RecordKeyAccess: replica management traffic
-  // must not feed the profiler that decides what to replicate.
+  // Counted under ps.merge.*, not ps.rows_pushed: replica management
+  // traffic is not workload access.
   metrics().Add("ps.merge.rows", keys.size());
   metrics().Observe("ps.merge.keys_per_request", keys.size());
   metrics().Observe("ps.merge.service_ticks",
@@ -323,7 +319,7 @@ Status PsServer::SampleRows(MatrixId id, uint32_t k, uint64_t seed,
   }
   metrics().Observe("ps.sample.owned_per_request", owned.size());
   // Served through the normal pull path so sampling keeps the same
-  // compute charging, metrics, and skew recording as explicit pulls.
+  // compute charging and metrics as explicit pulls.
   return PullRows(id, owned, out);
 }
 
@@ -338,7 +334,6 @@ Status PsServer::PushAssign(MatrixId id, std::span<const uint64_t> keys,
   }
   ChargeCompute(values.size() / 4 + keys.size());
   PSG_RETURN_NOT_OK(ApplyRows(shard, keys, values, /*add=*/false));
-  skew().RecordKeyAccess(server_index_, /*is_pull=*/false, keys);
   metrics().Add("ps.rows_pushed", keys.size());
   metrics().Add(pushed_counter_name_, keys.size());
   metrics().Observe("ps.push.keys_per_request", keys.size());
@@ -474,8 +469,6 @@ Status PsServer::MutateNeighbors(MatrixId id,
   }
 
   ChargeCompute(ops);
-  skew().RecordKeyAccess(server_index_, /*is_pull=*/false, insert_src);
-  skew().RecordKeyAccess(server_index_, /*is_pull=*/false, delete_src);
   metrics().Add("ps.edges_inserted", insert_src.size());
   metrics().Add("ps.edges_deleted", delete_src.size());
   metrics().Observe("ps.mutate.service_ticks",
@@ -544,7 +537,6 @@ Status PsServer::PullNeighbors(MatrixId id,
     PutDeltaList(out, l.neighbors.data(), l.neighbors.size());
     WriteFloatBlock(out, l.weights.data(), l.weights.size());
   }
-  skew().RecordKeyAccess(server_index_, /*is_pull=*/true, keys);
   metrics().Add("ps.neighbor_entries_pulled", keys.size());
   metrics().Observe("ps.pull_nbrs.service_ticks",
                     static_cast<uint64_t>(NowTicks() - t0));

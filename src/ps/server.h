@@ -114,12 +114,11 @@ class PsServer {
   /// applies exactly like a one-key PushAdd/PushAssign — same compute
   /// ticks, memory charged at the same point (so MemoryLimitExceeded
   /// stops at the same row, after charging that row's compute), same
-  /// float order — but the clock advance, the ps.rows_pushed counters,
-  /// the per-row ps.push.keys_per_request / ps.push.service_ticks
-  /// samples and the skew key sequence are recorded once, when the batch
-  /// is destroyed. A batch lives inside one psFunc call, under the
-  /// endpoint's serial lock, so nothing else moves this shard's clock
-  /// between its rows.
+  /// float order — but the clock advance, the ps.rows_pushed counters
+  /// and the per-row ps.push.keys_per_request / ps.push.service_ticks
+  /// samples are recorded once, when the batch is destroyed. A batch
+  /// lives inside one psFunc call, under the endpoint's serial lock, so
+  /// nothing else moves this shard's clock between its rows.
   class RowBatch {
    public:
     explicit RowBatch(PsServer* server) : server_(server) {}
@@ -144,7 +143,7 @@ class PsServer {
     MatrixId cached_id_ = -1;  ///< last resolved matrix (shards are stable)
     MatrixShard* cached_shard_ = nullptr;
     int64_t ticks_ = 0;                 ///< deferred compute charge
-    std::vector<uint64_t> keys_;        ///< applied rows, in write order
+    uint64_t rows_ = 0;                 ///< rows applied
     /// ps.push.service_ticks samples, run-length encoded (value, count).
     std::vector<std::pair<uint64_t, uint64_t>> service_runs_;
   };
@@ -176,8 +175,8 @@ class PsServer {
   /// Applies one executor's accumulated replica deltas ("ps.merge",
   /// ps/replication.h). Same add semantics as PushAdd — kept as its own
   /// method so merge traffic is separately traced/metered and does not
-  /// feed the skew profiler (merges are management traffic, not
-  /// workload access).
+  /// count as pushed rows (merges are management traffic, not workload
+  /// access).
   Status MergeRows(MatrixId id, std::span<const uint64_t> keys,
                    std::span<const float> deltas);
 
@@ -255,10 +254,6 @@ class PsServer {
   /// Observability sinks: the cluster's registries.
   Metrics& metrics() const { return cluster_->metrics(); }
   Tracer& tracer() const { return cluster_->tracer(); }
-  /// Key-access profile of this shard (flight recorder). Totals are two
-  /// relaxed atomic adds per request; the hot-key sketch only runs when
-  /// key profiling is enabled (PSGRAPH_PROFILE_KEYS=1).
-  sim::SkewProfiler& skew() const { return cluster_->skew(); }
   /// Shard-clock reading for span stamps and service-time brackets.
   int64_t NowTicks() const { return cluster_->clock().NowTicks(node_); }
 

@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "common/env.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "common/logging.h"
@@ -104,11 +103,9 @@ Result<SnapshotManifest> SnapshotPublisher::Publish() {
     }
   }
 
-  // Resolve the row codec before any RPC work so a bad knob fails fast.
-  const std::string quant_name =
-      !options_.quant.empty() ? options_.quant
-                              : EnvString("PSGRAPH_SNAPSHOT_QUANT", "none");
-  PSG_ASSIGN_OR_RETURN(const QuantMode quant, ParseQuantMode(quant_name));
+  // Resolve the row codec before any RPC work so a bad option fails
+  // fast.
+  PSG_ASSIGN_OR_RETURN(const QuantMode quant, ParseQuantMode(options_.quant));
 
   // 1. Pull every PS server's partition of each requested matrix.
   std::vector<MergedMatrix> merged;

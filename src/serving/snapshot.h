@@ -95,9 +95,9 @@ struct SnapshotOptions {
   /// Keep the newest N versions on retention sweeps; 0 keeps everything.
   /// The CURRENT version is never deleted.
   int32_t keep_versions = 0;
-  /// Row codec for sharded matrices: "none" | "fp16" | "int8". Empty
-  /// falls back to the PSGRAPH_SNAPSHOT_QUANT env knob (default none).
-  /// Replicated matrices always stay fp32. Unknown values fail Publish.
+  /// Row codec for sharded matrices: "none" | "fp16" | "int8"; empty
+  /// means "none". Replicated matrices always stay fp32. Unknown values
+  /// fail Publish.
   std::string quant;
   /// Hot lookup keys (e.g. ReplicationManager::HotKeys at publish time):
   /// their rows are copied into EVERY shard blob, like halo rows, so the

@@ -36,11 +36,12 @@ SimCluster::SimCluster(ClusterConfig config)
       clock_(config.num_nodes()),
       cost_ledger_(config.num_nodes()),
       memory_(MakeBudgets(config)),
-      skew_(config.num_servers),
+      // One point per simulated millisecond (1 tick = 1 ps), 256 points
+      // before the store compacts.
       sampler_({.metrics = &metrics_,
                 .rpc = &rpc_telemetry_,
-                .interval_ticks = MetricsSampler::IntervalTicksFromEnv(),
-                .capacity = MetricsSampler::CapacityFromEnv()}),
+                .interval_ticks = 1'000'000'000,
+                .capacity = 256}),
       watchdog_(&sampler_.store(), &events_),
       alive_(config.num_nodes(), true) {
   tracer_.set_enabled(Tracer::EnabledByEnv());

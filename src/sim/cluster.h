@@ -27,7 +27,6 @@
 #include "sim/event_journal.h"
 #include "sim/memory_accountant.h"
 #include "sim/sim_clock.h"
-#include "sim/skew.h"
 #include "sim/watchdog.h"
 
 namespace psgraph::sim {
@@ -86,17 +85,14 @@ class SimCluster {
   /// Observability sinks every component holding a SimCluster* reports
   /// into (PS servers, the RPC fabric, the dataflow context). Owned by
   /// value like the clock, so two clusters in one process never share
-  /// one. The constructor enables the tracer from PSGRAPH_TRACE, sizes
-  /// the skew profiler from num_servers, arms the sampler from
-  /// PSGRAPH_TS_INTERVAL/PSGRAPH_TS_CAPACITY to scrape metrics() and
-  /// rpc_telemetry(), and has the watchdog evaluate at every scrape and
-  /// append its alerts to events().
+  /// one. The constructor enables the tracer from PSGRAPH_TRACE, arms
+  /// the sampler to scrape metrics() and rpc_telemetry() once per
+  /// simulated millisecond into 256 points, and has the watchdog
+  /// evaluate at every scrape and append its alerts to events().
   Metrics& metrics() { return metrics_; }
   Tracer& tracer() { return tracer_; }
-  /// Flight recorder: PS shards report key accesses and the dataflow
-  /// engine reports per-partition busy ticks into skew(); algorithms
-  /// record per-iteration telemetry into convergence().
-  SkewProfiler& skew() { return skew_; }
+  /// Flight recorder: algorithms record per-iteration telemetry into
+  /// convergence().
   ConvergenceLog& convergence() { return convergence_; }
   /// Wire-level RPC telemetry (per-(method, callee) counters recorded by
   /// the fabric) and the control-plane event journal (kill/restart,
@@ -134,7 +130,6 @@ class SimCluster {
   // to events_.
   Metrics metrics_;
   Tracer tracer_;
-  SkewProfiler skew_;
   ConvergenceLog convergence_;
   RpcTelemetry rpc_telemetry_;
   EventJournal events_;

@@ -6,47 +6,6 @@
 
 namespace psgraph::sim {
 
-namespace {
-
-uint64_t CounterOr0(const std::map<std::string, uint64_t>& counters,
-                    const char* name) {
-  auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
-}
-
-/// The "serving" section is a pure rollup of the serving.* metrics, so
-/// every run reports it (all zeros when nothing was served).
-void FillServingStats(RunReport* report) {
-  RunReport::ServingStats& s = report->serving;
-  s.requests_completed =
-      CounterOr0(report->counters, "serving.requests_completed");
-  s.requests_failed = CounterOr0(report->counters, "serving.requests_failed");
-  s.torn_reads = CounterOr0(report->counters, "serving.torn_reads");
-  s.lookup_keys = CounterOr0(report->counters, "serving.lookup_keys");
-  s.infer_nodes = CounterOr0(report->counters, "serving.infer_nodes");
-  s.cache_hits = CounterOr0(report->counters, "serving.cache_hits");
-  s.cache_misses = CounterOr0(report->counters, "serving.cache_misses");
-  const uint64_t probes = s.cache_hits + s.cache_misses;
-  s.cache_hit_rate =
-      probes == 0 ? 0.0
-                  : static_cast<double>(s.cache_hits) /
-                        static_cast<double>(probes);
-  s.batches = CounterOr0(report->counters, "serving.batches");
-  s.swaps = CounterOr0(report->counters, "serving.swaps");
-  s.snapshots_published =
-      CounterOr0(report->counters, "serving.snapshots_published");
-  auto occupancy = report->histograms.find("serving.batch.occupancy");
-  if (occupancy != report->histograms.end()) {
-    s.mean_batch_occupancy = occupancy->second.mean();
-  }
-  auto latency = report->histograms.find("serving.request.latency_ticks");
-  if (latency != report->histograms.end()) {
-    s.latency = latency->second;
-  }
-}
-
-}  // namespace
-
 RunReport CollectRunReport(const std::string& name, SimCluster* cluster) {
   RunReport report;
   report.name = name;
@@ -55,8 +14,6 @@ RunReport CollectRunReport(const std::string& name, SimCluster* cluster) {
   report.histograms = cluster->metrics().HistogramSnapshots();
   report.spans = cluster->tracer().Summary();
   report.spans_dropped = cluster->tracer().dropped();
-  FillServingStats(&report);
-  report.skew = cluster->skew().Snap();
   report.convergence = cluster->convergence().Snapshot();
   report.convergence_rejected = cluster->convergence().rejected();
   report.rpc = cluster->rpc_telemetry().Snapshot();
@@ -219,40 +176,6 @@ JsonValue RunReportToJson(const RunReport& report) {
   section.Set("what_if", std::move(what_if));
   doc.Set("critical_path", std::move(section));
 
-  JsonValue skew = JsonValue::Object();
-  skew.Set("key_profiling", report.skew.key_profiling);
-  skew.Set("sample_period", report.skew.sample_period);
-  JsonValue shards = JsonValue::Array();
-  for (const auto& s : report.skew.shards) {
-    JsonValue shard = JsonValue::Object();
-    shard.Set("server", static_cast<int64_t>(s.server));
-    shard.Set("pull_keys", s.pull_keys);
-    shard.Set("push_keys", s.push_keys);
-    shard.Set("load_share", s.load_share);
-    shard.Set("topk_share", s.topk_share);
-    JsonValue hot = JsonValue::Array();
-    for (const auto& e : s.hot_keys) {
-      JsonValue entry = JsonValue::Array();
-      entry.Append(e.key);
-      entry.Append(e.count);
-      entry.Append(e.error);
-      hot.Append(std::move(entry));
-    }
-    shard.Set("hot_keys", std::move(hot));
-    shards.Append(std::move(shard));
-  }
-  skew.Set("shards", std::move(shards));
-  JsonValue partitions = JsonValue::Array();
-  for (const auto& p : report.skew.partitions) {
-    JsonValue part = JsonValue::Object();
-    part.Set("partition", static_cast<int64_t>(p.partition));
-    part.Set("busy_ticks", p.busy_ticks);
-    partitions.Append(std::move(part));
-  }
-  skew.Set("partitions", std::move(partitions));
-  skew.Set("partition_imbalance", report.skew.partition_imbalance);
-  doc.Set("skew", std::move(skew));
-
   JsonValue convergence = JsonValue::Object();
   JsonValue series = JsonValue::Object();
   for (const auto& [name, points] : report.convergence) {
@@ -311,22 +234,6 @@ JsonValue RunReportToJson(const RunReport& report) {
   events.Set("recovery", std::move(recovery));
   events.Set("dropped", report.events_dropped);
   doc.Set("events", std::move(events));
-
-  JsonValue serving = JsonValue::Object();
-  serving.Set("requests_completed", report.serving.requests_completed);
-  serving.Set("requests_failed", report.serving.requests_failed);
-  serving.Set("torn_reads", report.serving.torn_reads);
-  serving.Set("lookup_keys", report.serving.lookup_keys);
-  serving.Set("infer_nodes", report.serving.infer_nodes);
-  serving.Set("cache_hits", report.serving.cache_hits);
-  serving.Set("cache_misses", report.serving.cache_misses);
-  serving.Set("cache_hit_rate", report.serving.cache_hit_rate);
-  serving.Set("batches", report.serving.batches);
-  serving.Set("mean_batch_occupancy", report.serving.mean_batch_occupancy);
-  serving.Set("swaps", report.serving.swaps);
-  serving.Set("snapshots_published", report.serving.snapshots_published);
-  serving.Set("latency_ticks", HistogramToJson(report.serving.latency));
-  doc.Set("serving", std::move(serving));
 
   JsonValue timeseries = JsonValue::Object();
   timeseries.Set("base_interval_ticks",
@@ -603,38 +510,6 @@ Status ValidateRunReportJson(const JsonValue& doc) {
                  "what_if projection cannot exceed the makespan"));
     }
   }
-  const JsonValue* skew = doc.Find("skew");
-  PSG_RETURN_NOT_OK(
-      Expect(skew != nullptr && skew->is_object(),
-             "'skew' must be an object"));
-  {
-    const JsonValue* shards = skew->Find("shards");
-    PSG_RETURN_NOT_OK(Expect(shards != nullptr && shards->is_array(),
-                             "'skew.shards' must be an array"));
-    for (const JsonValue& shard : shards->elements()) {
-      PSG_RETURN_NOT_OK(
-          Expect(shard.is_object(), "skew shard must be an object"));
-      for (const char* field :
-           {"server", "pull_keys", "push_keys", "load_share",
-            "topk_share"}) {
-        const JsonValue* f = shard.Find(field);
-        PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
-                                 std::string("skew shard needs numeric '") +
-                                     field + "'"));
-      }
-      const JsonValue* hot = shard.Find("hot_keys");
-      PSG_RETURN_NOT_OK(Expect(hot != nullptr && hot->is_array(),
-                               "skew shard needs 'hot_keys' array"));
-    }
-    const JsonValue* partitions = skew->Find("partitions");
-    PSG_RETURN_NOT_OK(
-        Expect(partitions != nullptr && partitions->is_array(),
-               "'skew.partitions' must be an array"));
-    const JsonValue* imbalance = skew->Find("partition_imbalance");
-    PSG_RETURN_NOT_OK(
-        Expect(imbalance != nullptr && imbalance->is_number(),
-               "'skew.partition_imbalance' must be numeric"));
-  }
   const JsonValue* convergence = doc.Find("convergence");
   PSG_RETURN_NOT_OK(Expect(convergence != nullptr &&
                                convergence->is_object(),
@@ -732,30 +607,6 @@ Status ValidateRunReportJson(const JsonValue& doc) {
     const JsonValue* dropped = events->Find("dropped");
     PSG_RETURN_NOT_OK(Expect(dropped != nullptr && dropped->is_number(),
                              "'events.dropped' must be numeric"));
-  }
-  const JsonValue* serving = doc.Find("serving");
-  PSG_RETURN_NOT_OK(Expect(serving != nullptr && serving->is_object(),
-                           "'serving' must be an object"));
-  {
-    for (const char* field :
-         {"requests_completed", "requests_failed", "torn_reads",
-          "lookup_keys", "infer_nodes", "cache_hits", "cache_misses",
-          "cache_hit_rate", "batches", "mean_batch_occupancy", "swaps",
-          "snapshots_published"}) {
-      const JsonValue* f = serving->Find(field);
-      PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
-                               std::string("'serving.") + field +
-                                   "' must be numeric"));
-    }
-    const JsonValue* latency = serving->Find("latency_ticks");
-    PSG_RETURN_NOT_OK(Expect(latency != nullptr && latency->is_object(),
-                             "'serving.latency_ticks' must be an object"));
-    for (const char* field : {"count", "p50", "p99", "p999"}) {
-      const JsonValue* f = latency->Find(field);
-      PSG_RETURN_NOT_OK(Expect(f != nullptr && f->is_number(),
-                               std::string("'serving.latency_ticks.") +
-                                   field + "' must be numeric"));
-    }
   }
   const JsonValue* timeseries = doc.Find("timeseries");
   PSG_RETURN_NOT_OK(Expect(timeseries != nullptr && timeseries->is_object(),

@@ -27,7 +27,6 @@
 #include "sim/convergence.h"
 #include "sim/critical_path.h"
 #include "sim/event_journal.h"
-#include "sim/skew.h"
 #include "sim/watchdog.h"
 
 namespace psgraph::sim {
@@ -67,8 +66,13 @@ namespace psgraph::sim {
 ///       phase) — category arrays grow from 7 to 9 entries — and an
 ///       optional "freshness" bench-payload section (per-mutation-rate
 ///       staleness quantiles from bench_freshness).
+///   8 — the "skew" and "serving" sections are gone. Nothing read
+///       either: per-server load stays in "rpc" and the
+///       ps.server<k>.rows_pulled/rows_pushed counters, and every
+///       serving number stays in "counters" and "histograms" under
+///       serving.*.
 inline constexpr const char* kRunReportSchema = "psgraph.run_report";
-inline constexpr int kRunReportSchemaVersion = 7;
+inline constexpr int kRunReportSchemaVersion = 8;
 
 struct RunReport {
   std::string name;  ///< bench/run identifier ("micro", "parallel", ...)
@@ -86,7 +90,7 @@ struct RunReport {
     int64_t busy_ticks = 0;
     double busy_seconds = 0.0;
     /// Per-node memory ledger at capture time (schema v3): memory skew
-    /// is visible alongside key skew, not just the cluster-wide peak.
+    /// is visible per node, not just the cluster-wide peak.
     uint64_t mem_usage_bytes = 0;
     uint64_t mem_peak_bytes = 0;
     uint64_t mem_budget_bytes = 0;
@@ -97,8 +101,6 @@ struct RunReport {
   int64_t makespan_ticks = 0;
   double makespan_seconds = 0.0;
 
-  /// PS hot-key / partition-imbalance profile (the "skew" section).
-  SkewProfiler::Snapshot skew;
   /// Per-iteration algorithm telemetry (the "convergence" section).
   std::map<std::string, ConvergenceLog::Series> convergence;
   uint64_t convergence_rejected = 0;
@@ -113,27 +115,6 @@ struct RunReport {
   std::vector<JournalEvent> failure_events;
   EventJournal::RecoverySummary recovery;
   uint64_t events_dropped = 0;
-
-  /// Online-serving rollup (the "serving" section, schema v4), derived
-  /// from the "serving.*" metrics so any run that touched the serving
-  /// tier reports it; all-zero for runs that never served a request.
-  struct ServingStats {
-    uint64_t requests_completed = 0;
-    uint64_t requests_failed = 0;
-    uint64_t torn_reads = 0;
-    uint64_t lookup_keys = 0;
-    uint64_t infer_nodes = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    double cache_hit_rate = 0.0;  ///< hits / (hits + misses), 0 if idle
-    uint64_t batches = 0;
-    double mean_batch_occupancy = 0.0;  ///< requests per flushed batch
-    uint64_t swaps = 0;
-    uint64_t snapshots_published = 0;
-    /// serving.request.latency_ticks (simulated arrival→completion).
-    HistogramSnapshot latency;
-  };
-  ServingStats serving;
 
   /// Makespan attribution (the "critical_path" section, schema v6):
   /// category breakdown with exact conservation, straggler path

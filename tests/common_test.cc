@@ -486,34 +486,39 @@ TEST(QuantTest, Fp16RoundTripBoundsError) {
 TEST(QuantTest, RowRoundTripReportsHonestError) {
   Rng rng(32);
   std::vector<float> row(64);
-  for (float& f : row) {
-    f = static_cast<float>(rng.NextGaussian());
-  }
-  for (QuantMode mode :
-       {QuantMode::kNone, QuantMode::kFp16, QuantMode::kInt8}) {
-    ByteBuffer buf;
-    const double reported =
-        QuantizeRowAppend(mode, row.data(), row.size(), &buf);
-    EXPECT_EQ(buf.size(), QuantizedRowBytes(mode, row.size()));
-    ByteReader reader(buf);
-    std::vector<float> back;
-    ASSERT_TRUE(
-        DequantizeRowAppend(mode, &reader, row.size(), &back).ok());
-    ASSERT_EQ(back.size(), row.size());
-    double max_err = 0.0;
-    float max_abs = 0.0f;
-    for (size_t i = 0; i < row.size(); ++i) {
-      max_err = std::max(
-          max_err, std::fabs(static_cast<double>(back[i]) - row[i]));
-      max_abs = std::max(max_abs, std::fabs(row[i]));
+  // Several rows: int8 decodes each value as the float q * scale, and
+  // on many rows that rounding moves some value further from its source
+  // than the exact product is; the reported error must include it.
+  for (int r = 0; r < 16; ++r) {
+    for (float& f : row) {
+      f = static_cast<float>(rng.NextGaussian());
     }
-    // The reported error is exactly the realized round-trip error.
-    EXPECT_DOUBLE_EQ(reported, max_err) << QuantModeName(mode);
-    if (mode == QuantMode::kNone) {
-      EXPECT_EQ(max_err, 0.0);
-    } else if (mode == QuantMode::kInt8) {
-      // Error bounded by half a quantization step.
-      EXPECT_LE(max_err, 0.5 * max_abs / 127.0 + 1e-9);
+    for (QuantMode mode :
+         {QuantMode::kNone, QuantMode::kFp16, QuantMode::kInt8}) {
+      ByteBuffer buf;
+      const double reported =
+          QuantizeRowAppend(mode, row.data(), row.size(), &buf);
+      EXPECT_EQ(buf.size(), QuantizedRowBytes(mode, row.size()));
+      ByteReader reader(buf);
+      std::vector<float> back;
+      ASSERT_TRUE(
+          DequantizeRowAppend(mode, &reader, row.size(), &back).ok());
+      ASSERT_EQ(back.size(), row.size());
+      double max_err = 0.0;
+      float max_abs = 0.0f;
+      for (size_t i = 0; i < row.size(); ++i) {
+        max_err = std::max(
+            max_err, std::fabs(static_cast<double>(back[i]) - row[i]));
+        max_abs = std::max(max_abs, std::fabs(row[i]));
+      }
+      // The reported error is exactly the realized round-trip error.
+      EXPECT_EQ(reported, max_err) << QuantModeName(mode) << " row " << r;
+      if (mode == QuantMode::kNone) {
+        EXPECT_EQ(max_err, 0.0);
+      } else if (mode == QuantMode::kInt8) {
+        // Error bounded by half a quantization step.
+        EXPECT_LE(max_err, 0.5 * max_abs / 127.0 + 1e-9);
+      }
     }
   }
 }

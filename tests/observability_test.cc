@@ -1,13 +1,14 @@
 // Observability layer tests: tracer span nesting and capping, JSON
 // round-trips (including int64 tick exactness), run-report schema
 // validation, per-cluster telemetry isolation, and the flight recorder
-// (Chrome-trace export, hot-key/skew profiling, convergence telemetry).
+// (Chrome-trace export, convergence telemetry).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@
 #include "sim/critical_path.h"
 #include "sim/event_journal.h"
 #include "sim/report.h"
-#include "sim/skew.h"
 #include "sim/watchdog.h"
 
 namespace psgraph {
@@ -191,6 +191,16 @@ TEST(RunReportTest, CollectFromBareClusterRoundTrips) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->Find("count")->as_int(), 2);
   EXPECT_EQ(parsed->Find("bench")->Find("note")->as_string(), "hello");
+  // The v8 top level, exactly: the "skew" and "serving" sections of v7
+  // are gone and nothing replaced them.
+  EXPECT_EQ(parsed->Find("schema_version")->as_int(), 8);
+  std::set<std::string> keys;
+  for (const auto& [key, value] : parsed->members()) keys.insert(key);
+  EXPECT_EQ(keys, (std::set<std::string>{
+                      "schema", "schema_version", "name", "counters",
+                      "gauges", "histograms", "spans", "spans_dropped",
+                      "cluster", "critical_path", "convergence", "rpc",
+                      "events", "timeseries", "alerts", "bench"}));
 }
 
 TEST(RunReportTest, ValidatorRejectsBrokenDocuments) {
@@ -395,15 +405,12 @@ TEST(ContextMetricsTest, TwoContextsDoNotCrossContaminate) {
   EXPECT_EQ((*b)->metrics().Get("rpc.calls"), 0u);
 }
 
-// Every SimCluster owns its eight sinks. Traffic on one bare cluster
+// Every SimCluster owns its seven sinks. Traffic on one bare cluster
 // (no PsGraphContext) must leave every sink of a second one empty.
 TEST(ClusterSinksTest, BareClustersShareNoSink) {
   sim::SimCluster busy(BareConfig());
   sim::SimCluster idle(BareConfig());
-  for (sim::SimCluster* c : {&busy, &idle}) {
-    c->tracer().set_enabled(true);
-    c->skew().set_key_profiling(true);
-  }
+  for (sim::SimCluster* c : {&busy, &idle}) c->tracer().set_enabled(true);
   sim::WatchdogRule any_rpc;
   any_rpc.name = "any_rpc";
   any_rpc.series = "counter.rpc.calls";
@@ -434,11 +441,6 @@ TEST(ClusterSinksTest, BareClustersShareNoSink) {
   // The traffic reached every sink of the cluster it ran on...
   EXPECT_GT(busy.metrics().Get("rpc.calls"), 0u);
   EXPECT_FALSE(busy.tracer().Snapshot().empty());
-  uint64_t busy_pulls = 0;
-  for (const auto& shard : busy.skew().Snap().shards) {
-    busy_pulls += shard.pull_keys;
-  }
-  EXPECT_GT(busy_pulls, 0u);
   EXPECT_FALSE(busy.convergence().Snapshot().empty());
   EXPECT_FALSE(busy.rpc_telemetry().Snapshot().empty());
   EXPECT_FALSE(busy.events().Snapshot().empty());
@@ -451,12 +453,6 @@ TEST(ClusterSinksTest, BareClustersShareNoSink) {
   EXPECT_TRUE(idle.metrics().HistogramSnapshots().empty());
   EXPECT_TRUE(idle.tracer().Snapshot().empty());
   EXPECT_TRUE(idle.tracer().Summary().empty());
-  const sim::SkewProfiler::Snapshot skew = idle.skew().Snap();
-  for (const auto& shard : skew.shards) {
-    EXPECT_EQ(shard.pull_keys + shard.push_keys, 0u);
-    EXPECT_TRUE(shard.hot_keys.empty());
-  }
-  EXPECT_TRUE(skew.partitions.empty());
   EXPECT_TRUE(idle.convergence().Snapshot().empty());
   EXPECT_TRUE(idle.rpc_telemetry().Snapshot().empty());
   EXPECT_TRUE(idle.events().Snapshot().empty());
@@ -741,83 +737,6 @@ TEST(TraceExportTest, FlowStartClampsIntoParentInterval) {
     if (ev.Find("ph")->as_string() == "f") {
       EXPECT_EQ(ev.Find("ts")->as_int(), 260);
     }
-  }
-}
-
-TEST(SpaceSavingTest, FindsHeavyHittersOnZipfStream) {
-  // Deterministic Zipf-ish stream over 10k keys: key k appears
-  // ~ 200000 / (k+1) times, far more than total/capacity for small k.
-  sim::SpaceSavingCounter counter(64);
-  std::vector<uint64_t> truth(32, 0);
-  uint64_t total = 0;
-  // Interleave: rounds of "every key whose frequency quota allows".
-  for (int round = 0; round < 200; ++round) {
-    for (uint64_t key = 0; key < 10000; ++key) {
-      if (round % (key + 1) != 0) continue;
-      counter.Offer(key);
-      ++total;
-      if (key < truth.size()) ++truth[key];
-    }
-  }
-  EXPECT_EQ(counter.total(), total);
-  auto top = counter.TopK(8);
-  ASSERT_EQ(top.size(), 8u);
-  for (size_t i = 0; i < top.size(); ++i) {
-    // The stream is dominated by the smallest keys: the top-8 must be
-    // exactly keys 0..7 (ordering within equal counts is by key).
-    EXPECT_LT(top[i].key, 8u) << "rank " << i;
-    // Space-saving overestimates by at most the recorded error.
-    EXPECT_GE(top[i].count, truth[top[i].key]);
-    EXPECT_LE(top[i].count - top[i].error, truth[top[i].key]);
-    // And the error of any entry is bounded by total/capacity.
-    EXPECT_LE(top[i].error, total / 64);
-  }
-  counter.Reset();
-  EXPECT_EQ(counter.total(), 0u);
-  EXPECT_TRUE(counter.TopK(8).empty());
-}
-
-TEST(SkewProfilerTest, TracksShardTotalsAndHotKeys) {
-  sim::SkewProfiler profiler(2);
-  EXPECT_FALSE(profiler.key_profiling_enabled());
-  // Totals count even with key profiling off...
-  profiler.RecordKeyAccess(0, /*is_pull=*/true,
-                          std::vector<uint64_t>{1, 2, 3});
-  profiler.set_key_profiling(true);
-  // ...but the hot-key sketch only fills while it is on.
-  for (int i = 0; i < 10; ++i) {
-    profiler.RecordKeyAccess(0, /*is_pull=*/true,
-                             std::vector<uint64_t>{7, 7, 9});
-  }
-  profiler.RecordKeyAccess(1, /*is_pull=*/false,
-                          std::vector<uint64_t>{5});
-
-  auto snap = profiler.Snap();
-  EXPECT_TRUE(snap.key_profiling);
-  ASSERT_EQ(snap.shards.size(), 2u);
-  EXPECT_EQ(snap.shards[0].server, 0);
-  EXPECT_EQ(snap.shards[0].pull_keys, 33u);  // 3 + 10*3
-  EXPECT_EQ(snap.shards[0].push_keys, 0u);
-  EXPECT_EQ(snap.shards[1].push_keys, 1u);
-  EXPECT_NEAR(snap.shards[0].load_share, 33.0 / 34.0, 1e-12);
-  ASSERT_FALSE(snap.shards[0].hot_keys.empty());
-  EXPECT_EQ(snap.shards[0].hot_keys[0].key, 7u);
-  EXPECT_EQ(snap.shards[0].hot_keys[0].count, 20u);
-
-  profiler.RecordPartitionTicks(0, 100);
-  profiler.RecordPartitionTicks(1, 300);
-  profiler.RecordPartitionTicks(0, 100);
-  snap = profiler.Snap();
-  ASSERT_EQ(snap.partitions.size(), 2u);
-  EXPECT_EQ(snap.partitions[0].busy_ticks, 200);
-  EXPECT_EQ(snap.partitions[1].busy_ticks, 300);
-  EXPECT_NEAR(snap.partition_imbalance, 300.0 / 250.0, 1e-12);
-
-  profiler.Reset();
-  snap = profiler.Snap();
-  EXPECT_TRUE(snap.partitions.empty());
-  for (const auto& s : snap.shards) {
-    EXPECT_EQ(s.pull_keys + s.push_keys, 0u);
   }
 }
 
@@ -1189,7 +1108,7 @@ TEST(RunReportTest, V5TimeseriesAndAlertsSectionsFromCleanRun) {
   cluster.sampler().ForceSample(cluster.clock().MakespanTicks());
 
   sim::RunReport report = sim::CollectRunReport("v5", &cluster);
-  EXPECT_EQ(sim::kRunReportSchemaVersion, 7);
+  EXPECT_EQ(sim::kRunReportSchemaVersion, 8);
   EXPECT_GT(report.timeseries.points, 0u);
   EXPECT_GT(report.timeseries.base_interval_ticks, 0);
   ASSERT_GE(report.alert_rules.size(), 3u);  // context default rules
@@ -1246,10 +1165,10 @@ TEST(RunReportTest, V5TimeseriesAndAlertsSectionsFromCleanRun) {
   }
 }
 
-// End-to-end flight recorder: a real PageRank run must produce skew +
-// convergence sections that validate, and twice the same run (fresh
-// contexts, parallelism-independent tick math) must serialize those
-// sections byte-identically.
+// End-to-end flight recorder: a real PageRank run must produce a
+// convergence section that validates, and twice the same run (fresh
+// contexts, parallelism-independent tick math) must serialize its
+// simulated sections byte-identically.
 TEST(FlightRecorderTest, RunReportSectionsAreDeterministic) {
   auto run_report_json = [] {
     core::PsGraphContext::Options opts;
@@ -1259,7 +1178,6 @@ TEST(FlightRecorderTest, RunReportSectionsAreDeterministic) {
     opts.cluster.server_mem_bytes = 64ull << 20;
     auto ctx = core::PsGraphContext::Create(opts);
     EXPECT_TRUE(ctx.ok());
-    (*ctx)->skew().set_key_profiling(true);
     graph::EdgeList edges = graph::GenerateErdosRenyi(300, 1500, 23);
     auto ds = core::StageAndLoadEdges(**ctx, edges, "obs/fr.bin");
     EXPECT_TRUE(ds.ok());
@@ -1288,23 +1206,6 @@ TEST(FlightRecorderTest, RunReportSectionsAreDeterministic) {
   ASSERT_NE(series->Find("pagerank.active_updates"), nullptr);
   EXPECT_EQ(doc.Find("convergence")->Find("rejected_points")->as_int(), 0);
 
-  // Skew: both PS shards saw pulls, the profile knows it was enabled,
-  // and the dataflow engine attributed partition ticks.
-  const JsonValue* skew = doc.Find("skew");
-  EXPECT_TRUE(skew->Find("key_profiling")->as_bool());
-  ASSERT_EQ(skew->Find("shards")->size(), 2u);
-  uint64_t pulls = 0;
-  double share = 0.0;
-  for (const JsonValue& shard : skew->Find("shards")->elements()) {
-    pulls += static_cast<uint64_t>(shard.Find("pull_keys")->as_int());
-    share += shard.Find("load_share")->as_double();
-    EXPECT_FALSE(shard.Find("hot_keys")->elements().empty());
-  }
-  EXPECT_GT(pulls, 0u);
-  EXPECT_NEAR(share, 1.0, 1e-9);
-  EXPECT_FALSE(skew->Find("partitions")->elements().empty());
-  EXPECT_GE(skew->Find("partition_imbalance")->as_double(), 1.0);
-
   // The telemetry time-series are non-trivial even on this short run
   // (ForceSample guarantees at least one point).
   const JsonValue* ts = doc.Find("timeseries");
@@ -1319,7 +1220,6 @@ TEST(FlightRecorderTest, RunReportSectionsAreDeterministic) {
   SetGlobalParallelism(8);
   JsonValue doc2 = run_report_json();
   SetGlobalParallelism(0);  // restore the env/hardware default
-  EXPECT_EQ(doc.Find("skew")->Dump(2), doc2.Find("skew")->Dump(2));
   EXPECT_EQ(doc.Find("convergence")->Dump(2),
             doc2.Find("convergence")->Dump(2));
   EXPECT_EQ(doc.Find("rpc")->Dump(2), doc2.Find("rpc")->Dump(2));

@@ -25,7 +25,6 @@
 #include "ps/server.h"
 #include "ps/sync.h"
 #include "sim/cluster.h"
-#include "sim/skew.h"
 #include "storage/hdfs.h"
 
 namespace psgraph::ps {
@@ -558,7 +557,6 @@ struct SoloServer {
     cfg.num_servers = 1;
     cfg.server_mem_bytes = server_mem;
     cluster = std::make_unique<sim::SimCluster>(cfg);
-    cluster->skew().set_key_profiling(true);
     server = std::make_unique<PsServer>(0, 1, cluster.get(), nullptr);
     RegisterBuiltinPsFuncs();
   }
@@ -618,19 +616,6 @@ void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
     EXPECT_EQ(got.min, want.min) << name;
     EXPECT_EQ(got.max, want.max) << name;
     EXPECT_EQ(got.buckets, want.buckets) << name;
-  }
-  // Same key sequence into the hot-key sketch.
-  auto sb = batched.cluster->skew().Snap();
-  auto sp = per_row.cluster->skew().Snap();
-  ASSERT_EQ(sb.shards.size(), sp.shards.size());
-  for (size_t i = 0; i < sp.shards.size(); ++i) {
-    EXPECT_EQ(sb.shards[i].push_keys, sp.shards[i].push_keys);
-    ASSERT_EQ(sb.shards[i].hot_keys.size(), sp.shards[i].hot_keys.size());
-    for (size_t k = 0; k < sp.shards[i].hot_keys.size(); ++k) {
-      EXPECT_EQ(sb.shards[i].hot_keys[k].key, sp.shards[i].hot_keys[k].key);
-      EXPECT_EQ(sb.shards[i].hot_keys[k].count,
-                sp.shards[i].hot_keys[k].count);
-    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,7 @@ TEST(SnapshotTest, PublishLoadRoundTripIsBitIdentical) {
   EXPECT_EQ(manifest->version, 1);
   EXPECT_EQ(manifest->num_shards, kNumShards);
   EXPECT_EQ(manifest->key_space, kKeySpace);  // derived from "emb"
+  EXPECT_EQ(manifest->quant, QuantMode::kNone);  // empty quant means none
   ASSERT_EQ(manifest->shards.size(), static_cast<size_t>(kNumShards));
 
   auto current = serving::ReadCurrentVersion(&s.hdfs, kRoot, s.driver());
@@ -184,6 +186,61 @@ TEST(SnapshotTest, PublishLoadRoundTripIsBitIdentical) {
     EXPECT_TRUE(w1->info.replicated);
     EXPECT_EQ(w1->rows.size(), static_cast<size_t>(2 * kDim));
   }
+}
+
+// A snapshot published with SnapshotOptions::quant = "int8" loads on
+// its serving shards, and every row they serve stays within the
+// manifest's recorded max-abs error of the PS row it was cut from.
+TEST(SnapshotTest, Int8SnapshotServesRowsWithinManifestError) {
+  Stack s;
+  PushTrainingState(s, /*bias=*/1.0f);
+  serving::SnapshotOptions options = PublishOptions();
+  options.quant = "int8";
+  serving::SnapshotPublisher publisher(&s.ps, options);
+  ASSERT_TRUE(publisher.Publish().ok());
+
+  auto manifest = serving::ReadManifest(&s.hdfs, kRoot, 1, s.driver());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->quant, QuantMode::kInt8);
+  double max_error = -1.0;
+  for (const serving::SnapshotMatrixInfo& info : manifest->matrices) {
+    if (info.name == "emb") max_error = info.quant_max_abs_error;
+    if (info.name == "w1") {
+      EXPECT_EQ(info.quant_max_abs_error, 0.0) << "replicated stays fp32";
+    }
+  }
+  ASSERT_GT(max_error, 0.0) << "int8 rows must record a nonzero error";
+
+  ps::PsAgent agent(&s.ps, 0);
+  ps::MatrixMeta emb = s.ps.GetMatrix("emb").value();
+  ps::Partitioner part(ps::PartitionScheme::kHash, kKeySpace, kNumShards);
+  size_t checked = 0;
+  for (int32_t i = 0; i < kNumShards; ++i) {
+    serving::ServingShard shard(i, &s.cluster, &s.hdfs, /*node=*/i,
+                                ServeOptions());
+    ASSERT_TRUE(shard.Preload(1).ok());
+    ASSERT_TRUE(shard.Activate(1).ok());
+    std::vector<uint64_t> owned;
+    for (uint64_t k = 0; k < kKeySpace; ++k) {
+      if (part.PartitionOf(k) == i) owned.push_back(k);
+    }
+    ASSERT_FALSE(owned.empty());
+    int64_t version = -1;
+    std::vector<float> served;
+    ASSERT_TRUE(shard.Lookup(owned, &version, &served).ok());
+    EXPECT_EQ(version, 1);
+    auto pulled = agent.PullRows(emb, owned);
+    ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
+    ASSERT_EQ(served.size(), pulled->size());
+    for (size_t j = 0; j < served.size(); ++j) {
+      EXPECT_LE(std::abs(static_cast<double>(served[j]) -
+                         static_cast<double>((*pulled)[j])),
+                max_error)
+          << "key " << owned[j / kDim] << " col " << j % kDim;
+    }
+    checked += owned.size();
+  }
+  EXPECT_EQ(checked, kKeySpace);
 }
 
 TEST(SnapshotTest, HaloRowsMakeInferShardLocal) {
@@ -490,7 +547,7 @@ TEST(ServingRouterTest, HotSwapServesEveryRequestWithoutTornReads) {
 }
 
 /// One full pipeline — train-ish state, publish, serve a Zipfian load,
-/// swap mid-stream — rendered as the v4 run-report JSON.
+/// swap mid-stream — rendered as run-report JSON.
 std::string RunServingPipelineReport() {
   Stack s;
   PushTrainingState(s, 0.0f);
@@ -532,23 +589,33 @@ std::string RunServingPipelineReport() {
   return sim::RunReportToJson(report).Dump(2);
 }
 
-TEST(ServingReportTest, PipelineReportValidatesWithServingSection) {
+TEST(ServingReportTest, PipelineReportValidatesWithServingMetrics) {
   const std::string text = RunServingPipelineReport();
   auto doc = JsonValue::Parse(text);
   ASSERT_TRUE(doc.ok());
   Status valid = sim::ValidateRunReportJson(*doc);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
 
-  const JsonValue* serving = doc->Find("serving");
-  ASSERT_NE(serving, nullptr);
-  EXPECT_EQ(serving->Find("requests_completed")->as_int(), 300);
-  EXPECT_EQ(serving->Find("requests_failed")->as_int(), 0);
-  EXPECT_EQ(serving->Find("torn_reads")->as_int(), 0);
-  EXPECT_EQ(serving->Find("swaps")->as_int(), 2);
-  EXPECT_EQ(serving->Find("snapshots_published")->as_int(), 2);
-  EXPECT_GT(serving->Find("cache_hit_rate")->as_double(), 0.5)
+  // A counter that was never incremented is absent: it reads as 0.
+  const JsonValue* counters = doc->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  auto counter = [counters](const char* name) -> int64_t {
+    const JsonValue* v = counters->Find(name);
+    return v == nullptr ? 0 : v->as_int();
+  };
+  EXPECT_EQ(counter("serving.requests_completed"), 300);
+  EXPECT_EQ(counter("serving.requests_failed"), 0);
+  EXPECT_EQ(counter("serving.torn_reads"), 0);
+  EXPECT_EQ(counter("serving.swaps"), 2);
+  EXPECT_EQ(counter("serving.snapshots_published"), 2);
+  const int64_t hits = counter("serving.cache_hits");
+  const int64_t misses = counter("serving.cache_misses");
+  ASSERT_GT(hits + misses, 0);
+  EXPECT_GT(static_cast<double>(hits) / static_cast<double>(hits + misses),
+            0.5)
       << "Zipfian traffic over a 16-row cache must hit more than half";
-  const JsonValue* latency = serving->Find("latency_ticks");
+  const JsonValue* latency =
+      doc->Find("histograms")->Find("serving.request.latency_ticks");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->Find("count")->as_int(), 300);
   EXPECT_GT(latency->Find("p99")->as_double(), 0.0);
