@@ -17,7 +17,9 @@
 #include "common/thread_pool.h"
 #include "common/varint.h"
 #include "common/wire.h"
+#include "core/sage_model.h"
 #include "dataflow/dataset.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "minitorch/ops.h"
 #include "net/rpc.h"
@@ -211,6 +213,69 @@ void BM_MinitorchMatmulBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_MinitorchMatmulBackward)->Arg(64)->Arg(512);
+
+// One GraphSage mini-batch step on a DS3-mini-shaped batch, in memory:
+// the shared two-hop sampler (64 batch vertices, fanouts 10 and 5) over
+// adjacency served as ps::NeighborBlock through the pull_nbrs decoder,
+// then forward and backward of the two-layer mean model (32 features,
+// 64 hidden, 8 classes) with freshly pulled weights, as in training.
+void BM_SageStep(benchmark::State& state) {
+  const graph::LabeledGraph g =
+      graph::MakeDs3Mini(graph::Ds3MiniInfo(2000), /*seed=*/1);
+  const int64_t d = g.feature_dim, hidden = 64, batch_size = 64;
+  std::vector<std::vector<uint64_t>> adj(g.num_vertices);
+  for (const graph::Edge& e : g.edges) {
+    adj[e.src].push_back(e.dst);
+    adj[e.dst].push_back(e.src);
+  }
+  const core::NeighborFetch fetch = [&adj](const std::vector<uint64_t>& keys)
+      -> Result<ps::NeighborBlock> {
+    ByteBuffer response;
+    std::vector<uint32_t> index(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      PutDeltaList(&response, adj[keys[i]]);
+      WriteFloatBlock(&response, std::vector<float>{});
+      index[i] = static_cast<uint32_t>(i);
+    }
+    ps::NeighborBlock block(keys.size());
+    PSG_RETURN_NOT_OK(block.DecodeResponse(response.data(), index));
+    return block;
+  };
+  Rng rng(6);
+  const minitorch::Tensor w1 = minitorch::Tensor::Randn(2 * d, hidden, rng);
+  const minitorch::Tensor w2 =
+      minitorch::Tensor::Randn(2 * hidden, g.num_classes, rng);
+  core::SageSampler sampler(g.num_vertices, /*fanout1=*/10, /*fanout2=*/5);
+  core::SageParams params;
+  std::vector<uint64_t> batch_ids(batch_size), involved;
+  for (auto _ : state) {
+    const uint64_t first = rng.NextBounded(g.num_vertices - batch_size);
+    core::SageBatch batch;
+    for (int64_t i = 0; i < batch_size; ++i) {
+      batch_ids[i] = first + i;
+      batch.labels.push_back(g.labels[first + i]);
+    }
+    PSG_CHECK_OK(sampler.Sample(batch_ids, rng, fetch, &batch, &involved));
+    std::vector<float> x;
+    x.reserve(involved.size() * d);
+    for (uint64_t v : involved) {
+      x.insert(x.end(), g.features.begin() + v * d,
+               g.features.begin() + (v + 1) * d);
+    }
+    batch.features = minitorch::Tensor::FromData(
+        static_cast<int64_t>(involved.size()), d, std::move(x));
+    params.w1 = minitorch::Tensor::FromData(w1.rows(), w1.cols(), w1.data(),
+                                            /*requires_grad=*/true);
+    params.w2 = minitorch::Tensor::FromData(w2.rows(), w2.cols(), w2.data(),
+                                            /*requires_grad=*/true);
+    minitorch::Tensor loss = minitorch::SoftmaxCrossEntropy(
+        core::SageForward(params, batch), batch.labels);
+    loss.Backward();
+    benchmark::DoNotOptimize(params.w1.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch_size);
+}
+BENCHMARK(BM_SageStep);
 
 // Row-store kernel: upsert + probe + erase-half over the same key
 // stream, once against the open-addressing FlatHashMap and once against

@@ -42,13 +42,12 @@ LogLevel GetLogLevel() {
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
+LogMessage::LogMessage(LogLevel level, const char* file)
     : enabled_(static_cast<int>(level) >=
                g_level.load(std::memory_order_relaxed)),
       level_(level) {
   if (enabled_) {
-    stream_ << "[" << LevelName(level_) << " " << Basename(file) << ":"
-            << line << "] ";
+    stream_ << "[" << LevelName(level_) << " " << Basename(file) << "] ";
   }
 }
 

@@ -1,6 +1,10 @@
 // Minimal leveled logging. Thread-safe, writes to stderr.
 //
-// Usage: PSG_LOG(INFO) << "loaded " << n << " edges";
+// Usage: PSG_LOG(Info) << "loaded " << n << " edges";
+//
+// Each line starts with "[LEVEL file.cc] ". The prefix names the source
+// file but not the line, so the printed output of two builds differs
+// only where their messages do.
 
 #ifndef PSGRAPH_COMMON_LOGGING_H_
 #define PSGRAPH_COMMON_LOGGING_H_
@@ -21,7 +25,7 @@ namespace internal {
 /// Accumulates one log line and emits it on destruction.
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
+  LogMessage(LogLevel level, const char* file);
   ~LogMessage();
 
   LogMessage(const LogMessage&) = delete;
@@ -42,8 +46,8 @@ class LogMessage {
 }  // namespace internal
 }  // namespace psgraph
 
-#define PSG_LOG(severity)                                      \
-  ::psgraph::internal::LogMessage(                             \
-      ::psgraph::LogLevel::k##severity, __FILE__, __LINE__)
+#define PSG_LOG(severity)          \
+  ::psgraph::internal::LogMessage( \
+      ::psgraph::LogLevel::k##severity, __FILE__)
 
 #endif  // PSGRAPH_COMMON_LOGGING_H_

@@ -1,8 +1,6 @@
 #include "core/graphsage.h"
 
 #include <algorithm>
-#include <span>
-#include <unordered_map>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -203,86 +201,31 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
   int32_t step = 0;
 
   // Builds a SageBatch by sampling the 2-hop neighborhood of `batch_v`
-  // through the PS.
+  // through the PS, then pulling the features of every involved vertex.
+  SageSampler sampler(n, opts.fanout1, opts.fanout2);
+  std::vector<uint64_t> involved;
   auto build_batch = [&](int32_t e,
                          const std::vector<std::pair<graph::VertexId,
                                                      int32_t>>& batch_v,
                          Rng& rng) -> Result<SageBatch> {
     SageBatch b;
-    b.batch_size = static_cast<int64_t>(batch_v.size());
-    // 1-hop adjacency + samples for the batch vertices.
     std::vector<uint64_t> bkeys;
+    bkeys.reserve(batch_v.size());
+    b.labels.reserve(batch_v.size());
     for (const auto& [v, label] : batch_v) {
       bkeys.push_back(v);
       b.labels.push_back(label);
     }
-    PSG_ASSIGN_OR_RETURN(auto badj,
-                         ctx.agent(e).PullNeighbors(adj, bkeys));
-    // nodes1 = batch first, then newly seen sampled neighbors.
-    std::unordered_map<uint64_t, int64_t> nodes1_index;
-    std::vector<uint64_t> nodes1_ids;
-    for (uint64_t v : bkeys) {
-      if (nodes1_index.emplace(v, (int64_t)nodes1_ids.size()).second) {
-        nodes1_ids.push_back(v);
-      }
-    }
-    std::vector<std::vector<uint64_t>> samples1(bkeys.size());
-    for (size_t i = 0; i < bkeys.size(); ++i) {
-      const std::span<const uint64_t> nbrs = badj.neighbors(i);
-      if (nbrs.empty()) continue;
-      for (int k = 0; k < opts.fanout1; ++k) {
-        uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
-        samples1[i].push_back(u);
-        if (nodes1_index.emplace(u, (int64_t)nodes1_ids.size()).second) {
-          nodes1_ids.push_back(u);
-        }
-      }
-    }
-    // Adjacency for non-batch layer-1 nodes.
-    std::vector<uint64_t> extra(nodes1_ids.begin() + bkeys.size(),
-                                nodes1_ids.end());
-    PSG_ASSIGN_OR_RETURN(auto eadj,
-                         ctx.agent(e).PullNeighbors(adj, extra));
-    // involved = nodes1 first, then 2-hop samples.
-    std::unordered_map<uint64_t, int64_t> involved_index;
-    std::vector<uint64_t> involved_ids;
-    for (uint64_t v : nodes1_ids) {
-      involved_index.emplace(v, (int64_t)involved_ids.size());
-      involved_ids.push_back(v);
-    }
-    b.seg1.resize(nodes1_ids.size());
-    auto sample2 = [&](size_t node1_pos, std::span<const uint64_t> nbrs) {
-      if (nbrs.empty()) return;
-      for (int k = 0; k < opts.fanout2; ++k) {
-        uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
-        auto [it, inserted] =
-            involved_index.emplace(u, (int64_t)involved_ids.size());
-        if (inserted) involved_ids.push_back(u);
-        b.seg1[node1_pos].push_back(it->second);
-      }
-    };
-    for (size_t i = 0; i < bkeys.size(); ++i) {
-      sample2(i, badj.neighbors(i));
-    }
-    for (size_t i = 0; i < extra.size(); ++i) {
-      sample2(bkeys.size() + i, eadj.neighbors(i));
-    }
-    // seg2: per batch vertex, its layer-1 samples as nodes1 positions.
-    b.seg2.resize(bkeys.size());
-    for (size_t i = 0; i < bkeys.size(); ++i) {
-      for (uint64_t u : samples1[i]) {
-        b.seg2[i].push_back(nodes1_index[u]);
-      }
-    }
-    b.nodes1.resize(nodes1_ids.size());
-    for (size_t i = 0; i < nodes1_ids.size(); ++i) {
-      b.nodes1[i] = static_cast<int64_t>(i);  // prefix of involved
-    }
-    // Pull features for all involved vertices.
+    PSG_RETURN_NOT_OK(sampler.Sample(
+        bkeys, rng,
+        [&](const std::vector<uint64_t>& keys) {
+          return ctx.agent(e).PullNeighbors(adj, keys);
+        },
+        &b, &involved));
     PSG_ASSIGN_OR_RETURN(std::vector<float> xrows,
-                         ctx.agent(e).PullRows(feat, involved_ids));
+                         ctx.agent(e).PullRows(feat, involved));
     b.features = minitorch::Tensor::FromData(
-        static_cast<int64_t>(involved_ids.size()), d, std::move(xrows));
+        static_cast<int64_t>(involved.size()), d, std::move(xrows));
     return b;
   };
 

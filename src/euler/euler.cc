@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <span>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -383,77 +382,30 @@ Result<EulerResult> RunEulerGraphSage(const graph::LabeledGraph& g,
     return out;
   };
 
+  core::SageSampler sampler(n, opts.fanout1, opts.fanout2);
+  std::vector<uint64_t> involved;
   auto build_batch =
       [&](int32_t w,
           const std::vector<std::pair<uint64_t, int32_t>>& batch_v,
           Rng& rng) -> Result<SageBatch> {
     SageBatch b;
-    b.batch_size = static_cast<int64_t>(batch_v.size());
     std::vector<uint64_t> bkeys;
+    bkeys.reserve(batch_v.size());
+    b.labels.reserve(batch_v.size());
     for (const auto& [v, label] : batch_v) {
       bkeys.push_back(v);
       b.labels.push_back(label);
     }
-    PSG_ASSIGN_OR_RETURN(auto badj, pull_neighbors(w, bkeys));
-    std::unordered_map<uint64_t, int64_t> nodes1_index;
-    std::vector<uint64_t> nodes1_ids;
-    for (uint64_t v : bkeys) {
-      if (nodes1_index.emplace(v, (int64_t)nodes1_ids.size()).second) {
-        nodes1_ids.push_back(v);
-      }
-    }
-    std::vector<std::vector<uint64_t>> samples1(bkeys.size());
-    for (size_t i = 0; i < bkeys.size(); ++i) {
-      const std::span<const uint64_t> nbrs = badj.neighbors(i);
-      if (nbrs.empty()) continue;
-      for (int k = 0; k < opts.fanout1; ++k) {
-        uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
-        samples1[i].push_back(u);
-        if (nodes1_index.emplace(u, (int64_t)nodes1_ids.size()).second) {
-          nodes1_ids.push_back(u);
-        }
-      }
-    }
-    std::vector<uint64_t> extra(nodes1_ids.begin() + bkeys.size(),
-                                nodes1_ids.end());
-    PSG_ASSIGN_OR_RETURN(auto eadj, pull_neighbors(w, extra));
-    std::unordered_map<uint64_t, int64_t> involved_index;
-    std::vector<uint64_t> involved_ids;
-    for (uint64_t v : nodes1_ids) {
-      involved_index.emplace(v, (int64_t)involved_ids.size());
-      involved_ids.push_back(v);
-    }
-    b.seg1.resize(nodes1_ids.size());
-    auto sample2 = [&](size_t pos, std::span<const uint64_t> nbrs) {
-      if (nbrs.empty()) return;
-      for (int k = 0; k < opts.fanout2; ++k) {
-        uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
-        auto [it, inserted] =
-            involved_index.emplace(u, (int64_t)involved_ids.size());
-        if (inserted) involved_ids.push_back(u);
-        b.seg1[pos].push_back(it->second);
-      }
-    };
-    for (size_t i = 0; i < bkeys.size(); ++i) {
-      sample2(i, badj.neighbors(i));
-    }
-    for (size_t i = 0; i < extra.size(); ++i) {
-      sample2(bkeys.size() + i, eadj.neighbors(i));
-    }
-    b.seg2.resize(bkeys.size());
-    for (size_t i = 0; i < bkeys.size(); ++i) {
-      for (uint64_t u : samples1[i]) {
-        b.seg2[i].push_back(nodes1_index[u]);
-      }
-    }
-    b.nodes1.resize(nodes1_ids.size());
-    for (size_t i = 0; i < nodes1_ids.size(); ++i) {
-      b.nodes1[i] = static_cast<int64_t>(i);
-    }
+    PSG_RETURN_NOT_OK(sampler.Sample(
+        bkeys, rng,
+        [&](const std::vector<uint64_t>& keys) {
+          return pull_neighbors(w, keys);
+        },
+        &b, &involved));
     PSG_ASSIGN_OR_RETURN(std::vector<float> xrows,
-                         pull_features(w, involved_ids));
+                         pull_features(w, involved));
     b.features = minitorch::Tensor::FromData(
-        static_cast<int64_t>(involved_ids.size()), d, std::move(xrows));
+        static_cast<int64_t>(involved.size()), d, std::move(xrows));
     return b;
   };
 

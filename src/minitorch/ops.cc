@@ -30,11 +30,74 @@ Tensor MakeOutput(int64_t rows, int64_t cols,
   return out;
 }
 
-void AccumulateGrad(const Tensor& t, const std::vector<float>& delta) {
-  if (!t.requires_grad() && !t.impl()->grad_fn) return;
+/// True when gradients flow into `t`: a leaf that asked for them, or an
+/// op output on the tape.
+bool OnGradPath(const Tensor& t) {
+  return t.requires_grad() || t.impl()->grad_fn != nullptr;
+}
+
+/// Adds one op's gradient contribution to `t`'s grad buffer.
+/// `add(float* dst)` must only `+=` into dst (never `=`), so a -0.0
+/// term rounds to +0.0 as it does when added into zeros. The first
+/// writer of a fresh buffer adds in place: a sum that starts at +0.0 is
+/// never -0.0, so 0 + sum is the sum, bit for bit. A later writer
+/// fills a zeroed temporary that is then added, so its contribution
+/// joins the buffer as one term.
+template <typename AddFn>
+void AccumulateGrad(const Tensor& t, AddFn&& add) {
+  if (!OnGradPath(t)) return;
   TensorImpl* impl = t.impl();
-  impl->EnsureGrad();
+  if (impl->grad.empty()) {
+    impl->grad.assign(impl->data.size(), 0.0f);
+    add(impl->grad.data());
+    return;
+  }
+  std::vector<float> delta(impl->data.size(), 0.0f);
+  add(delta.data());
   for (size_t i = 0; i < delta.size(); ++i) impl->grad[i] += delta[i];
+}
+
+/// Adds `g` element-wise into `t`'s gradient.
+void AccumulateGradOf(const Tensor& t, const std::vector<float>& g) {
+  AccumulateGrad(t, [&](float* dst) {
+    for (size_t i = 0; i < g.size(); ++i) dst[i] += g[i];
+  });
+}
+
+/// out (rows x m) += S * V, where S(r, p) = s[r * s_row + p * s_col] and
+/// V is p_count x m: out[r][c] += S(r, p) * V[p][c] for p in ascending
+/// order, skipping every p with S(r, p) == 0. C = A B, dA = dC Bᵀ (over a
+/// transposed B) and dB = Aᵀ dC are all this loop, so each element sums
+/// its terms in the order of the plain triple loop. A tile of kTile
+/// output columns stays in registers across p; `out` must not overlap
+/// `s` or `v`.
+void AddProducts(float* __restrict out, int64_t rows, int64_t m,
+                 const float* __restrict s, int64_t s_row, int64_t s_col,
+                 int64_t p_count, const float* __restrict v) {
+  constexpr int64_t kTile = 32;
+  for (int64_t r = 0; r < rows; ++r) {
+    float* orow = out + r * m;
+    const float* srow = s + r * s_row;
+    int64_t c0 = 0;
+    for (; c0 + kTile <= m; c0 += kTile) {
+      float acc[kTile];
+      for (int64_t c = 0; c < kTile; ++c) acc[c] = orow[c0 + c];
+      for (int64_t p = 0; p < p_count; ++p) {
+        const float sv = srow[p * s_col];
+        if (sv == 0.0f) continue;
+        const float* vrow = v + p * m + c0;
+        for (int64_t c = 0; c < kTile; ++c) acc[c] += sv * vrow[c];
+      }
+      for (int64_t c = 0; c < kTile; ++c) orow[c0 + c] = acc[c];
+    }
+    if (c0 == m) continue;
+    for (int64_t p = 0; p < p_count; ++p) {
+      const float sv = srow[p * s_col];
+      if (sv == 0.0f) continue;
+      const float* vrow = v + p * m;
+      for (int64_t c = c0; c < m; ++c) orow[c] += sv * vrow[c];
+    }
+  }
 }
 
 struct MatmulNode : OpNode {
@@ -42,88 +105,82 @@ struct MatmulNode : OpNode {
     const Tensor& a = inputs[0];
     const Tensor& b = inputs[1];
     const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-    // dA = dC * B^T
-    std::vector<float> da(n * k, 0.0f);
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < m; ++j) {
-        float g = out.grad[i * m + j];
-        if (g == 0.0f) continue;
-        const float* brow = b.data().data() + j;  // column j of B
-        for (int64_t x = 0; x < k; ++x) {
-          da[i * k + x] += g * b.data()[x * m + j];
-        }
-        (void)brow;
-      }
-    }
-    AccumulateGrad(a, da);
-    // dB = A^T * dC
-    std::vector<float> db(k * m, 0.0f);
-    for (int64_t i = 0; i < n; ++i) {
+    const float* dc = out.grad.data();
+    if (OnGradPath(a)) {
+      // dA = dC * B^T over bt, whose row j is column j of B.
+      const float* bd = b.data().data();
+      std::vector<float> bt(static_cast<size_t>(k * m));
       for (int64_t x = 0; x < k; ++x) {
-        float av = a.data()[i * k + x];
-        if (av == 0.0f) continue;
-        for (int64_t j = 0; j < m; ++j) {
-          db[x * m + j] += av * out.grad[i * m + j];
-        }
+        for (int64_t j = 0; j < m; ++j) bt[j * k + x] = bd[x * m + j];
       }
+      AccumulateGrad(a, [&](float* da) {
+        AddProducts(da, n, k, dc, m, 1, m, bt.data());
+      });
     }
-    AccumulateGrad(b, db);
+    if (OnGradPath(b)) {
+      // dB = A^T * dC: row x of dB sums A[i][x] * dC row i over i.
+      AccumulateGrad(b, [&](float* db) {
+        AddProducts(db, k, m, a.data().data(), 1, k, n, dc);
+      });
+    }
   }
 };
 
 struct AddNode : OpNode {
   void Backward(const TensorImpl& out) override {
-    AccumulateGrad(inputs[0], out.grad);
-    AccumulateGrad(inputs[1], out.grad);
+    AccumulateGradOf(inputs[0], out.grad);
+    AccumulateGradOf(inputs[1], out.grad);
   }
 };
 
 struct AddBiasNode : OpNode {
   void Backward(const TensorImpl& out) override {
-    AccumulateGrad(inputs[0], out.grad);
+    AccumulateGradOf(inputs[0], out.grad);
     const int64_t m = inputs[1].cols();
-    std::vector<float> db(m, 0.0f);
-    for (int64_t i = 0; i < out.rows; ++i) {
-      for (int64_t j = 0; j < m; ++j) db[j] += out.grad[i * m + j];
-    }
-    AccumulateGrad(inputs[1], db);
+    AccumulateGrad(inputs[1], [&](float* db) {
+      for (int64_t i = 0; i < out.rows; ++i) {
+        for (int64_t j = 0; j < m; ++j) db[j] += out.grad[i * m + j];
+      }
+    });
   }
 };
 
 struct ReluNode : OpNode {
   void Backward(const TensorImpl& out) override {
-    std::vector<float> da(out.data.size());
-    for (size_t i = 0; i < da.size(); ++i) {
-      da[i] = out.data[i] > 0.0f ? out.grad[i] : 0.0f;
-    }
-    AccumulateGrad(inputs[0], da);
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (size_t i = 0; i < out.data.size(); ++i) {
+        const float g = out.grad[i];  // loaded either way: no branch
+        da[i] += out.data[i] > 0.0f ? g : 0.0f;
+      }
+    });
   }
 };
 
 struct SigmoidNode : OpNode {
   void Backward(const TensorImpl& out) override {
-    std::vector<float> da(out.data.size());
-    for (size_t i = 0; i < da.size(); ++i) {
-      da[i] = out.grad[i] * out.data[i] * (1.0f - out.data[i]);
-    }
-    AccumulateGrad(inputs[0], da);
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (size_t i = 0; i < out.data.size(); ++i) {
+        da[i] += out.grad[i] * out.data[i] * (1.0f - out.data[i]);
+      }
+    });
   }
 };
 
 struct ConcatColsNode : OpNode {
   void Backward(const TensorImpl& out) override {
-    const Tensor& a = inputs[0];
-    const Tensor& b = inputs[1];
-    const int64_t ca = a.cols(), cb = b.cols(), c = ca + cb;
-    std::vector<float> da(a.size()), db(b.size());
-    for (int64_t i = 0; i < out.rows; ++i) {
-      for (int64_t j = 0; j < ca; ++j) da[i * ca + j] = out.grad[i * c + j];
-      for (int64_t j = 0; j < cb; ++j) {
-        db[i * cb + j] = out.grad[i * c + ca + j];
+    const int64_t ca = inputs[0].cols(), cb = inputs[1].cols(), c = ca + cb;
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (int64_t i = 0; i < out.rows; ++i) {
+        for (int64_t j = 0; j < ca; ++j) da[i * ca + j] += out.grad[i * c + j];
       }
-    }
-    AccumulateGrad(a, da);
-    AccumulateGrad(b, db);
+    });
+    AccumulateGrad(inputs[1], [&](float* db) {
+      for (int64_t i = 0; i < out.rows; ++i) {
+        for (int64_t j = 0; j < cb; ++j) {
+          db[i * cb + j] += out.grad[i * c + ca + j];
+        }
+      }
+    });
   }
 };
 
@@ -132,36 +189,38 @@ struct GatherRowsNode : OpNode {
   explicit GatherRowsNode(std::vector<int64_t> idx)
       : indices(std::move(idx)) {}
   void Backward(const TensorImpl& out) override {
-    const Tensor& a = inputs[0];
-    const int64_t m = a.cols();
-    std::vector<float> da(a.size(), 0.0f);
-    for (size_t i = 0; i < indices.size(); ++i) {
-      for (int64_t j = 0; j < m; ++j) {
-        da[indices[i] * m + j] += out.grad[i * m + j];
+    const int64_t m = inputs[0].cols();
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (size_t i = 0; i < indices.size(); ++i) {
+        for (int64_t j = 0; j < m; ++j) {
+          da[indices[i] * m + j] += out.grad[i * m + j];
+        }
       }
-    }
-    AccumulateGrad(a, da);
+    });
   }
 };
 
 struct SegmentMeanNode : OpNode {
-  std::vector<std::vector<int64_t>> segments;
-  explicit SegmentMeanNode(std::vector<std::vector<int64_t>> segs)
+  std::shared_ptr<const Segments> segments;
+  explicit SegmentMeanNode(std::shared_ptr<const Segments> segs)
       : segments(std::move(segs)) {}
   void Backward(const TensorImpl& out) override {
-    const Tensor& a = inputs[0];
-    const int64_t m = a.cols();
-    std::vector<float> da(a.size(), 0.0f);
-    for (size_t i = 0; i < segments.size(); ++i) {
-      if (segments[i].empty()) continue;
-      float inv = 1.0f / static_cast<float>(segments[i].size());
-      for (int64_t j : segments[i]) {
-        for (int64_t c = 0; c < m; ++c) {
-          da[j * m + c] += out.grad[i * m + c] * inv;
+    const int64_t m = inputs[0].cols();
+    const std::vector<int64_t>& offsets = segments->offsets;
+    const std::vector<int64_t>& indices = segments->indices;
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (int64_t i = 0; i < segments->num_segments(); ++i) {
+        const int64_t begin = offsets[i], end = offsets[i + 1];
+        if (begin == end) continue;
+        const float inv = 1.0f / static_cast<float>(end - begin);
+        for (int64_t s = begin; s < end; ++s) {
+          float* darow = da + indices[s] * m;
+          for (int64_t c = 0; c < m; ++c) {
+            darow[c] += out.grad[i * m + c] * inv;
+          }
         }
       }
-    }
-    AccumulateGrad(a, da);
+    });
   }
 };
 
@@ -171,15 +230,14 @@ struct SegmentMaxNode : OpNode {
   SegmentMaxNode(std::vector<int64_t> am, int64_t c)
       : argmax(std::move(am)), cols(c) {}
   void Backward(const TensorImpl& out) override {
-    const Tensor& a = inputs[0];
-    std::vector<float> da(a.size(), 0.0f);
-    for (int64_t i = 0; i < out.rows; ++i) {
-      for (int64_t c = 0; c < cols; ++c) {
-        int64_t j = argmax[i * cols + c];
-        if (j >= 0) da[j * cols + c] += out.grad[i * cols + c];
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (int64_t i = 0; i < out.rows; ++i) {
+        for (int64_t c = 0; c < cols; ++c) {
+          int64_t j = argmax[i * cols + c];
+          if (j >= 0) da[j * cols + c] += out.grad[i * cols + c];
+        }
       }
-    }
-    AccumulateGrad(a, da);
+    });
   }
 };
 
@@ -188,26 +246,25 @@ struct RowL2NormalizeNode : OpNode {
   explicit RowL2NormalizeNode(std::vector<float> n)
       : norms(std::move(n)) {}
   void Backward(const TensorImpl& out) override {
-    const Tensor& a = inputs[0];
-    const int64_t m = a.cols();
-    std::vector<float> da(a.size(), 0.0f);
-    for (int64_t i = 0; i < out.rows; ++i) {
-      float n = norms[i];
-      if (n == 0.0f) {
-        for (int64_t j = 0; j < m; ++j) da[i * m + j] = out.grad[i * m + j];
-        continue;
+    const int64_t m = inputs[0].cols();
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (int64_t i = 0; i < out.rows; ++i) {
+        float n = norms[i];
+        if (n == 0.0f) {
+          for (int64_t j = 0; j < m; ++j) da[i * m + j] += out.grad[i * m + j];
+          continue;
+        }
+        // d(x/||x||)/dx = (I - y y^T) / ||x||, with y = x/||x||.
+        float dot = 0.0f;
+        for (int64_t j = 0; j < m; ++j) {
+          dot += out.grad[i * m + j] * out.data[i * m + j];
+        }
+        for (int64_t j = 0; j < m; ++j) {
+          da[i * m + j] +=
+              (out.grad[i * m + j] - dot * out.data[i * m + j]) / n;
+        }
       }
-      // d(x/||x||)/dx = (I - y y^T) / ||x||, with y = x/||x||.
-      float dot = 0.0f;
-      for (int64_t j = 0; j < m; ++j) {
-        dot += out.grad[i * m + j] * out.data[i * m + j];
-      }
-      for (int64_t j = 0; j < m; ++j) {
-        da[i * m + j] =
-            (out.grad[i * m + j] - dot * out.data[i * m + j]) / n;
-      }
-    }
-    AccumulateGrad(a, da);
+    });
   }
 };
 
@@ -220,15 +277,14 @@ struct SoftmaxCrossEntropyNode : OpNode {
       : probs(std::move(p)), labels(std::move(l)), classes(c) {}
   void Backward(const TensorImpl& out) override {
     const float g = out.grad[0] / static_cast<float>(labels.size());
-    std::vector<float> da(probs.size());
-    for (size_t i = 0; i < labels.size(); ++i) {
-      for (int64_t j = 0; j < classes; ++j) {
-        float p = probs[i * classes + j];
-        da[i * classes + j] =
-            g * (p - (j == labels[i] ? 1.0f : 0.0f));
+    AccumulateGrad(inputs[0], [&](float* da) {
+      for (size_t i = 0; i < labels.size(); ++i) {
+        for (int64_t j = 0; j < classes; ++j) {
+          float p = probs[i * classes + j];
+          da[i * classes + j] += g * (p - (j == labels[i] ? 1.0f : 0.0f));
+        }
       }
-    }
-    AccumulateGrad(inputs[0], da);
+    });
   }
 };
 
@@ -238,18 +294,8 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   assert(a.cols() == b.rows());
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
   Tensor out = MakeOutput<MatmulNode>(n, m, {a, b}, "matmul");
-  float* c = out.mutable_data().data();
-  const float* ad = a.data().data();
-  const float* bd = b.data().data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t x = 0; x < k; ++x) {
-      float av = ad[i * k + x];
-      if (av == 0.0f) continue;
-      const float* brow = bd + x * m;
-      float* crow = c + i * m;
-      for (int64_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  AddProducts(out.mutable_data().data(), n, m, a.data().data(), k, 1, k,
+              b.data().data());
   return out;
 }
 
@@ -322,36 +368,43 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& indices) {
 }
 
 Tensor SegmentMean(const Tensor& a,
-                   const std::vector<std::vector<int64_t>>& segments) {
+                   std::shared_ptr<const Segments> segments) {
   const int64_t m = a.cols();
-  Tensor out = MakeOutput<SegmentMeanNode>(
-      static_cast<int64_t>(segments.size()), m, {a}, "segment_mean",
-      segments);
-  for (size_t i = 0; i < segments.size(); ++i) {
-    if (segments[i].empty()) continue;
-    float inv = 1.0f / static_cast<float>(segments[i].size());
-    for (int64_t j : segments[i]) {
+  const int64_t num = segments->num_segments();
+  const std::vector<int64_t>& offsets = segments->offsets;
+  const std::vector<int64_t>& indices = segments->indices;
+  Tensor out = MakeOutput<SegmentMeanNode>(num, m, {a}, "segment_mean",
+                                           segments);
+  float* od = out.mutable_data().data();
+  const float* ad = a.data().data();
+  for (int64_t i = 0; i < num; ++i) {
+    const int64_t begin = offsets[i], end = offsets[i + 1];
+    if (begin == end) continue;
+    const float inv = 1.0f / static_cast<float>(end - begin);
+    for (int64_t s = begin; s < end; ++s) {
+      const int64_t j = indices[s];
       assert(j >= 0 && j < a.rows());
-      for (int64_t c = 0; c < m; ++c) {
-        out.mutable_data()[i * m + c] += a.data()[j * m + c] * inv;
-      }
+      for (int64_t c = 0; c < m; ++c) od[i * m + c] += ad[j * m + c] * inv;
     }
   }
   return out;
 }
 
 Tensor SegmentMax(const Tensor& a,
-                  const std::vector<std::vector<int64_t>>& segments) {
+                  std::shared_ptr<const Segments> segments) {
   const int64_t m = a.cols();
-  std::vector<int64_t> argmax(segments.size() * m, -1);
-  Tensor out = MakeOutput<SegmentMaxNode>(
-      static_cast<int64_t>(segments.size()), m, {a}, "segment_max",
-      argmax, m);
+  const int64_t num = segments->num_segments();
+  const std::vector<int64_t>& offsets = segments->offsets;
+  const std::vector<int64_t>& indices = segments->indices;
+  std::vector<int64_t> argmax(num * m, -1);
+  Tensor out = MakeOutput<SegmentMaxNode>(num, m, {a}, "segment_max",
+                                          argmax, m);
   auto* node = dynamic_cast<SegmentMaxNode*>(out.impl()->grad_fn.get());
-  for (size_t i = 0; i < segments.size(); ++i) {
-    bool first = true;
-    for (int64_t j : segments[i]) {
+  for (int64_t i = 0; i < num; ++i) {
+    for (int64_t s = offsets[i]; s < offsets[i + 1]; ++s) {
+      const int64_t j = indices[s];
       assert(j >= 0 && j < a.rows());
+      const bool first = s == offsets[i];
       for (int64_t c = 0; c < m; ++c) {
         float v = a.data()[j * m + c];
         float& cur = out.mutable_data()[i * m + c];
@@ -360,7 +413,6 @@ Tensor SegmentMax(const Tensor& a,
           if (node != nullptr) node->argmax[i * m + c] = j;
         }
       }
-      first = false;
     }
   }
   return out;

@@ -288,6 +288,8 @@ Result<ByteBuffer> AdamApply(PsServer& server, ByteReader& args) {
   if (grads.size() != keys.size() * cols) {
     return Status::InvalidArgument("adam.apply: grads size mismatch");
   }
+  PSG_ASSIGN_OR_RETURN(MatrixShard * m, server.GetShard(m_id));
+  PSG_ASSIGN_OR_RETURN(MatrixShard * v, server.GetShard(v_id));
   // Materialize rows by pushing zeros (charges memory through one path).
   std::vector<float> zeros(cols, 0.0f);
   const double bc1 = 1.0 - std::pow(beta1, t);
@@ -297,8 +299,6 @@ Result<ByteBuffer> AdamApply(PsServer& server, ByteReader& args) {
     PSG_RETURN_NOT_OK(batch.Add(w_id, keys[i], zeros));
     PSG_RETURN_NOT_OK(batch.Add(m_id, keys[i], zeros));
     PSG_RETURN_NOT_OK(batch.Add(v_id, keys[i], zeros));
-    PSG_ASSIGN_OR_RETURN(MatrixShard * m, server.GetShard(m_id));
-    PSG_ASSIGN_OR_RETURN(MatrixShard * v, server.GetShard(v_id));
     std::vector<float>& wr = w->rows.find(keys[i])->second;
     std::vector<float>& mr = m->rows.find(keys[i])->second;
     std::vector<float>& vr = v->rows.find(keys[i])->second;
@@ -333,12 +333,12 @@ Result<ByteBuffer> AdagradApply(PsServer& server, ByteReader& args) {
   if (grads.size() != keys.size() * cols) {
     return Status::InvalidArgument("adagrad.apply: grads size mismatch");
   }
+  PSG_ASSIGN_OR_RETURN(MatrixShard * g2, server.GetShard(g2_id));
   std::vector<float> zeros(cols, 0.0f);
   PsServer::RowBatch batch(&server);
   for (size_t i = 0; i < keys.size(); ++i) {
     PSG_RETURN_NOT_OK(batch.Add(w_id, keys[i], zeros));
     PSG_RETURN_NOT_OK(batch.Add(g2_id, keys[i], zeros));
-    PSG_ASSIGN_OR_RETURN(MatrixShard * g2, server.GetShard(g2_id));
     std::vector<float>& wr = w->rows.find(keys[i])->second;
     std::vector<float>& sr = g2->rows.find(keys[i])->second;
     const float* g = grads.data() + i * cols;

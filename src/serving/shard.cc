@@ -1,6 +1,7 @@
 #include "serving/shard.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/metrics.h"
@@ -269,7 +270,8 @@ Status ServingShard::Infer(std::span<const uint64_t> nodes,
   const int64_t n = static_cast<int64_t>(nodes.size());
   std::vector<float> x_data;
   x_data.reserve(static_cast<size_t>(n * d));
-  std::vector<std::vector<int64_t>> segments(nodes.size());
+  auto segments = std::make_shared<minitorch::Segments>();
+  segments->offsets.reserve(nodes.size() + 1);
   std::vector<uint64_t> nbr_ids;
   FlatHashMap<int64_t> nbr_index;
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -283,13 +285,15 @@ Status ServingShard::Infer(std::span<const uint64_t> nodes,
                     feats->info.init_value);
     }
     auto adj_it = adj->adjacency.find(key);
-    if (adj_it == adj->adjacency.end()) continue;
-    for (uint64_t nb : adj_it->second) {
-      auto [it, inserted] =
-          nbr_index.emplace(nb, static_cast<int64_t>(nbr_ids.size()));
-      if (inserted) nbr_ids.push_back(nb);
-      segments[i].push_back(it->second);
+    if (adj_it != adj->adjacency.end()) {
+      for (uint64_t nb : adj_it->second) {
+        auto [it, inserted] =
+            nbr_index.emplace(nb, static_cast<int64_t>(nbr_ids.size()));
+        if (inserted) nbr_ids.push_back(nb);
+        segments->indices.push_back(it->second);
+      }
     }
+    segments->EndSegment();
   }
   std::vector<float> nbr_data;
   nbr_data.reserve(nbr_ids.size() * static_cast<size_t>(d));
@@ -311,7 +315,7 @@ Status ServingShard::Infer(std::span<const uint64_t> nodes,
           ? Tensor::Zeros(1, d)  // SegmentMean needs a non-empty source
           : Tensor::FromData(static_cast<int64_t>(nbr_ids.size()), d,
                              std::move(nbr_data));
-  Tensor agg = minitorch::SegmentMean(nbrs, segments);
+  Tensor agg = minitorch::SegmentMean(nbrs, std::move(segments));
   Tensor h = minitorch::Relu(
       minitorch::Matmul(minitorch::ConcatCols(x, agg), state.w1));
   Tensor result = minitorch::RowL2Normalize(h);

@@ -13,6 +13,7 @@
 #include "common/byte_buffer.h"
 #include "common/flat_hash.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/quant.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -22,6 +23,14 @@
 
 namespace psgraph {
 namespace {
+
+TEST(LoggingTest, PrefixNamesFileButNotLine) {
+  testing::internal::CaptureStderr();
+  PSG_LOG(Info) << "published v" << 3;
+  PSG_LOG(Debug) << "below the default level";
+  const std::string out = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out, "[INFO  common_test.cc] published v3\n");
+}
 
 TEST(StatusTest, OkByDefault) {
   Status s;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -15,9 +16,11 @@
 
 #include "common/thread_pool.h"
 #include "core/graph_loader.h"
+#include "core/graphsage.h"
 #include "core/pagerank.h"
 #include "core/psgraph_context.h"
 #include "dataflow/dataset.h"
+#include "euler/euler.h"
 #include "graph/generators.h"
 #include "graphx/algorithms.h"
 #include "net/rpc.h"
@@ -438,6 +441,72 @@ TEST(ConcurrencyTest, GraphxClocksAndOutputsIdenticalAcrossParallelism) {
   EXPECT_EQ(seq.coreness, par.coreness);
   EXPECT_EQ(seq.triangles, par.triangles);
   EXPECT_GT(seq.triangles, 0u);
+}
+
+TEST(ConcurrencyTest, GraphSageAndEulerIdenticalAcrossParallelism) {
+  graph::SbmParams sbm;
+  sbm.num_vertices = 300;
+  sbm.num_edges = 2400;
+  sbm.num_communities = 4;
+  sbm.feature_dim = 8;
+  sbm.seed = 13;
+  const graph::LabeledGraph g = graph::GenerateSbm(sbm);
+  sim::ClusterConfig cluster;
+  cluster.num_executors = 3;
+  cluster.num_servers = 2;
+  cluster.executor_mem_bytes = 256ull << 20;
+  cluster.server_mem_bytes = 256ull << 20;
+  // Euler runs on a cluster of its own, so its makespan shows only
+  // through the preprocessing and epoch spans it reports.
+  struct Run {
+    double makespan = 0.0;
+    double preprocess = 0.0;
+    std::vector<double> epochs;
+    double loss = 0.0;
+    double accuracy = 0.0;
+  };
+  auto sage = [&](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    core::PsGraphContext::Options opts;
+    opts.cluster = cluster;
+    auto ctx = core::PsGraphContext::Create(opts);
+    PSG_CHECK_OK(ctx.status());
+    core::GraphSageOptions o;
+    o.hidden_dim = 16;
+    o.epochs = 2;
+    o.batch_size = 32;
+    auto r = core::GraphSage(**ctx, g, o);
+    PSG_CHECK_OK(r.status());
+    return Run{(*ctx)->cluster().clock().Makespan(),
+               r->preprocess_sim_seconds, r->epoch_sim_seconds,
+               r->final_train_loss, r->test_accuracy};
+  };
+  auto euler = [&](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    euler::EulerOptions o;
+    o.hidden_dim = 16;
+    o.epochs = 2;
+    o.batch_size = 32;
+    o.cluster = cluster;
+    auto r = euler::RunEulerGraphSage(g, o);
+    PSG_CHECK_OK(r.status());
+    return Run{0.0, r->preprocess_sim_seconds, r->epoch_sim_seconds,
+               r->final_train_loss, r->test_accuracy};
+  };
+  for (const auto& [name, run] :
+       {std::pair<const char*, std::function<Run(size_t)>>{"graphsage", sage},
+        {"euler", euler}}) {
+    SCOPED_TRACE(name);
+    const Run seq = run(1);
+    const Run par = run(8);
+    EXPECT_EQ(seq.makespan, par.makespan);
+    EXPECT_GT(seq.preprocess, 0.0);
+    EXPECT_EQ(seq.preprocess, par.preprocess);
+    EXPECT_EQ(seq.epochs.size(), 2u);
+    EXPECT_EQ(seq.epochs, par.epochs);
+    EXPECT_EQ(seq.loss, par.loss);
+    EXPECT_EQ(seq.accuracy, par.accuracy);
+  }
 }
 
 }  // namespace

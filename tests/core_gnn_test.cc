@@ -1,15 +1,25 @@
 // Tests for the GE/GNN algorithms: LINE embeddings (psFunc dot path vs
 // pulled-vector path, embedding quality) and GraphSage (learning,
-// accuracy, PS-side Adam) plus the Euler baseline's full pipeline.
+// accuracy, PS-side Adam, the two-hop sampler it shares with Euler) plus
+// the Euler baseline's full pipeline.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "common/byte_buffer.h"
+#include "common/random.h"
+#include "common/varint.h"
+#include "common/wire.h"
 #include "core/graph_loader.h"
 #include "core/graphsage.h"
 #include "core/line.h"
 #include "core/psgraph_context.h"
+#include "core/sage_model.h"
 #include "euler/euler.h"
 #include "graph/generators.h"
 
@@ -203,6 +213,193 @@ TEST(GraphSageTest, PsAdamAndLocalSgdBothLearn) {
   auto sgd = GraphSage(*ctx2, g, opts);
   ASSERT_TRUE(sgd.ok());
   EXPECT_GT(sgd->test_accuracy, 0.5);
+}
+
+// ---- The shared two-hop sampler against the map-based one it replaced
+
+/// In-memory adjacency served as a ps::NeighborBlock, through the same
+/// decoder a "ps.pull_nbrs" response goes through.
+ps::NeighborBlock BlockOf(const std::vector<std::vector<uint64_t>>& adj,
+                          const std::vector<uint64_t>& keys) {
+  ByteBuffer response;
+  std::vector<uint32_t> index(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    PutDeltaList(&response, adj[keys[i]]);
+    WriteFloatBlock(&response, std::vector<float>{});
+    index[i] = static_cast<uint32_t>(i);
+  }
+  ps::NeighborBlock block(keys.size());
+  PSG_CHECK_OK(block.DecodeResponse(response.data(), index));
+  return block;
+}
+
+struct RefSample {
+  std::vector<uint64_t> involved;
+  size_t num_nodes1 = 0;
+  std::vector<std::vector<int64_t>> seg1, seg2;
+};
+
+/// The sampler GraphSage and Euler each carried before they shared one:
+/// two std::unordered_map indexes and one vector per segment.
+RefSample RefSampleBatch(const std::vector<uint64_t>& bkeys, int fanout1,
+                         int fanout2, Rng& rng, const NeighborFetch& fetch) {
+  RefSample out;
+  auto badj = fetch(bkeys);
+  PSG_CHECK_OK(badj.status());
+  std::unordered_map<uint64_t, int64_t> nodes1_index;
+  std::vector<uint64_t> nodes1_ids;
+  for (uint64_t v : bkeys) {
+    if (nodes1_index.emplace(v, (int64_t)nodes1_ids.size()).second) {
+      nodes1_ids.push_back(v);
+    }
+  }
+  std::vector<std::vector<uint64_t>> samples1(bkeys.size());
+  for (size_t i = 0; i < bkeys.size(); ++i) {
+    const std::span<const uint64_t> nbrs = badj->neighbors(i);
+    if (nbrs.empty()) continue;
+    for (int k = 0; k < fanout1; ++k) {
+      uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
+      samples1[i].push_back(u);
+      if (nodes1_index.emplace(u, (int64_t)nodes1_ids.size()).second) {
+        nodes1_ids.push_back(u);
+      }
+    }
+  }
+  std::vector<uint64_t> extra(nodes1_ids.begin() + bkeys.size(),
+                              nodes1_ids.end());
+  auto eadj = fetch(extra);
+  PSG_CHECK_OK(eadj.status());
+  std::unordered_map<uint64_t, int64_t> involved_index;
+  for (uint64_t v : nodes1_ids) {
+    involved_index.emplace(v, (int64_t)out.involved.size());
+    out.involved.push_back(v);
+  }
+  out.seg1.resize(nodes1_ids.size());
+  auto sample2 = [&](size_t pos, std::span<const uint64_t> nbrs) {
+    if (nbrs.empty()) return;
+    for (int k = 0; k < fanout2; ++k) {
+      uint64_t u = nbrs[rng.NextBounded(nbrs.size())];
+      auto [it, inserted] =
+          involved_index.emplace(u, (int64_t)out.involved.size());
+      if (inserted) out.involved.push_back(u);
+      out.seg1[pos].push_back(it->second);
+    }
+  };
+  for (size_t i = 0; i < bkeys.size(); ++i) sample2(i, badj->neighbors(i));
+  for (size_t i = 0; i < extra.size(); ++i) {
+    sample2(bkeys.size() + i, eadj->neighbors(i));
+  }
+  out.seg2.resize(bkeys.size());
+  for (size_t i = 0; i < bkeys.size(); ++i) {
+    for (uint64_t u : samples1[i]) out.seg2[i].push_back(nodes1_index[u]);
+  }
+  out.num_nodes1 = nodes1_ids.size();
+  return out;
+}
+
+std::vector<std::vector<int64_t>> Lists(const minitorch::Segments& segs) {
+  std::vector<std::vector<int64_t>> out(segs.num_segments());
+  for (int64_t i = 0; i < segs.num_segments(); ++i) {
+    out[i].assign(segs.indices.begin() + segs.offsets[i],
+                  segs.indices.begin() + segs.offsets[i + 1]);
+  }
+  return out;
+}
+
+TEST(SageSamplerTest, MatchesMapSamplerIdsSegmentsAndRequests) {
+  // 40 ids: 0..29 form a ring with chords, 30..34 have one neighbor each
+  // (every draw repeats it), 35..39 have no neighbors at all.
+  const uint64_t kIds = 40;
+  std::vector<std::vector<uint64_t>> adj(kIds);
+  for (uint64_t v = 0; v < 30; ++v) {
+    adj[v] = {(v + 1) % 30, (v + 29) % 30, (v * 7 + 3) % 30, 30 + v % 5};
+    if (v % 4 == 0) adj[v].push_back(35 + v % 5);
+  }
+  for (uint64_t v = 30; v < 35; ++v) adj[v] = {v - 30};
+  const std::vector<std::vector<uint64_t>> batches = {
+      {0, 1, 2, 3},      {30, 35, 12},   {36},
+      {5, 17, 29, 31, 8}, {},            {0, 1, 2, 3},
+      {39, 38, 37},       {4, 33, 20, 36, 11, 26}};
+
+  std::vector<std::vector<uint64_t>> ref_requests, requests;
+  auto fetch_into = [&](std::vector<std::vector<uint64_t>>* log) {
+    return [&adj, log](const std::vector<uint64_t>& keys)
+               -> Result<ps::NeighborBlock> {
+      log->push_back(keys);
+      return BlockOf(adj, keys);
+    };
+  };
+  const NeighborFetch ref_fetch = fetch_into(&ref_requests);
+  const NeighborFetch fetch = fetch_into(&requests);
+
+  for (int fanout1 : {1, 3}) {
+    SageSampler sampler(kIds, fanout1, /*fanout2=*/2);
+    Rng ref_rng(97 + fanout1), rng(97 + fanout1);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      SCOPED_TRACE("fanout1 " + std::to_string(fanout1) + " batch " +
+                   std::to_string(b));
+      ref_requests.clear();
+      requests.clear();
+      const RefSample ref =
+          RefSampleBatch(batches[b], fanout1, 2, ref_rng, ref_fetch);
+      SageBatch batch;
+      std::vector<uint64_t> involved;
+      ASSERT_TRUE(
+          sampler.Sample(batches[b], rng, fetch, &batch, &involved).ok());
+      EXPECT_EQ(involved, ref.involved);
+      EXPECT_EQ(batch.batch_size, static_cast<int64_t>(batches[b].size()));
+      ASSERT_EQ(batch.nodes1.size(), ref.num_nodes1);
+      for (size_t i = 0; i < batch.nodes1.size(); ++i) {
+        EXPECT_EQ(batch.nodes1[i], static_cast<int64_t>(i));
+      }
+      EXPECT_EQ(Lists(*batch.seg1), ref.seg1);
+      EXPECT_EQ(Lists(*batch.seg2), ref.seg2);
+      EXPECT_EQ(requests, ref_requests);
+      EXPECT_EQ(rng.NextU64(), ref_rng.NextU64());  // same draws consumed
+    }
+  }
+}
+
+TEST(SageSamplerTest, LeavesPositionsCleanOnEveryReturn) {
+  const uint64_t kIds = 12;
+  std::vector<std::vector<uint64_t>> adj(kIds);
+  for (uint64_t v = 0; v < kIds; ++v) adj[v] = {(v + 1) % kIds, (v + 5) % kIds};
+  adj[3].push_back(99);  // outside the id space
+  int calls = 0;
+  int fail_at = -1;
+  const NeighborFetch fetch =
+      [&](const std::vector<uint64_t>& keys) -> Result<ps::NeighborBlock> {
+    if (calls++ == fail_at) return Status::Unavailable("server down");
+    return BlockOf(adj, keys);
+  };
+  SageSampler sampler(kIds, /*fanout1=*/4, /*fanout2=*/3);
+  auto sample = [&](const std::vector<uint64_t>& ids, uint64_t seed,
+                    std::vector<uint64_t>* involved) {
+    Rng rng(seed);
+    SageBatch batch;
+    return sampler.Sample(ids, rng, fetch, &batch, involved);
+  };
+  const std::vector<uint64_t> ids = {0, 6, 9};
+  std::vector<uint64_t> first, again;
+  ASSERT_TRUE(sample(ids, 5, &first).ok());
+  ASSERT_TRUE(sample(ids, 5, &again).ok());
+  EXPECT_EQ(again, first);
+
+  // A failed adjacency fetch, a repeated batch id and an id outside the
+  // id space each fail the batch and leave nothing behind.
+  std::vector<uint64_t> unused;
+  fail_at = calls + 1;  // the second fetch of the next batch
+  EXPECT_EQ(sample(ids, 5, &unused).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(sample({0, 6, 0}, 5, &unused).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sample({12}, 5, &unused).code(), StatusCode::kOutOfRange);
+  Status bad = Status::OK();
+  for (uint64_t seed = 0; seed < 64 && bad.ok(); ++seed) {
+    bad = sample({3}, seed, &unused);
+  }
+  EXPECT_EQ(bad.code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(sample(ids, 5, &again).ok());
+  EXPECT_EQ(again, first);
 }
 
 TEST(EulerTest, PipelineProducesComparableAccuracy) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/deepwalk.h"
 #include "core/graph_loader.h"
@@ -176,7 +177,10 @@ TEST(DeepWalkTest, DeterministicPerSeed) {
 TEST(SegmentMaxTest, ForwardPicksMaxima) {
   using minitorch::Tensor;
   Tensor a = Tensor::FromData(3, 2, {1, 9, 5, 2, 3, 3});
-  Tensor m = minitorch::SegmentMax(a, {{0, 1, 2}, {}, {2}});
+  auto segs = std::make_shared<minitorch::Segments>();
+  segs->indices = {0, 1, 2, 2};
+  segs->offsets = {0, 3, 3, 4};
+  Tensor m = minitorch::SegmentMax(a, segs);
   EXPECT_FLOAT_EQ(m.At(0, 0), 5);
   EXPECT_FLOAT_EQ(m.At(0, 1), 9);
   EXPECT_FLOAT_EQ(m.At(1, 0), 0);  // empty segment
@@ -188,8 +192,11 @@ TEST(SegmentMaxTest, GradientFlowsToArgmaxOnly) {
   Rng rng(9);
   Tensor x = Tensor::Randn(4, 3, rng, /*requires_grad=*/true);
   Tensor w = Tensor::Randn(3, 2, rng, false);
+  auto segs = std::make_shared<minitorch::Segments>();
+  segs->indices = {0, 1, 2, 3};
+  segs->offsets = {0, 2, 4};
   auto loss_fn = [&] {
-    Tensor agg = minitorch::SegmentMax(x, {{0, 1}, {2, 3}});
+    Tensor agg = minitorch::SegmentMax(x, segs);
     return minitorch::SoftmaxCrossEntropy(minitorch::Matmul(agg, w),
                                           {0, 1});
   };
