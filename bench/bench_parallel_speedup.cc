@@ -156,7 +156,7 @@ void Run() {
   SetGlobalParallelism(0);  // restore the env/hardware default
 
   PrintSweep("PageRank (10 iterations)", pr_sweep);
-  PrintSweep("LINE pull/push training (2 epochs)", line_sweep);
+  PrintSweep("LINE psFunc training (2 epochs)", line_sweep);
 
   report.Set("hardware_concurrency", JsonValue((uint64_t)hw));
   JsonValue workloads = JsonValue::Object();

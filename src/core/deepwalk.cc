@@ -184,27 +184,13 @@ Result<DeepWalkResult> DeepWalk(PsGraphContext& ctx,
       std::vector<float> labels;
       auto flush = [&]() -> Status {
         if (pairs.empty()) return Status::OK();
-        if (opts.sampled_negatives) {
-          // `pairs` holds positives only on this path; the batch's
-          // negatives come as one shared "ps.sample" pool.
-          const int K = opts.negative_samples;
-          PSG_ASSIGN_OR_RETURN(
-              double loss,
-              TrainSkipGramBatchSampled(ctx, e, model, pairs,
-                                        opts.learning_rate, K,
-                                        rng.NextU64()));
-          loss_sum += loss;
-          loss_count += pairs.size() * (K + 1);
-          result.total_pairs += pairs.size() * (K + 1);
-        } else {
-          PSG_ASSIGN_OR_RETURN(
-              double loss,
-              TrainSkipGramBatch(ctx, e, model, pairs, labels,
-                                 opts.learning_rate));
-          loss_sum += loss;
-          loss_count += pairs.size();
-          result.total_pairs += pairs.size();
-        }
+        PSG_ASSIGN_OR_RETURN(
+            double loss,
+            TrainSkipGramBatch(ctx, e, model, pairs, labels,
+                               opts.learning_rate));
+        loss_sum += loss;
+        loss_count += pairs.size();
+        result.total_pairs += pairs.size();
         pairs.clear();
         labels.clear();
         return Status::OK();
@@ -217,11 +203,9 @@ Result<DeepWalkResult> DeepWalk(PsGraphContext& ctx,
             if (j == i) continue;
             pairs.push_back({walk[i], walk[j]});
             labels.push_back(1.0f);
-            if (!opts.sampled_negatives) {
-              for (int k = 0; k < opts.negative_samples; ++k) {
-                pairs.push_back({walk[i], noise.Sample(rng)});
-                labels.push_back(0.0f);
-              }
+            for (int k = 0; k < opts.negative_samples; ++k) {
+              pairs.push_back({walk[i], noise.Sample(rng)});
+              labels.push_back(0.0f);
             }
             if (pairs.size() >= opts.batch_size) {
               PSG_RETURN_NOT_OK(flush());

@@ -38,10 +38,6 @@ struct DeepWalkOptions {
   /// weigh 1, others 1/q. (1, 1) reduces to unbiased DeepWalk.
   double return_p = 1.0;
   double inout_q = 1.0;
-  /// Skew-aware negatives: one shared pool of `negative_samples` context
-  /// rows per training batch over "ps.sample" instead of per-pair alias
-  /// draws pulled at full cost (see core/skipgram.h).
-  bool sampled_negatives = false;
   ps::RecoveryMode recovery = ps::RecoveryMode::kPartial;
 };
 

@@ -6,7 +6,7 @@ namespace psgraph::core {
 
 Result<dataflow::Dataset<graph::Edge>> LoadEdges(
     PsGraphContext& ctx, const std::string& hdfs_path,
-    graph::PartitionStrategy strategy, int parts_per_executor) {
+    graph::PartitionStrategy strategy) {
   // Each executor reads its split of the file; we read once driver-side
   // (no charge) and charge every executor its proportional share, which
   // is what a real split read costs.
@@ -15,7 +15,6 @@ Result<dataflow::Dataset<graph::Edge>> LoadEdges(
   PSG_ASSIGN_OR_RETURN(uint64_t file_bytes,
                        ctx.hdfs().FileSize(hdfs_path));
   const int32_t num_executors = ctx.num_executors();
-  const int32_t num_parts = num_executors * parts_per_executor;
   uint64_t share = file_bytes / num_executors + 1;
   for (int32_t e = 0; e < num_executors; ++e) {
     double t = ctx.cluster().cost().DiskReadTime(share) +
@@ -24,18 +23,17 @@ Result<dataflow::Dataset<graph::Edge>> LoadEdges(
   }
 
   std::vector<graph::EdgeList> parts =
-      graph::PartitionEdges(all, num_parts, strategy);
+      graph::PartitionEdges(all, num_executors, strategy);
   return dataflow::Dataset<graph::Edge>::FromPartitions(&ctx.dataflow(),
                                                         std::move(parts));
 }
 
 Result<dataflow::Dataset<graph::Edge>> StageAndLoadEdges(
     PsGraphContext& ctx, const graph::EdgeList& edges,
-    const std::string& hdfs_path, graph::PartitionStrategy strategy,
-    int parts_per_executor) {
+    const std::string& hdfs_path, graph::PartitionStrategy strategy) {
   PSG_RETURN_NOT_OK(
       graph::WriteEdgesBinary(ctx.hdfs(), hdfs_path, edges, -1));
-  return LoadEdges(ctx, hdfs_path, strategy, parts_per_executor);
+  return LoadEdges(ctx, hdfs_path, strategy);
 }
 
 dataflow::Dataset<NeighborPair> ToNeighborTables(

@@ -25,13 +25,11 @@ using WeightedNeighborPair =
               std::pair<std::vector<graph::VertexId>, std::vector<float>>>;
 
 /// Loads a binary edge file from HDFS into an edge RDD with one partition
-/// per executor (`parts_per_executor` to oversplit). Each executor is
-/// charged the IO for its split.
+/// per executor. Each executor is charged the IO for its split.
 Result<dataflow::Dataset<graph::Edge>> LoadEdges(
     PsGraphContext& ctx, const std::string& hdfs_path,
     graph::PartitionStrategy strategy =
-        graph::PartitionStrategy::kEdgePartition,
-    int parts_per_executor = 1);
+        graph::PartitionStrategy::kEdgePartition);
 
 /// Convenience for benches/tests: stage an in-memory edge list "on HDFS"
 /// and load it back through the normal path.
@@ -39,8 +37,7 @@ Result<dataflow::Dataset<graph::Edge>> StageAndLoadEdges(
     PsGraphContext& ctx, const graph::EdgeList& edges,
     const std::string& hdfs_path,
     graph::PartitionStrategy strategy =
-        graph::PartitionStrategy::kEdgePartition,
-    int parts_per_executor = 1);
+        graph::PartitionStrategy::kEdgePartition);
 
 /// The groupBy transformation: edge partitioning -> vertex partitioning
 /// (one real shuffle, like the paper's step 1).

@@ -185,13 +185,6 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
   }
   ctx.sync().IterationBarrier();
   PSG_RETURN_NOT_OK(ctx.master().CheckpointAll());
-  if (opts.replicate_hot_features) {
-    // Classify + replicate from live access counts at every epoch
-    // barrier below. Features are read-only during training, so the
-    // merge protocol never carries deltas for X — replication affects
-    // bytes-on-the-wire and shard load only.
-    PSG_RETURN_NOT_OK(ctx.replication().Track(feat));
-  }
   result.preprocess_sim_seconds = ctx.cluster().clock().Makespan() - t0;
   // Causality: training starts after the whole preprocessing pipeline.
   ctx.cluster().clock().BarrierAll();
@@ -293,9 +286,6 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
       }
     }
     ctx.sync().IterationBarrier();
-    if (opts.replicate_hot_features) {
-      PSG_RETURN_NOT_OK(ctx.replication().Refresh());
-    }
     PSG_RETURN_NOT_OK(ctx.MaybeCheckpoint(epoch));
     result.epochs = epoch + 1;
     result.final_train_loss =
@@ -323,9 +313,6 @@ Result<GraphSageResult> GraphSage(PsGraphContext& ctx,
   }
   result.test_accuracy = total == 0.0 ? 0.0 : correct / total;
 
-  if (opts.replicate_hot_features) {
-    PSG_RETURN_NOT_OK(ctx.replication().Untrack(feat.id));
-  }
   for (const char* suffix :
        {".adj", ".x", ".w1", ".w1.m", ".w1.v", ".w2", ".w2.m", ".w2.v",
         ".wp1", ".wp1.m", ".wp1.v", ".wp2", ".wp2.m", ".wp2.v"}) {

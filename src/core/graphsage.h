@@ -37,12 +37,6 @@ struct GraphSageOptions {
   /// advanced gradient descent optimizers on PS, such as AdaGrad and
   /// Adam"). false = plain SGD pushed as deltas.
   bool optimizer_on_ps = true;
-  /// Skew-aware feature serving: track the feature matrix X in the
-  /// replication manager so frequently-sampled vertices' features are
-  /// served from executor-local replicas (ps/replication.h). X is
-  /// read-only during training, so replication only changes costs, never
-  /// results.
-  bool replicate_hot_features = false;
   ps::RecoveryMode recovery = ps::RecoveryMode::kPartial;
 };
 

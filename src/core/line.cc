@@ -79,24 +79,6 @@ Result<LineResult> Line(PsGraphContext& ctx,
                begin += opts.batch_size) {
             uint64_t end =
                 std::min<uint64_t>(mine.size(), begin + opts.batch_size);
-            if (opts.sampled_negatives) {
-              // Positives only; the batch's K negatives come as one
-              // shared pool over "ps.sample" (seeded from this
-              // executor's own stream — deterministic per schedule).
-              std::vector<std::pair<uint64_t, uint64_t>> positives;
-              positives.reserve(end - begin);
-              for (uint64_t i = begin; i < end; ++i) {
-                positives.push_back({mine[i].src, mine[i].dst});
-              }
-              PSG_ASSIGN_OR_RETURN(
-                  double loss,
-                  TrainSkipGramBatchSampled(ctx, e, model, positives,
-                                            opts.learning_rate, K,
-                                            rng.NextU64()));
-              exec_loss[e] += loss;
-              exec_count[e] += positives.size() * (K + 1);
-              continue;
-            }
             // One positive pair per edge plus K shared-source negatives.
             std::vector<std::pair<uint64_t, uint64_t>> pairs;
             std::vector<float> labels;

@@ -36,12 +36,6 @@ struct LineOptions {
   /// push scalar coefficients. false = pull whole vectors and push whole
   /// updates (the ablation baseline).
   bool use_psfunc_dot = true;
-  /// Skew-aware negatives: draw each batch's K negatives as one shared
-  /// pool over the constant-size "ps.sample" access instead of K
-  /// degree^0.75 alias draws per edge pulled at full cost (see
-  /// core/skipgram.h TrainSkipGramBatchSampled). Implies the pull/push
-  /// training path (ignores use_psfunc_dot).
-  bool sampled_negatives = false;
   ps::RecoveryMode recovery = ps::RecoveryMode::kPartial;
 };
 

@@ -86,9 +86,9 @@ Result<CommonNeighborStats> CommonNeighbor(
   // Loading is done: freeze the adjacency into compact CSR shards (paper
   // §III-A lists CSR among the PS data structures).
   PSG_RETURN_NOT_OK(ctx.agent(0).FreezeNeighbors(meta));
-  if (opts.checkpoint_after_load) {
-    PSG_RETURN_NOT_OK(ctx.master().CheckpointAll());
-  }
+  // Checkpoint the frozen tables so a PS failure recovers without a
+  // rebuild.
+  PSG_RETURN_NOT_OK(ctx.master().CheckpointAll());
 
   // Each executor owns its edge partitions' scoring work.
   const int32_t E = ctx.num_executors();

@@ -24,9 +24,6 @@ struct CommonNeighborOptions {
   uint64_t batch_size = 4096;
   /// Neighbor tables tolerate partition-level inconsistency (§III-B).
   ps::RecoveryMode recovery = ps::RecoveryMode::kPartial;
-  /// Checkpoint the neighbor tables right after the load phase so a PS
-  /// failure recovers without a rebuild.
-  bool checkpoint_after_load = true;
 };
 
 struct CommonNeighborStats {

@@ -84,7 +84,6 @@ class PsGraphContext {
   /// First call installs a ReplicaCache into every agent; until then the
   /// agents run the plain single-home paths with zero overhead.
   ps::ReplicationManager& replication(ps::ReplicationOptions options = {});
-  bool has_replication() const { return replication_ != nullptr; }
 
   struct RecoveryReport {
     int32_t servers_restarted = 0;

@@ -143,81 +143,6 @@ Result<double> TrainSkipGramBatch(
   return loss_sum;
 }
 
-Result<double> TrainSkipGramBatchSampled(
-    PsGraphContext& ctx, int32_t e, const SkipGramModel& model,
-    const std::vector<std::pair<uint64_t, uint64_t>>& positives,
-    float learning_rate, int num_negatives, uint64_t negative_seed) {
-  if (positives.empty()) return 0.0;
-  if (num_negatives < 0) {
-    return Status::InvalidArgument("skipgram: negative num_negatives");
-  }
-  const int dim = model.dim;
-  const size_t n = positives.size();
-  const uint32_t k = static_cast<uint32_t>(num_negatives);
-
-  std::vector<uint64_t> ukeys(n), vkeys(n);
-  for (size_t i = 0; i < n; ++i) {
-    ukeys[i] = positives[i].first;
-    vkeys[i] = positives[i].second;
-  }
-  PSG_ASSIGN_OR_RETURN(auto urows, ctx.agent(e).PullRows(model.emb, ukeys));
-  PSG_ASSIGN_OR_RETURN(auto vrows, ctx.agent(e).PullRows(model.ctx, vkeys));
-  // One shared pool of k negative context rows for the whole batch,
-  // fetched via the seed-derived sample access (constant request size).
-  ps::SampledRows negatives;
-  if (k > 0) {
-    PSG_ASSIGN_OR_RETURN(
-        negatives, ctx.agent(e).SampleRows(model.ctx, k, negative_seed));
-  }
-
-  double loss_sum = 0.0;
-  std::vector<float> du(n * dim, 0.0f), dv(n * dim, 0.0f);
-  std::vector<float> dn(uint64_t{k} * dim, 0.0f);
-  for (size_t i = 0; i < n; ++i) {
-    const float* u = urows.data() + i * dim;
-    const float* v = vrows.data() + i * dim;
-    // Positive pair: label 1.
-    double s = 0.0;
-    for (int d = 0; d < dim; ++d) {
-      s += static_cast<double>(u[d]) * v[d];
-    }
-    float sig = SigmoidF(s);
-    loss_sum += -std::log(std::max(1e-12, static_cast<double>(sig)));
-    float g = learning_rate * (1.0f - sig);
-    for (int d = 0; d < dim; ++d) {
-      du[i * dim + d] += g * v[d];
-      dv[i * dim + d] += g * u[d];
-    }
-    // Shared negatives: label 0 against every pool row.
-    for (uint32_t j = 0; j < k; ++j) {
-      const float* nv = negatives.values.data() + uint64_t{j} * dim;
-      double sn = 0.0;
-      for (int d = 0; d < dim; ++d) {
-        sn += static_cast<double>(u[d]) * nv[d];
-      }
-      float sign = SigmoidF(sn);
-      loss_sum +=
-          -std::log(std::max(1e-12, static_cast<double>(1.0f - sign)));
-      float gn = learning_rate * (0.0f - sign);
-      for (int d = 0; d < dim; ++d) {
-        du[i * dim + d] += gn * nv[d];
-        dn[uint64_t{j} * dim + d] += gn * u[d];
-      }
-    }
-  }
-
-  PSG_RETURN_NOT_OK(ctx.agent(e).PushAdd(model.emb, ukeys, du));
-  PSG_RETURN_NOT_OK(ctx.agent(e).PushAdd(model.ctx, vkeys, dv));
-  if (k > 0) {
-    PSG_RETURN_NOT_OK(ctx.agent(e).PushAdd(model.ctx, negatives.keys, dn));
-  }
-  ctx.cluster().clock().Advance(
-      ctx.cluster().config().executor(e),
-      ctx.cluster().cost().FlopsTime(n * (1 + k) * dim * 4) +
-          ctx.cluster().cost().ComputeTime(n * (1 + k)));
-  return loss_sum;
-}
-
 Result<std::vector<float>> PullEmbeddings(PsGraphContext& ctx,
                                           const SkipGramModel& model,
                                           uint64_t num_vertices) {

@@ -44,20 +44,6 @@ Result<double> TrainSkipGramBatch(
     const std::vector<float>& labels, float learning_rate,
     bool use_psfunc_dot = true);
 
-/// Trains one batch of POSITIVE (target, context) pairs with shared
-/// sampled negatives: instead of the caller drawing `num_negatives`
-/// noise vertices per pair and paying full-pull cost for each, one pool
-/// of `num_negatives` context rows is fetched per batch over the
-/// constant-size "ps.sample" access (seeded by `negative_seed`) and
-/// shared by every target — the scheme Tencent's Spark embedding system
-/// uses for LINE/DeepWalk negatives. Negatives are uniform over the
-/// vertex space (not degree^0.75-biased like NoiseTable); see DESIGN.md
-/// for the tradeoff. Returns the batch NLL.
-Result<double> TrainSkipGramBatchSampled(
-    PsGraphContext& ctx, int32_t e, const SkipGramModel& model,
-    const std::vector<std::pair<uint64_t, uint64_t>>& positives,
-    float learning_rate, int num_negatives, uint64_t negative_seed);
-
 /// Pulls the full embedding table (row-major num_vertices x dim).
 Result<std::vector<float>> PullEmbeddings(PsGraphContext& ctx,
                                           const SkipGramModel& model,

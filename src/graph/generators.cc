@@ -34,7 +34,7 @@ EdgeList GenerateRmat(const RmatParams& params) {
       }
       step >>= 1;
     }
-    if (params.remove_self_loops && src == dst) continue;
+    if (src == dst) continue;
     edges.push_back({src, dst, 1.0f});
   }
   return edges;

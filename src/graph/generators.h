@@ -18,12 +18,11 @@
 namespace psgraph::graph {
 
 /// R-MAT recursive-matrix generator (Chakrabarti et al.). Produces a
-/// power-law directed multigraph with 2^scale vertices.
+/// power-law directed multigraph with 2^scale vertices and no self-loops.
 struct RmatParams {
   int scale = 16;            ///< num_vertices = 2^scale
   uint64_t num_edges = 1 << 20;
   double a = 0.57, b = 0.19, c = 0.19;  ///< d = 1 - a - b - c
-  bool remove_self_loops = true;
   uint64_t seed = 1;
 };
 EdgeList GenerateRmat(const RmatParams& params);

@@ -1,10 +1,9 @@
-// Typed wire framing for the skew-aware PS messages (wire format v2).
+// Typed wire framing for the replica-merge and mutation PS messages
+// (wire format v2).
 //
 // "ps.merge" carries one executor's accumulated replica deltas back to a
-// key's home shard, and "ps.sample" asks a shard for K seed-derived rows
-// without shipping a key list at all — the caller and every server expand
-// the same (seed, k) pair into the same key sequence (common/random.h is
-// deterministic), so the request is a constant ~17 bytes regardless of K.
+// key's home shard; "ps.mutate" carries one epoch's edge deltas to the
+// shard that homes their source vertices.
 //
 // The structs live in net/ (not ps/) because they define what crosses the
 // fabric: ps/agent.cc and ps/replication.cc encode them, ps/server_rpc.cc
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "common/byte_buffer.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "common/varint.h"
 #include "common/wire.h"
@@ -88,51 +86,6 @@ Status DecodeMutateRequest(ByteReader* reader, int32_t* matrix,
   PSG_RETURN_NOT_OK(ReadFloatBlock(reader, insert_weights));
   PSG_RETURN_NOT_OK(GetDeltaList(reader, delete_src));
   return GetDeltaList(reader, delete_dst);
-}
-
-/// Sample-K-rows request: both sides derive the key sequence from
-/// (seed, k, num_rows), so only this fixed-size header crosses the wire.
-struct SampleRequest {
-  int32_t matrix = -1;
-  uint32_t k = 0;
-  uint64_t seed = 0;
-};
-
-inline void EncodeSampleRequest(const SampleRequest& req, ByteBuffer* out) {
-  out->Write<int32_t>(req.matrix);
-  out->Write<uint32_t>(req.k);
-  out->Write<uint64_t>(req.seed);
-}
-
-inline Status DecodeSampleRequest(ByteReader* reader, SampleRequest* out) {
-  PSG_RETURN_NOT_OK(reader->Read(&out->matrix));
-  PSG_RETURN_NOT_OK(reader->Read(&out->k));
-  return reader->Read(&out->seed);
-}
-
-/// The shared key derivation behind "ps.sample": k uniform draws over
-/// [0, num_rows) from a fresh Rng(seed). Row-partitioned servers keep
-/// only the positions they own; column-partitioned servers serve their
-/// slice of every position. Duplicates are legal and served repeatedly
-/// (negative sampling draws with replacement).
-inline void DeriveSampleKeys(uint64_t seed, uint32_t k, uint64_t num_rows,
-                             std::vector<uint64_t>* keys) {
-  Rng rng(seed);
-  keys->resize(k);
-  for (uint32_t i = 0; i < k; ++i) (*keys)[i] = rng.NextBounded(num_rows);
-}
-
-/// Sample response: a float block of slice_cols floats per served
-/// position, in ascending position order (the caller re-derives which
-/// positions a server owns, so positions are never sent either).
-inline void EncodeSampleResponse(const std::vector<float>& values,
-                                 ByteBuffer* out) {
-  WriteFloatBlock(out, values);
-}
-
-template <typename FloatContainer>
-Status DecodeSampleResponse(ByteReader* reader, FloatContainer* values) {
-  return ReadFloatBlock(reader, values);
 }
 
 }  // namespace psgraph::net

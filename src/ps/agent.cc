@@ -636,96 +636,4 @@ Status PsAgent::MergeRows(const MatrixMeta& meta, int32_t server,
   return Status::OK();
 }
 
-Result<SampledRows> PsAgent::SampleRows(const MatrixMeta& meta, uint32_t k,
-                                        uint64_t seed) {
-  const uint32_t cols = meta.num_cols;
-  SampledRows out;
-  net::DeriveSampleKeys(seed, k, meta.num_rows, &out.keys);
-  out.values.assign(uint64_t{k} * cols, 0.0f);
-  if (k == 0) return out;
-  const int64_t t0 = NowTicks();
-  ScopedSpan span(&tracer(), "agent.sample", node_, t0,
-                  [this] { return NowTicks(); });
-  net::SampleRequest sample{meta.id, k, seed};
-  ByteBuffer req;
-  net::EncodeSampleRequest(sample, &req);
-
-  const int32_t num_servers = ctx_->num_servers();
-  std::vector<ParallelCall> calls;
-  std::vector<int32_t> call_server;
-  if (meta.layout == Layout::kColumnPartitioned) {
-    for (int32_t s = 0; s < num_servers; ++s) {
-      auto [begin, end] = ColumnSliceOf(cols, s, num_servers);
-      if (begin == end) continue;
-      metrics().Add("wire.sample.req_bytes", req.size());
-      metrics().Add("wire.sample.req_raw_bytes", RawKeyFramingBytes(k));
-      calls.push_back({ctx_->ServerNode(s), "ps.sample", req});
-      call_server.push_back(s);
-    }
-  } else {
-    // Only servers that home at least one derived position are
-    // contacted; the raw-equivalent is shipping that server's owned
-    // keys under the v1 framing.
-    Partitioner part(meta.scheme, meta.num_rows, num_servers);
-    std::vector<uint32_t> owned(num_servers, 0);
-    for (uint64_t key : out.keys) ++owned[part.PartitionOf(key)];
-    for (int32_t s = 0; s < num_servers; ++s) {
-      if (owned[s] == 0) continue;
-      metrics().Add("wire.sample.req_bytes", req.size());
-      metrics().Add("wire.sample.req_raw_bytes",
-                    RawKeyFramingBytes(owned[s]));
-      calls.push_back({ctx_->ServerNode(s), "ps.sample", req});
-      call_server.push_back(s);
-    }
-  }
-  metrics().Observe("agent.sample.fanout", calls.size());
-  PSG_ASSIGN_OR_RETURN(auto responses,
-                       ctx_->fabric()->CallParallel(node_, std::move(calls)));
-  metrics().Observe("agent.sample.latency_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
-  for (size_t c = 0; c < responses.size(); ++c) {
-    int32_t s = call_server[c];
-    ByteReader reader(responses[c]);
-    std::vector<float> values;
-    PSG_RETURN_NOT_OK(net::DecodeSampleResponse(&reader, &values));
-    metrics().Add("wire.sample.resp_bytes", responses[c].size());
-    metrics().Add("wire.sample.resp_raw_bytes",
-                  RawFloatFramingBytes(values.size()));
-    if (meta.layout == Layout::kColumnPartitioned) {
-      auto [begin, end] = ColumnSliceOf(cols, s, num_servers);
-      const uint32_t width = end - begin;
-      if (values.size() != uint64_t{k} * width) {
-        return Status::Internal("sample: short response from server " +
-                                std::to_string(s));
-      }
-      for (uint32_t i = 0; i < k; ++i) {
-        std::copy(values.begin() + uint64_t{i} * width,
-                  values.begin() + uint64_t{i + 1} * width,
-                  out.values.begin() + uint64_t{i} * cols + begin);
-      }
-    } else {
-      // The server replied with its owned positions in derivation
-      // order; re-derive that subsequence here to scatter rows back.
-      Partitioner part(meta.scheme, meta.num_rows, num_servers);
-      size_t j = 0;
-      for (uint32_t i = 0; i < k; ++i) {
-        if (part.PartitionOf(out.keys[i]) != s) continue;
-        if ((j + 1) * cols > values.size()) {
-          return Status::Internal("sample: short response from server " +
-                                  std::to_string(s));
-        }
-        std::copy(values.begin() + j * cols,
-                  values.begin() + (j + 1) * cols,
-                  out.values.begin() + uint64_t{i} * cols);
-        ++j;
-      }
-      if (j * cols != values.size()) {
-        return Status::Internal("sample: excess rows from server " +
-                                std::to_string(s));
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace psgraph::ps

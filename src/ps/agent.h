@@ -22,14 +22,6 @@ namespace psgraph::ps {
 
 class ReplicaCache;
 
-/// Result of a sample-K access: the derived key sequence (positions may
-/// repeat — sampling is with replacement) and keys.size() * num_cols
-/// floats in derivation order.
-struct SampledRows {
-  std::vector<uint64_t> keys;
-  std::vector<float> values;
-};
-
 /// One streamed edge delta (the GraphStreamingCC INSERT/DELETE shape):
 /// INSERT appends `dst` to `src`'s adjacency list, DELETE removes it.
 struct EdgeMutation {
@@ -161,13 +153,6 @@ class PsAgent {
   Status MergeRows(const MatrixMeta& meta, int32_t server,
                    const std::vector<uint64_t>& keys,
                    const std::vector<float>& deltas);
-
-  /// Sample-K access ("ps.sample"): derives k keys from `seed` on both
-  /// sides of the wire, so the request is constant-size regardless of k.
-  /// Serves negative sampling — rows come back in derivation order with
-  /// init values for rows never pushed.
-  Result<SampledRows> SampleRows(const MatrixMeta& meta, uint32_t k,
-                                 uint64_t seed);
 
  private:
   /// Observability sinks of the owning context's cluster.

@@ -113,23 +113,6 @@ Status ReplicationManager::Track(const MatrixMeta& meta) {
   return Status::OK();
 }
 
-Status ReplicationManager::Untrack(MatrixId id) {
-  auto it = tracked_.find(id);
-  if (it == tracked_.end()) {
-    return Status::NotFound("replication: matrix not tracked");
-  }
-  for (size_t e = 0; e < caches_.size(); ++e) {
-    PSG_RETURN_NOT_OK(FlushDeltas(it->second, static_cast<int32_t>(e)));
-  }
-  for (auto& cache : caches_) {
-    std::lock_guard<std::mutex> lock(cache->mu_);
-    cache->tracked_.erase(id);
-  }
-  tracked_.erase(it);
-  hot_.erase(id);
-  return Status::OK();
-}
-
 Status ReplicationManager::SeedHotKeys(MatrixId id,
                                        std::vector<uint64_t> keys) {
   auto it = tracked_.find(id);

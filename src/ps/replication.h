@@ -126,8 +126,6 @@ class ReplicationManager {
   /// Starts skew-aware management of a row-partitioned row matrix. The
   /// hot set starts empty (everything cold) until Refresh() or a seed.
   Status Track(const MatrixMeta& meta);
-  /// Flushes pending deltas home, then stops managing the matrix.
-  Status Untrack(MatrixId id);
 
   /// Installs `keys` (deduplicated, capped at max_hot_keys) as the hot
   /// set and broadcasts their current home values to every executor.

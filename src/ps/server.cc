@@ -7,8 +7,6 @@
 #include "common/metrics.h"
 #include "common/varint.h"
 #include "common/wire.h"
-#include "net/ps_wire.h"
-#include "ps/partitioner.h"
 
 namespace psgraph::ps {
 
@@ -298,29 +296,6 @@ Status PsServer::MergeRows(MatrixId id, std::span<const uint64_t> keys,
   metrics().Observe("ps.merge.service_ticks",
                     static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
-}
-
-Status PsServer::SampleRows(MatrixId id, uint32_t k, uint64_t seed,
-                            std::vector<float>* out) {
-  PSG_ASSIGN_OR_RETURN(MatrixShard * shard, GetShard(id));
-  std::vector<uint64_t> derived;
-  net::DeriveSampleKeys(seed, k, shard->meta.num_rows, &derived);
-  // The derivation itself is charged: the server does the same k draws
-  // the caller did in exchange for a constant-size request.
-  ChargeCompute(k);
-  if (shard->meta.layout == Layout::kColumnPartitioned) {
-    // Every slice holder serves its columns of all k positions.
-    return PullRows(id, derived, out);
-  }
-  Partitioner part(shard->meta.scheme, shard->meta.num_rows, num_servers_);
-  std::vector<uint64_t> owned;
-  for (uint64_t key : derived) {
-    if (part.PartitionOf(key) == server_index_) owned.push_back(key);
-  }
-  metrics().Observe("ps.sample.owned_per_request", owned.size());
-  // Served through the normal pull path so sampling keeps the same
-  // compute charging and metrics as explicit pulls.
-  return PullRows(id, owned, out);
 }
 
 Status PsServer::PushAssign(MatrixId id, std::span<const uint64_t> keys,

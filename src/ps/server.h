@@ -180,14 +180,6 @@ class PsServer {
   Status MergeRows(MatrixId id, std::span<const uint64_t> keys,
                    std::span<const float> deltas);
 
-  /// Serves the sample-K access ("ps.sample"): derives the k keys from
-  /// `seed` exactly like the caller (net/ps_wire.h), keeps the positions
-  /// this server owns, and appends their rows to `out` in derivation
-  /// order. Row-partitioned shards serve owned positions; column-
-  /// partitioned shards serve their slice of every position.
-  Status SampleRows(MatrixId id, uint32_t k, uint64_t seed,
-                    std::vector<float>* out);
-
   Status PushNeighbors(MatrixId id, std::span<const uint64_t> keys,
                        std::span<const NeighborEntry> entries);
 

@@ -102,22 +102,6 @@ void PsServer::RegisterHandlers(net::RpcEndpoint* endpoint) {
       });
 
   endpoint->Register(
-      "ps.sample",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        net::SampleRequest sample;
-        PSG_RETURN_NOT_OK(net::DecodeSampleRequest(&reader, &sample));
-        pull_scratch_.clear();
-        PSG_RETURN_NOT_OK(SampleRows(sample.matrix, sample.k, sample.seed,
-                                     &pull_scratch_));
-        ByteBuffer resp;
-        resp.Reserve(pull_scratch_.size() * sizeof(float) +
-                     kMaxVarint64Bytes);
-        net::EncodeSampleResponse(pull_scratch_, &resp);
-        return resp;
-      });
-
-  endpoint->Register(
       "ps.push_nbrs",
       [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
         request_arena_.Reset();

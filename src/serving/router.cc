@@ -33,17 +33,6 @@ ServingRouter::ServingRouter(sim::SimCluster* cluster,
       max_delay_ticks_(sim::SimClock::TicksOf(options.max_delay_sec)),
       pending_(static_cast<size_t>(options.num_shards)) {}
 
-int32_t ServingRouter::ShardOf(uint64_t key) {
-  if (!options_.hot_keys.empty() &&
-      std::binary_search(options_.hot_keys.begin(),
-                         options_.hot_keys.end(), key)) {
-    return static_cast<int32_t>(
-        hot_round_robin_++ %
-        static_cast<uint64_t>(options_.num_shards));
-  }
-  return partitioner_.PartitionOf(key);
-}
-
 Status ServingRouter::Submit(const ServingRequest& request) {
   PSG_RETURN_NOT_OK(FlushDue(request.arrival_ticks));
 
@@ -54,11 +43,10 @@ Status ServingRouter::Submit(const ServingRequest& request) {
   pending_subs_.push_back(0);
   metrics().Add("serving.requests", 1);
 
-  // Split keys by serving shard, preserving key order within a shard
-  // (hot keys round-robin — every shard's blob holds their rows).
+  // Split keys by serving shard, preserving key order within a shard.
   std::map<int32_t, std::vector<uint64_t>> by_shard;
   for (uint64_t key : request.keys) {
-    by_shard[ShardOf(key)].push_back(key);
+    by_shard[partitioner_.PartitionOf(key)].push_back(key);
   }
   if (by_shard.empty()) {
     // Empty request: completes instantly at its arrival time.

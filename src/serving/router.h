@@ -56,11 +56,6 @@ struct RouterOptions {
   uint64_t key_space = 1;    ///< must match the published snapshot's
   uint64_t max_batch = 16;   ///< sub-requests per (shard, type) batch
   double max_delay_sec = 2e-3;  ///< flush deadline from first enqueue
-  /// Keys whose rows the snapshot publisher copied into every shard
-  /// blob (SnapshotOptions::hot_keys): instead of hash placement they
-  /// route round-robin over all shards, spreading the hottest keys'
-  /// load. Must be sorted ascending.
-  std::vector<uint64_t> hot_keys;
 };
 
 class ServingRouter {
@@ -114,10 +109,6 @@ class ServingRouter {
   Metrics& metrics() const { return cluster_->metrics(); }
   int64_t NowTicks() const { return cluster_->clock().NowTicks(node_); }
 
-  /// Shard choice: hot keys round-robin (deterministic counter — the
-  /// router is one event loop), everything else hash placement.
-  int32_t ShardOf(uint64_t key);
-
   sim::SimCluster* cluster_;
   net::RpcFabric* fabric_;
   sim::NodeId node_;
@@ -125,7 +116,6 @@ class ServingRouter {
   RouterOptions options_;
   ps::Partitioner partitioner_;
   int64_t max_delay_ticks_ = 0;
-  uint64_t hot_round_robin_ = 0;
 
   std::vector<RequestRecord> records_;
   std::vector<int32_t> pending_subs_;  ///< open sub-requests per record

@@ -181,11 +181,6 @@ Result<SnapshotManifest> SnapshotPublisher::Publish() {
   const int32_t num_shards = std::max(options_.num_shards, 1);
   ps::Partitioner part(ps::PartitionScheme::kHash, key_space, num_shards);
 
-  // Hot keys (skew-aware serving, ps/replication.h): copied into every
-  // blob so any shard can answer a lookup for them.
-  const std::set<uint64_t> hot(options_.hot_keys.begin(),
-                               options_.hot_keys.end());
-
   // Halo keys per shard: feature rows referenced by shard-local
   // adjacency but placed on another shard.
   std::vector<std::set<uint64_t>> halo(num_shards);
@@ -238,7 +233,7 @@ Result<SnapshotManifest> SnapshotPublisher::Publish() {
       for (const auto& [key, row] : m.rows) {
         const bool owned =
             m.info.replicated || part.PartitionOf(key) == shard;
-        if (owned || halo[shard].count(key) > 0 || hot.count(key) > 0) {
+        if (owned || halo[shard].count(key) > 0) {
           row_keys.push_back(key);
           rows.push_back(&row);
         }

@@ -99,11 +99,6 @@ struct SnapshotOptions {
   /// means "none". Replicated matrices always stay fp32. Unknown values
   /// fail Publish.
   std::string quant;
-  /// Hot lookup keys (e.g. ReplicationManager::HotKeys at publish time):
-  /// their rows are copied into EVERY shard blob, like halo rows, so the
-  /// router can serve them from any shard. The manifest format does not
-  /// change; pass the same list to RouterOptions::hot_keys.
-  std::vector<uint64_t> hot_keys;
   std::vector<SnapshotMatrixSpec> matrices;
 };
 

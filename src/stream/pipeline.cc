@@ -96,9 +96,10 @@ Result<EpochResult> FreshnessPipeline::RunEpoch(
   }
 
   PSG_RETURN_NOT_OK(SetWatermark(epoch.epoch));
-  if (options_.checkpoint_each_epoch) {
-    PSG_RETURN_NOT_OK(ctx_->master().CheckpointAll());
-  }
+  // Every server checkpoints after each applied epoch, so the epoch is the
+  // recovery granularity: consistent restores land on an epoch boundary
+  // and the watermark replay is exact.
+  PSG_RETURN_NOT_OK(ctx_->master().CheckpointAll());
 
   if (publisher_ != nullptr) {
     PSG_ASSIGN_OR_RETURN(auto manifest, publisher_->Publish());

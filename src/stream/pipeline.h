@@ -35,10 +35,6 @@ namespace psgraph::stream {
 
 struct PipelineOptions {
   std::string watermark_matrix = "stream.watermark";
-  /// Checkpoint every server after each applied epoch, making the epoch
-  /// the recovery granularity (consistent restores land on an epoch
-  /// boundary and the watermark replay is exact).
-  bool checkpoint_each_epoch = true;
   ps::RecoveryMode recovery = ps::RecoveryMode::kConsistent;
 };
 

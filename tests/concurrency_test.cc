@@ -15,8 +15,12 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "core/deepwalk.h"
+#include "core/fast_unfolding.h"
 #include "core/graph_loader.h"
 #include "core/graphsage.h"
+#include "core/kcore.h"
+#include "core/neighbor_algos.h"
 #include "core/pagerank.h"
 #include "core/psgraph_context.h"
 #include "dataflow/dataset.h"
@@ -507,6 +511,95 @@ TEST(ConcurrencyTest, GraphSageAndEulerIdenticalAcrossParallelism) {
     EXPECT_EQ(seq.loss, par.loss);
     EXPECT_EQ(seq.accuracy, par.accuracy);
   }
+}
+
+// DeepWalk, K-core, common neighbor, triangle count and fast unfolding
+// run back to back on one PS cluster. Every node's clock after each
+// algorithm and every output must be bit-equal at parallelism 1 and 8.
+TEST(ConcurrencyTest, PsAlgorithmsIdenticalAcrossParallelism) {
+  const graph::EdgeList edges =
+      graph::Symmetrize(graph::GenerateErdosRenyi(300, 1800, 17));
+  struct Run {
+    std::vector<std::vector<int64_t>> ticks;  ///< [algorithm][node]
+    std::vector<float> embeddings;
+    uint64_t total_pairs = 0;
+    double walk_loss = 0.0;
+    std::vector<uint32_t> coreness;
+    core::CommonNeighborStats cn;
+    uint64_t triangles = 0;
+    double modularity = 0.0;
+    uint64_t communities = 0;
+  };
+  auto run = [&](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    core::PsGraphContext::Options opts;
+    opts.cluster.num_executors = 4;
+    opts.cluster.num_servers = 3;
+    opts.cluster.executor_mem_bytes = 256ull << 20;
+    opts.cluster.server_mem_bytes = 256ull << 20;
+    auto ctx = core::PsGraphContext::Create(opts);
+    PSG_CHECK_OK(ctx.status());
+    auto ds = core::StageAndLoadEdges(**ctx, edges, "input/conc_ps.bin");
+    PSG_CHECK_OK(ds.status());
+    sim::SimCluster& cluster = (*ctx)->cluster();
+    Run out;
+    auto record_ticks = [&] {
+      out.ticks.emplace_back();
+      for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
+        out.ticks.back().push_back(cluster.clock().NowTicks(n));
+      }
+    };
+    core::DeepWalkOptions dw;
+    dw.embedding_dim = 8;
+    dw.walk_length = 8;
+    dw.epochs = 2;
+    auto walk = core::DeepWalk(**ctx, *ds, 300, dw);
+    PSG_CHECK_OK(walk.status());
+    out.embeddings = std::move(walk->embeddings);
+    out.total_pairs = walk->total_pairs;
+    out.walk_loss = walk->final_avg_loss;
+    record_ticks();
+    auto kcore = core::KCore(**ctx, *ds, 300);
+    PSG_CHECK_OK(kcore.status());
+    out.coreness = std::move(kcore->coreness);
+    record_ticks();
+    auto cn = core::CommonNeighbor(**ctx, *ds);
+    PSG_CHECK_OK(cn.status());
+    out.cn = *cn;
+    record_ticks();
+    auto triangles = core::TriangleCount(**ctx, *ds);
+    PSG_CHECK_OK(triangles.status());
+    out.triangles = *triangles;
+    record_ticks();
+    auto louvain = core::FastUnfolding(**ctx, *ds);
+    PSG_CHECK_OK(louvain.status());
+    out.modularity = louvain->modularity;
+    out.communities = louvain->num_communities;
+    record_ticks();
+    return out;
+  };
+  const Run seq = run(1);
+  const Run par = run(8);
+  ASSERT_EQ(seq.ticks.size(), 5u);
+  const char* names[] = {"deepwalk", "kcore", "common_neighbor",
+                         "triangle_count", "fast_unfolding"};
+  for (size_t a = 0; a < seq.ticks.size(); ++a) {
+    EXPECT_EQ(seq.ticks[a], par.ticks[a]) << names[a];
+  }
+  EXPECT_EQ(seq.embeddings, par.embeddings);
+  EXPECT_GT(seq.total_pairs, 0u);
+  EXPECT_EQ(seq.total_pairs, par.total_pairs);
+  EXPECT_EQ(seq.walk_loss, par.walk_loss);
+  EXPECT_EQ(seq.coreness, par.coreness);
+  EXPECT_GT(seq.cn.pairs, 0u);
+  EXPECT_EQ(seq.cn.pairs, par.cn.pairs);
+  EXPECT_EQ(seq.cn.total_common, par.cn.total_common);
+  EXPECT_EQ(seq.cn.max_common, par.cn.max_common);
+  EXPECT_EQ(seq.cn.rounds, par.cn.rounds);
+  EXPECT_EQ(seq.triangles, par.triangles);
+  EXPECT_EQ(seq.modularity, par.modularity);
+  EXPECT_GT(seq.communities, 0u);
+  EXPECT_EQ(seq.communities, par.communities);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "common/thread_pool.h"
 #include "core/psgraph_context.h"
-#include "net/ps_wire.h"
 #include "ps/replication.h"
 
 namespace psgraph::core {
@@ -180,35 +179,6 @@ TEST(ReplicationTest, ClassificationTieBreakIdenticalAcrossParallelism) {
   SetGlobalParallelism(0);  // restore the env/hardware default
   EXPECT_EQ(at_t1, (std::vector<uint64_t>{10, 20, 30}));
   EXPECT_EQ(at_t1, at_t8);
-}
-
-TEST(ReplicationTest, SampleRowsDeterministicAndSeedDerived) {
-  auto ctx_or = PsGraphContext::Create(SmallOptions());
-  PSG_CHECK_OK(ctx_or.status());
-  auto& ctx = **ctx_or;
-  auto meta = ctx.ps().CreateMatrix("emb", 32, 2);
-  PSG_CHECK_OK(meta.status());
-  for (uint64_t k = 0; k < 32; ++k) {
-    PSG_CHECK_OK(ctx.agent(0).PushAssign(
-        *meta, {k}, {static_cast<float>(k), static_cast<float>(2 * k)}));
-  }
-
-  auto a = ctx.agent(0).SampleRows(*meta, 16, /*seed=*/42);
-  auto b = ctx.agent(1).SampleRows(*meta, 16, /*seed=*/42);
-  PSG_CHECK_OK(a.status());
-  PSG_CHECK_OK(b.status());
-
-  // Both sides derive the same positions from the seed...
-  std::vector<uint64_t> expected;
-  net::DeriveSampleKeys(42, 16, 32, &expected);
-  EXPECT_EQ(a->keys, expected);
-  EXPECT_EQ(a->keys, b->keys);
-  EXPECT_EQ(a->values, b->values);
-  // ...and the returned rows are the homed values in derivation order.
-  for (size_t i = 0; i < a->keys.size(); ++i) {
-    EXPECT_EQ(a->values[2 * i], static_cast<float>(a->keys[i]));
-    EXPECT_EQ(a->values[2 * i + 1], static_cast<float>(2 * a->keys[i]));
-  }
 }
 
 }  // namespace
