@@ -29,7 +29,8 @@ Result<ByteBuffer> NormClip(ps::PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&max_norm));
   PSG_ASSIGN_OR_RETURN(ps::MatrixShard * shard, server.GetShard(id));
   uint64_t clipped = 0;
-  for (auto& [key, row] : shard->rows) {
+  // Rows iterate in ascending key order as (key, std::span<float>).
+  for (auto [key, row] : shard->rows) {
     double sq = 0.0;
     for (float v : row) sq += (double)v * v;
     double norm = std::sqrt(sq);

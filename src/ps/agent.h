@@ -131,7 +131,7 @@ class PsAgent {
       const std::string& name, const ByteBuffer& args);
 
   /// Sums the "[double]" responses of a psFunc across servers (e.g.
-  /// l1_norm, pagerank.advance).
+  /// pagerank.advance, sumsq).
   Result<double> CallFuncSum(const std::string& name,
                              const ByteBuffer& args);
 

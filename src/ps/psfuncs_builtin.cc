@@ -12,10 +12,13 @@
 //
 // Functions that write rows one at a time go through PsServer::RowBatch:
 // each row is charged exactly like a one-key PushAdd/PushAssign, but the
-// clock and metrics are taken once per call, not per row.
+// clock and metrics are taken once per call, not per row. Shard rows
+// iterate in ascending key order as (key, std::span<float>) pairs, so
+// every sum over a shard is a function of its state, not of the order
+// its rows were materialized.
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -39,7 +42,7 @@ Result<ByteBuffer> PageRankAdvance(PsServer& server, ByteReader& args) {
 
   double l1 = 0.0;
   PsServer::RowBatch batch(&server);
-  for (auto& [key, row] : delta->rows) {
+  for (auto [key, row] : delta->rows) {
     const float d = row[0];
     if (d == 0.0f) continue;
     l1 += std::fabs(d);
@@ -48,31 +51,6 @@ Result<ByteBuffer> PageRankAdvance(PsServer& server, ByteReader& args) {
   }
   ByteBuffer resp;
   resp.Write<double>(l1);
-  return resp;
-}
-
-// "reset": args = [id:i32] — zeroes all materialized rows.
-Result<ByteBuffer> ResetRows(PsServer& server, ByteReader& args) {
-  MatrixId id = -1;
-  PSG_RETURN_NOT_OK(args.Read(&id));
-  PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
-  for (auto& [_, row] : shard->rows) {
-    std::fill(row.begin(), row.end(), 0.0f);
-  }
-  return ByteBuffer();
-}
-
-// "l1_norm": args = [id:i32] — response [sum:double] over this shard.
-Result<ByteBuffer> L1Norm(PsServer& server, ByteReader& args) {
-  MatrixId id = -1;
-  PSG_RETURN_NOT_OK(args.Read(&id));
-  PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
-  double sum = 0.0;
-  for (const auto& [_, row] : shard->rows) {
-    for (float v : row) sum += std::fabs(v);
-  }
-  ByteBuffer resp;
-  resp.Write<double>(sum);
   return resp;
 }
 
@@ -93,7 +71,7 @@ Result<ByteBuffer> SumSq(PsServer& server, ByteReader& args) {
   PSG_RETURN_NOT_OK(args.Read(&id));
   PSG_ASSIGN_OR_RETURN(MatrixShard * shard, server.GetShard(id));
   double sum = 0.0;
-  for (const auto& [_, row] : shard->rows) {
+  for (const auto [_, row] : shard->rows) {
     for (float v : row) sum += static_cast<double>(v) * v;
   }
   ByteBuffer resp;
@@ -119,7 +97,9 @@ Result<ByteBuffer> InitRandn(PsServer& server, ByteReader& args) {
   Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
   std::vector<float> row(shard->slice_cols);
   PsServer::RowBatch batch(&server);
-  for (uint64_t key = 0; key < meta.num_rows; ++key) {
+  // The store's window holds every key of [0, num_rows) this server owns.
+  for (uint64_t key = shard->rows.window_begin();
+       key < shard->rows.window_end(); ++key) {
     if (meta.layout == Layout::kRowPartitioned &&
         part.PartitionOf(key) != server.server_index()) {
       continue;
@@ -131,9 +111,8 @@ Result<ByteBuffer> InitRandn(PsServer& server, ByteReader& args) {
     for (uint32_t c = 0; c < shard->slice_cols; ++c) {
       row[c] = static_cast<float>(rng.NextGaussian()) * scale;
     }
-    auto it = shard->rows.find(key);
-    if (it != shard->rows.end()) {
-      it->second = row;
+    if (float* dst = shard->FindRow(key)) {
+      std::copy(row.begin(), row.end(), dst);
     } else {
       PSG_RETURN_NOT_OK(batch.Assign(id, key, row));
     }
@@ -156,14 +135,15 @@ Result<ByteBuffer> InitFill(PsServer& server, ByteReader& args) {
   Partitioner part(meta.scheme, meta.num_rows, server.num_servers());
   std::vector<float> row(shard->slice_cols, value);
   PsServer::RowBatch batch(&server);
-  for (uint64_t key = 0; key < meta.num_rows; ++key) {
+  // The store's window holds every key of [0, num_rows) this server owns.
+  for (uint64_t key = shard->rows.window_begin();
+       key < shard->rows.window_end(); ++key) {
     if (meta.layout == Layout::kRowPartitioned &&
         part.PartitionOf(key) != server.server_index()) {
       continue;
     }
-    auto it = shard->rows.find(key);
-    if (it != shard->rows.end()) {
-      std::fill(it->second.begin(), it->second.end(), value);
+    if (float* dst = shard->FindRow(key)) {
+      std::fill_n(dst, shard->slice_cols, value);
     } else {
       PSG_RETURN_NOT_OK(batch.Assign(id, key, row));
     }
@@ -193,12 +173,12 @@ Result<ByteBuffer> DotPartial(PsServer& server, ByteReader& args) {
   }
   std::vector<double> dots(flat.size() / 2, 0.0);
   for (size_t p = 0; p < dots.size(); ++p) {
-    const std::vector<float>* ra = a->FindRow(flat[2 * p]);
-    const std::vector<float>* rb = b->FindRow(flat[2 * p + 1]);
+    const float* ra = a->FindRow(flat[2 * p]);
+    const float* rb = b->FindRow(flat[2 * p + 1]);
     if (ra == nullptr || rb == nullptr) continue;  // init rows: dot with 0
     double s = 0.0;
     for (uint32_t c = 0; c < a->slice_cols; ++c) {
-      s += static_cast<double>((*ra)[c]) * static_cast<double>((*rb)[c]);
+      s += static_cast<double>(ra[c]) * static_cast<double>(rb[c]);
     }
     dots[p] = s;
   }
@@ -237,7 +217,7 @@ Result<ByteBuffer> LineAdjust(PsServer& server, ByteReader& args) {
   PsServer::RowBatch batch(&server);
   auto ensure_row = [&](MatrixShard* shard, MatrixId id,
                         uint64_t key) -> Status {
-    if (shard->rows.find(key) == shard->rows.end()) {
+    if (shard->FindRow(key) == nullptr) {
       // Materialize via a push of zeros so memory gets charged once.
       PSG_RETURN_NOT_OK(batch.Add(id, key, zero_row));
     }
@@ -247,15 +227,15 @@ Result<ByteBuffer> LineAdjust(PsServer& server, ByteReader& args) {
   for (size_t p = 0; p < coeffs.size(); ++p) {
     const uint64_t ui = flat[2 * p];
     const uint64_t cj = flat[2 * p + 1];
-    // Materialize both rows before taking either reference: inserting
-    // into the open-addressing store can rehash, and emb/ctx may alias
+    // Materialize both rows before taking either pointer: a new row can
+    // grow the store's array and move its rows, and emb/ctx may alias
     // the same shard.
     PSG_RETURN_NOT_OK(ensure_row(emb, emb_id, ui));
     PSG_RETURN_NOT_OK(ensure_row(ctx, ctx_id, cj));
-    std::vector<float>& u = emb->rows.find(ui)->second;
-    std::vector<float>& c = ctx->rows.find(cj)->second;
+    float* u = emb->FindRow(ui);
+    float* c = ctx->FindRow(cj);
     const float g = lr * coeffs[p];
-    std::memcpy(tmp.data(), u.data(), w * sizeof(float));
+    std::copy_n(u, w, tmp.data());
     for (uint32_t k = 0; k < w; ++k) u[k] += g * c[k];
     for (uint32_t k = 0; k < w; ++k) c[k] += g * tmp[k];
   }
@@ -299,9 +279,9 @@ Result<ByteBuffer> AdamApply(PsServer& server, ByteReader& args) {
     PSG_RETURN_NOT_OK(batch.Add(w_id, keys[i], zeros));
     PSG_RETURN_NOT_OK(batch.Add(m_id, keys[i], zeros));
     PSG_RETURN_NOT_OK(batch.Add(v_id, keys[i], zeros));
-    std::vector<float>& wr = w->rows.find(keys[i])->second;
-    std::vector<float>& mr = m->rows.find(keys[i])->second;
-    std::vector<float>& vr = v->rows.find(keys[i])->second;
+    float* wr = w->FindRow(keys[i]);
+    float* mr = m->FindRow(keys[i]);
+    float* vr = v->FindRow(keys[i]);
     const float* g = grads.data() + i * cols;
     for (uint32_t c = 0; c < cols; ++c) {
       mr[c] = beta1 * mr[c] + (1.0f - beta1) * g[c];
@@ -339,8 +319,8 @@ Result<ByteBuffer> AdagradApply(PsServer& server, ByteReader& args) {
   for (size_t i = 0; i < keys.size(); ++i) {
     PSG_RETURN_NOT_OK(batch.Add(w_id, keys[i], zeros));
     PSG_RETURN_NOT_OK(batch.Add(g2_id, keys[i], zeros));
-    std::vector<float>& wr = w->rows.find(keys[i])->second;
-    std::vector<float>& sr = g2->rows.find(keys[i])->second;
+    float* wr = w->FindRow(keys[i]);
+    float* sr = g2->FindRow(keys[i]);
     const float* g = grads.data() + i * cols;
     for (uint32_t c = 0; c < cols; ++c) {
       sr[c] += g[c] * g[c];
@@ -356,8 +336,6 @@ void RegisterBuiltinPsFuncs() {
   static bool registered = [] {
     auto& reg = PsFuncRegistry::Global();
     reg.Register("pagerank.advance", PageRankAdvance);
-    reg.Register("reset", ResetRows);
-    reg.Register("l1_norm", L1Norm);
     reg.Register("sumsq", SumSq);
     reg.Register("init.randn", InitRandn);
     reg.Register("init.fill", InitFill);

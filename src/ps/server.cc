@@ -1,12 +1,12 @@
 #include "ps/server.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/varint.h"
 #include "common/wire.h"
+#include "ps/partitioner.h"
 
 namespace psgraph::ps {
 
@@ -110,6 +110,9 @@ Status PsServer::InitMatrix(const MatrixMeta& meta) {
   }
   MatrixShard shard;
   shard.meta = meta;
+  // A column-partitioned server holds a slice of every row; a
+  // row-partitioned one the keys of its partition (one per server).
+  std::pair<uint64_t, uint64_t> window{0, meta.num_rows};
   if (meta.layout == Layout::kColumnPartitioned) {
     auto [begin, end] =
         ColumnSliceOf(meta.num_cols, server_index_, num_servers_);
@@ -118,7 +121,10 @@ Status PsServer::InitMatrix(const MatrixMeta& meta) {
   } else {
     shard.col_begin = 0;
     shard.slice_cols = meta.num_cols;
+    window = Partitioner(meta.scheme, meta.num_rows, num_servers_)
+                 .KeyWindow(server_index_);
   }
+  shard.rows = RowStore(window.first, window.second, shard.slice_cols);
   shards_.emplace(meta.id, std::move(shard));
   return Status::OK();
 }
@@ -155,15 +161,15 @@ Status PsServer::PullRows(MatrixId id, std::span<const uint64_t> keys,
   const uint32_t cols = shard->slice_cols;
   ChargeCompute(keys.size() * cols / 8 + keys.size());
   // Contiguous pre-sized response buffer: one resize, then a single pass
-  // that memcpys each stored row (or fills init_value) into place —
+  // that copies each stored row (or fills init_value) into place —
   // no per-key reallocation/insert bookkeeping on the pull hot path.
   const size_t base = out->size();
   out->resize(base + keys.size() * cols);
   float* dst = out->data() + base;
   for (uint64_t key : keys) {
-    const std::vector<float>* row = shard->FindRow(key);
+    const float* row = shard->FindRow(key);
     if (row != nullptr) {
-      std::memcpy(dst, row->data(), size_t{cols} * sizeof(float));
+      std::copy_n(row, cols, dst);
     } else {
       std::fill_n(dst, cols, shard->meta.init_value);
     }
@@ -202,34 +208,32 @@ Status PsServer::ApplyRows(MatrixShard* shard,
                            std::span<const uint64_t> keys,
                            std::span<const float> values, bool add) {
   const uint32_t cols = shard->slice_cols;
+  // A materialized row is still charged what a hash-map entry cost.
   const uint64_t row_bytes =
       kHashEntryOverhead + uint64_t{cols} * sizeof(float);
-  // Single-pass batched apply: one hash probe per key (try_emplace covers
-  // both hit and miss) and a tight accumulate/copy over the contiguous
-  // value slab.
+  // Single-pass batched apply: one offset lookup per key and a tight
+  // accumulate/copy over the contiguous value slab. A new row is charged
+  // before it is materialized, so a failed charge leaves no row.
   const float* src = values.data();
   for (size_t i = 0; i < keys.size(); ++i, src += cols) {
-    auto [it, inserted] = shard->rows.try_emplace(keys[i]);
-    if (inserted) {
-      Status st = ChargeMemory(row_bytes, "ps row");
-      if (!st.ok()) {
-        shard->rows.erase(it);
-        return st;
+    float* dst = shard->rows.Find(keys[i]);
+    if (dst == nullptr) {
+      PSG_RETURN_NOT_OK(ChargeMemory(row_bytes, "ps row"));
+      Result<float*> row = shard->rows.Insert(keys[i]);
+      if (!row.ok()) {
+        ReleaseMemory(row_bytes);
+        return row.status();
       }
       shard->charged_bytes += row_bytes;
-      if (add) {
-        it->second.assign(cols, shard->meta.init_value);
-      } else {
-        it->second.resize(cols);
-      }
+      dst = *row;
+      if (add) std::fill_n(dst, cols, shard->meta.init_value);
     }
-    float* dst = it->second.data();
     if (add) {
       for (uint32_t c = 0; c < cols; ++c) dst[c] += src[c];
-    } else if (cols != 0) {
-      // cols can be 0 for an empty column slice; values.data() is null
-      // then, and memcpy's pointer args must be non-null even for n=0.
-      std::memcpy(dst, src, size_t{cols} * sizeof(float));
+    } else {
+      // copy_n, not memcpy: cols can be 0 for an empty column slice, and
+      // values.data() is null then.
+      std::copy_n(src, cols, dst);
     }
   }
   return Status::OK();
@@ -261,12 +265,15 @@ Status PsServer::RowBatch::Write(MatrixId id, uint64_t key,
   }
   // The one-key call charges ChargeCompute(values.size() / 4 + 1) before
   // applying, and its service bracket measures exactly that charge.
-  const int64_t row_ticks = sim::SimClock::TicksOf(
-      server_->cluster_->cost().ComputeTime(row.size() / 4 + 1));
-  ticks_ += row_ticks;
+  if (row.size() != row_ticks_cols_) {
+    row_ticks_cols_ = row.size();
+    row_ticks_ = sim::SimClock::TicksOf(
+        server_->cluster_->cost().ComputeTime(row.size() / 4 + 1));
+  }
+  ticks_ += row_ticks_;
   PSG_RETURN_NOT_OK(server_->ApplyRows(shard, {&key, 1}, row, add));
   ++rows_;
-  const uint64_t sample = static_cast<uint64_t>(row_ticks);
+  const uint64_t sample = static_cast<uint64_t>(row_ticks_);
   if (!service_runs_.empty() && service_runs_.back().first == sample) {
     ++service_runs_.back().second;
   } else {
@@ -580,15 +587,26 @@ Status PsServer::Checkpoint(const std::string& prefix) {
   if (hdfs_ == nullptr) {
     return Status::FailedPrecondition("server has no HDFS attached");
   }
+  // Rows dominate a checkpoint: size the buffer for them once, with
+  // slack for the magic, the counts and each shard's meta.
   ByteBuffer buf;
+  uint64_t row_bytes = 0;
+  for (const auto& [id, shard] : shards_) {
+    row_bytes += shard.rows.size() *
+                 (2 * sizeof(uint64_t) + shard.slice_cols * sizeof(float));
+  }
+  buf.Reserve(row_bytes + 64 * shards_.size() + 12);
   buf.Write<uint32_t>(kCheckpointMagic);
   buf.Write<uint64_t>(shards_.size());
   for (const auto& [id, shard] : shards_) {
     SerializeMeta(buf, shard.meta);
     buf.Write<uint64_t>(shard.rows.size());
-    for (const auto& [key, row] : shard.rows) {
+    // Each row as [key:u64][count:u64][floats]: Write(key) +
+    // WriteVector(row).
+    for (const auto [key, row] : shard.rows) {
       buf.Write<uint64_t>(key);
-      buf.WriteVector(row);
+      buf.Write<uint64_t>(row.size());
+      buf.WriteRaw(row.data(), row.size() * sizeof(float));
     }
     buf.Write<uint64_t>(shard.neighbors.size());
     for (const auto& [key, entry] : shard.neighbors) {
@@ -641,11 +659,9 @@ Status PsServer::ExportMatrix(MatrixId id, ByteBuffer* out) {
 
   std::vector<uint64_t> keys;
   keys.reserve(shard.rows.size());
-  for (const auto& [key, row] : shard.rows) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  for (const auto [key, row] : shard.rows) keys.push_back(key);
   PutDeltaList(out, keys);
-  for (uint64_t key : keys) {
-    const std::vector<float>& row = shard.rows.at(key);
+  for (const auto [key, row] : shard.rows) {
     out->WriteRaw(row.data(), row.size() * sizeof(float));
   }
 
@@ -708,16 +724,42 @@ Status PsServer::Restore(const std::string& prefix) {
     MatrixShard& shard = shards_[meta.id];
     uint64_t num_rows = 0;
     PSG_RETURN_NOT_OK(reader.Read(&num_rows));
+    const uint32_t cols = shard.slice_cols;
     const uint64_t row_bytes =
-        kHashEntryOverhead + uint64_t{shard.slice_cols} * sizeof(float);
+        kHashEntryOverhead + uint64_t{cols} * sizeof(float);
     for (uint64_t i = 0; i < num_rows; ++i) {
-      uint64_t key = 0;
-      std::vector<float> row;
+      // Each row is [key:u64][count:u64][count floats]; the count must be
+      // the slice width and the key new, or PullRows/ApplyRows would
+      // step past the row.
+      const size_t offset = reader.position();
+      uint64_t key = 0, count = 0;
       PSG_RETURN_NOT_OK(reader.Read(&key));
-      PSG_RETURN_NOT_OK(reader.ReadVector(&row));
+      PSG_RETURN_NOT_OK(reader.Read(&count));
+      auto corrupt = [&](const std::string& what) {
+        return Status::IoError(
+            "corrupt checkpoint for server " +
+            std::to_string(server_index_) + ": row " + std::to_string(key) +
+            " of matrix " + std::to_string(meta.id) + " at offset " +
+            std::to_string(offset) + " " + what);
+      };
+      if (count != cols) {
+        return corrupt("holds " + std::to_string(count) +
+                       " floats, the slice is " + std::to_string(cols) +
+                       " wide");
+      }
+      if (shard.rows.Find(key) != nullptr) {
+        return corrupt("repeats an earlier key");
+      }
+      const size_t floats_bytes = size_t{cols} * sizeof(float);
+      if (reader.remaining() < floats_bytes) return corrupt("is truncated");
       PSG_RETURN_NOT_OK(ChargeMemory(row_bytes, "ps restore row"));
+      Result<float*> row = shard.rows.Insert(key);
+      if (!row.ok()) {
+        ReleaseMemory(row_bytes);
+        return row.status();
+      }
       shard.charged_bytes += row_bytes;
-      shard.rows.emplace(key, std::move(row));
+      PSG_RETURN_NOT_OK(reader.ReadRaw(*row, floats_bytes));
     }
     uint64_t num_entries = 0;
     PSG_RETURN_NOT_OK(reader.Read(&num_entries));

@@ -27,6 +27,7 @@
 #include "common/status.h"
 #include "net/rpc.h"
 #include "ps/matrix_meta.h"
+#include "ps/row_store.h"
 #include "sim/cluster.h"
 #include "storage/hdfs.h"
 
@@ -60,21 +61,22 @@ struct MatrixShard {
   /// matrices, the column slice for column-partitioned ones.
   uint32_t slice_cols = 0;
   uint32_t col_begin = 0;  ///< first column of the slice
-  /// Open-addressing stores (common/flat_hash.h): one flat probe per key
-  /// on the pull/push hot path instead of a node pointer chase. Entries
-  /// relocate on rehash — never hold a row pointer across a mutation of
-  /// the same shard.
-  FlatHashMap<std::vector<float>> rows;
+  /// slice_cols-wide rows in one flat array over the server's key window
+  /// (ps/row_store.h), iterated in ascending key order. Rows move when
+  /// the array grows — never hold a row pointer across a write to the
+  /// same shard.
+  RowStore rows;
+  /// Open-addressing adjacency store (common/flat_hash.h); entries
+  /// relocate on rehash.
   FlatHashMap<NeighborEntry> neighbors;
   /// Present after FreezeNeighbors(); served in preference to the map.
   std::optional<CsrStore> csr;
   uint64_t charged_bytes = 0;  ///< what this shard holds per the accountant
 
-  /// Returns the stored row, or nullptr if never pushed.
-  const std::vector<float>* FindRow(uint64_t key) const {
-    auto it = rows.find(key);
-    return it == rows.end() ? nullptr : &it->second;
-  }
+  /// Returns the stored row's slice_cols floats, or nullptr if never
+  /// pushed.
+  float* FindRow(uint64_t key) { return rows.Find(key); }
+  const float* FindRow(uint64_t key) const { return rows.Find(key); }
 };
 
 class PsServer;
@@ -99,8 +101,9 @@ class PsFuncRegistry {
   std::map<std::string, PsFunc> funcs_;
 };
 
-/// Registers the built-in psFuncs (pagerank advance, partial dot, Adam,
-/// AdaGrad, norms, reset). Idempotent; called by PsContext.
+/// Registers the built-in psFuncs (pagerank advance, init fills, row
+/// count, sum of squares, partial dot, LINE update, Adam, AdaGrad).
+/// Idempotent; called by PsContext.
 void RegisterBuiltinPsFuncs();
 
 class PsServer {
@@ -142,6 +145,10 @@ class PsServer {
     PsServer* server_;
     MatrixId cached_id_ = -1;  ///< last resolved matrix (shards are stable)
     MatrixShard* cached_shard_ = nullptr;
+    /// Compute ticks of one row of width row_ticks_cols_, computed once
+    /// per width.
+    size_t row_ticks_cols_ = ~size_t{0};
+    int64_t row_ticks_ = 0;
     int64_t ticks_ = 0;                 ///< deferred compute charge
     uint64_t rows_ = 0;                 ///< rows applied
     /// ps.push.service_ticks samples, run-length encoded (value, count).
@@ -213,16 +220,20 @@ class PsServer {
   Result<ByteBuffer> CallFunc(const std::string& name,
                               const std::vector<uint8_t>& args);
 
-  /// Writes every shard to `<prefix>/server_<index>` on HDFS.
+  /// Writes every shard to `<prefix>/server_<index>` on HDFS; rows go
+  /// out in ascending key order.
   Status Checkpoint(const std::string& prefix);
-  /// Replaces all state from a checkpoint written by Checkpoint().
+  /// Replaces all state from a checkpoint written by Checkpoint(). Fails
+  /// with a Status naming the byte offset, before charging the row, on a
+  /// row whose width is not the shard's slice or whose key repeats.
   Status Restore(const std::string& prefix);
 
   /// Serializes this server's partition of matrix `id` for snapshot
-  /// export (serving/snapshot.h): column-slice bounds, rows sorted by
-  /// key, then adjacency entries sorted by key (read from the frozen CSR
-  /// when present). Sorting makes the bytes a function of shard *state*,
-  /// not hash-map iteration order. Charged as a full scan of the shard.
+  /// export (serving/snapshot.h): column-slice bounds, rows in ascending
+  /// key order, then adjacency entries sorted by key (read from the
+  /// frozen CSR when present). Sorting makes the bytes a function of
+  /// shard *state*, not hash-map iteration order. Charged as a full scan
+  /// of the shard.
   Status ExportMatrix(MatrixId id, ByteBuffer* out);
 
   /// Accessor for psFuncs.
@@ -236,9 +247,9 @@ class PsServer {
   void ReleaseMemory(uint64_t bytes);
   void ChargeCompute(uint64_t ops);
   /// The row-apply loop shared by PushAdd, PushAssign, MergeRows and
-  /// RowBatch: one try_emplace probe per key, memory charged on insert,
-  /// then accumulate (`add`) or copy over the contiguous value slab.
-  /// Charges no compute; callers charge it first.
+  /// RowBatch: one offset lookup per key, memory charged before a new row
+  /// is materialized, then accumulate (`add`) or copy over the contiguous
+  /// value slab. Charges no compute; callers charge it first.
   Status ApplyRows(MatrixShard* shard, std::span<const uint64_t> keys,
                    std::span<const float> values, bool add);
   static uint64_t EntryBytes(const NeighborEntry& e);

@@ -20,9 +20,11 @@
 #include "core/graph_loader.h"
 #include "core/graphsage.h"
 #include "core/kcore.h"
+#include "core/label_propagation.h"
 #include "core/neighbor_algos.h"
 #include "core/pagerank.h"
 #include "core/psgraph_context.h"
+#include "core/sgc.h"
 #include "dataflow/dataset.h"
 #include "euler/euler.h"
 #include "graph/generators.h"
@@ -513,12 +515,21 @@ TEST(ConcurrencyTest, GraphSageAndEulerIdenticalAcrossParallelism) {
   }
 }
 
-// DeepWalk, K-core, common neighbor, triangle count and fast unfolding
-// run back to back on one PS cluster. Every node's clock after each
-// algorithm and every output must be bit-equal at parallelism 1 and 8.
+// DeepWalk, K-core, common neighbor, triangle count, fast unfolding,
+// label propagation, connected components and SGC run back to back on
+// one PS cluster. Every node's clock after each algorithm and every
+// output must be bit-equal at parallelism 1 and 8. Label propagation and
+// CC write -1-initialized label rows, SGC Adam rows.
 TEST(ConcurrencyTest, PsAlgorithmsIdenticalAcrossParallelism) {
   const graph::EdgeList edges =
       graph::Symmetrize(graph::GenerateErdosRenyi(300, 1800, 17));
+  graph::SbmParams sbm;
+  sbm.num_vertices = 300;
+  sbm.num_edges = 1800;
+  sbm.num_communities = 4;
+  sbm.feature_dim = 8;
+  sbm.seed = 19;
+  const graph::LabeledGraph labeled = graph::GenerateSbm(sbm);
   struct Run {
     std::vector<std::vector<int64_t>> ticks;  ///< [algorithm][node]
     std::vector<float> embeddings;
@@ -529,6 +540,15 @@ TEST(ConcurrencyTest, PsAlgorithmsIdenticalAcrossParallelism) {
     uint64_t triangles = 0;
     double modularity = 0.0;
     uint64_t communities = 0;
+    std::vector<uint64_t> labels;
+    uint64_t num_labels = 0;
+    int lpa_iterations = 0;
+    std::vector<uint64_t> components;
+    uint64_t num_components = 0;
+    int cc_iterations = 0;
+    double sgc_loss = 0.0;
+    double sgc_accuracy = 0.0;
+    double sgc_propagation_s = 0.0;
   };
   auto run = [&](size_t parallelism) {
     ParallelismGuard guard(parallelism);
@@ -576,13 +596,35 @@ TEST(ConcurrencyTest, PsAlgorithmsIdenticalAcrossParallelism) {
     out.modularity = louvain->modularity;
     out.communities = louvain->num_communities;
     record_ticks();
+    auto lpa = core::LabelPropagation(**ctx, *ds, 300);
+    PSG_CHECK_OK(lpa.status());
+    out.labels = std::move(lpa->labels);
+    out.num_labels = lpa->num_labels;
+    out.lpa_iterations = lpa->iterations;
+    record_ticks();
+    auto cc = core::ConnectedComponents(**ctx, *ds, 300);
+    PSG_CHECK_OK(cc.status());
+    out.components = std::move(cc->component);
+    out.num_components = cc->num_components;
+    out.cc_iterations = cc->iterations;
+    record_ticks();
+    core::SgcOptions sgc_opts;
+    sgc_opts.epochs = 3;
+    auto sgc = core::Sgc(**ctx, labeled, sgc_opts);
+    PSG_CHECK_OK(sgc.status());
+    out.sgc_loss = sgc->final_train_loss;
+    out.sgc_accuracy = sgc->test_accuracy;
+    out.sgc_propagation_s = sgc->propagation_sim_seconds;
+    record_ticks();
     return out;
   };
   const Run seq = run(1);
   const Run par = run(8);
-  ASSERT_EQ(seq.ticks.size(), 5u);
+  ASSERT_EQ(seq.ticks.size(), 8u);
   const char* names[] = {"deepwalk", "kcore", "common_neighbor",
-                         "triangle_count", "fast_unfolding"};
+                         "triangle_count", "fast_unfolding",
+                         "label_propagation", "connected_components",
+                         "sgc"};
   for (size_t a = 0; a < seq.ticks.size(); ++a) {
     EXPECT_EQ(seq.ticks[a], par.ticks[a]) << names[a];
   }
@@ -600,6 +642,18 @@ TEST(ConcurrencyTest, PsAlgorithmsIdenticalAcrossParallelism) {
   EXPECT_EQ(seq.modularity, par.modularity);
   EXPECT_GT(seq.communities, 0u);
   EXPECT_EQ(seq.communities, par.communities);
+  EXPECT_GT(seq.num_labels, 0u);
+  EXPECT_EQ(seq.labels, par.labels);
+  EXPECT_EQ(seq.num_labels, par.num_labels);
+  EXPECT_EQ(seq.lpa_iterations, par.lpa_iterations);
+  EXPECT_GT(seq.num_components, 0u);
+  EXPECT_EQ(seq.components, par.components);
+  EXPECT_EQ(seq.num_components, par.num_components);
+  EXPECT_EQ(seq.cc_iterations, par.cc_iterations);
+  EXPECT_GT(seq.sgc_accuracy, 0.0);
+  EXPECT_EQ(seq.sgc_loss, par.sgc_loss);
+  EXPECT_EQ(seq.sgc_accuracy, par.sgc_accuracy);
+  EXPECT_EQ(seq.sgc_propagation_s, par.sgc_propagation_s);
 }
 
 }  // namespace

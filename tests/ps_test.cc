@@ -22,6 +22,7 @@
 #include "ps/context.h"
 #include "ps/master.h"
 #include "ps/partitioner.h"
+#include "ps/row_store.h"
 #include "ps/server.h"
 #include "ps/sync.h"
 #include "sim/cluster.h"
@@ -93,6 +94,38 @@ TEST(PartitionerTest, HashRangeKeepsChunksTogether) {
   for (uint64_t base = 0; base < (1 << 20); base += 4096) {
     int32_t p = part.PartitionOf(base);
     EXPECT_EQ(part.PartitionOf(base + 255), p);
+  }
+}
+
+TEST(PartitionerTest, KeyWindowsHoldEveryOwnedKey) {
+  for (uint64_t key_space : {0, 1, 7, 100, 1001}) {
+    for (int32_t parts : {1, 3, 4}) {
+      SCOPED_TRACE("key_space " + std::to_string(key_space) + " parts " +
+                   std::to_string(parts));
+      // Range windows tile [0, key_space) in partition order.
+      Partitioner range(PartitionScheme::kRange, key_space, parts);
+      uint64_t next = 0;
+      for (int32_t p = 0; p < parts; ++p) {
+        auto [begin, end] = range.KeyWindow(p);
+        EXPECT_EQ(begin, next);
+        EXPECT_LE(begin, end);
+        next = end;
+      }
+      EXPECT_EQ(next, key_space);
+      for (uint64_t k = 0; k < key_space; ++k) {
+        auto [begin, end] = range.KeyWindow(range.PartitionOf(k));
+        EXPECT_TRUE(begin <= k && k < end) << "key " << k;
+      }
+      // The hash schemes scatter every partition over the whole space.
+      for (PartitionScheme scheme :
+           {PartitionScheme::kHash, PartitionScheme::kHashRange}) {
+        Partitioner part(scheme, key_space, parts);
+        for (int32_t p = 0; p < parts; ++p) {
+          EXPECT_EQ(part.KeyWindow(p),
+                    (std::pair<uint64_t, uint64_t>{0, key_space}));
+        }
+      }
+    }
   }
 }
 
@@ -619,15 +652,21 @@ void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
   }
 }
 
-/// Rows of matrix `id` in ascending key order.
-std::vector<std::pair<uint64_t, std::vector<float>>> RowsOf(SoloServer& s,
-                                                            MatrixId id) {
-  std::vector<std::pair<uint64_t, std::vector<float>>> out;
-  for (const auto& [key, row] : (*s.server->GetShard(id))->rows) {
-    out.emplace_back(key, row);
+/// (key, row) pairs, as a store iterates them.
+using RowList = std::vector<std::pair<uint64_t, std::vector<float>>>;
+
+/// The rows of a store, in its ascending key order.
+RowList Contents(const RowStore& store) {
+  RowList out;
+  for (const auto [key, row] : store) {
+    out.emplace_back(key, std::vector<float>(row.begin(), row.end()));
   }
-  std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Rows of matrix `id`, in ascending key order.
+RowList RowsOf(SoloServer& s, MatrixId id) {
+  return Contents((*s.server->GetShard(id))->rows);
 }
 
 TEST(PsFuncBatchTest, PageRankAdvanceChargesLikePerRowPushes) {
@@ -647,7 +686,7 @@ TEST(PsFuncBatchTest, PageRankAdvanceChargesLikePerRowPushes) {
   ASSERT_TRUE(batched.Call("pagerank.advance", args).ok());
   // Reference: the pre-batching loop, one PushAdd per nonzero delta.
   MatrixShard* deltas = *per_row.server->GetShard(1);
-  for (auto& [key, row] : deltas->rows) {
+  for (auto [key, row] : deltas->rows) {
     if (row[0] == 0.0f) continue;
     ASSERT_TRUE(per_row.Add(2, key, {row[0]}).ok());
     row[0] = 0.0f;
@@ -861,6 +900,312 @@ TEST_F(PsTest, UnsortedAndSortedPushesSendIdenticalRequests) {
   for (const auto& [node, reqs] : seen) {
     ASSERT_EQ(reqs.size(), 2u) << "server node " << node;
     EXPECT_EQ(reqs[0], reqs[1]) << "server node " << node;
+  }
+}
+
+// --- Flat row store (ps/row_store.h) --------------------------------------
+
+/// Materializes `key` in `store` with every float set to `value`.
+void Put(RowStore& store, uint64_t key, float value) {
+  auto row = store.Insert(key);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  std::fill_n(*row, store.cols(), value);
+}
+
+TEST(RowStoreTest, IteratesInAscendingKeyOrder) {
+  RowStore store(0, 200, 2);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(Contents(store).empty());
+  for (uint64_t key : {130, 3, 64, 199, 63, 0, 128}) {
+    Put(store, key, static_cast<float>(key));
+  }
+  EXPECT_EQ(store.size(), 7u);
+  std::vector<uint64_t> keys;
+  for (const auto& [key, row] : Contents(store)) {
+    keys.push_back(key);
+    EXPECT_EQ(row, std::vector<float>(2, static_cast<float>(key)));
+  }
+  EXPECT_EQ(keys, (std::vector<uint64_t>{0, 3, 63, 64, 128, 130, 199}));
+  EXPECT_EQ(store.Find(1), nullptr);
+  ASSERT_NE(store.Find(199), nullptr);
+  EXPECT_EQ(store.Find(199)[1], 199.0f);
+  // Writes through an iterated span land in the store.
+  for (auto [key, row] : store) row[0] = -static_cast<float>(key);
+  EXPECT_EQ(store.Find(64)[0], -64.0f);
+  EXPECT_EQ(store.Find(64)[1], 64.0f);
+}
+
+TEST(RowStoreTest, KeysOutsideTheWindowGrowTheArray) {
+  RowStore store(100, 110, 3);
+  Put(store, 105, 1.0f);
+  Put(store, 7, 2.0f);       // below the window
+  Put(store, 100000, 3.0f);  // far beyond it
+  Put(store, 109, 4.0f);
+  Put(store, 0, 5.0f);
+  EXPECT_EQ(store.window_begin(), 100u);
+  EXPECT_EQ(store.window_end(), 110u);
+  const RowList want = {{0, {5, 5, 5}},   {7, {2, 2, 2}},
+                         {105, {1, 1, 1}}, {109, {4, 4, 4}},
+                         {100000, {3, 3, 3}}};
+  EXPECT_EQ(Contents(store), want);
+  EXPECT_EQ(store.Find(8), nullptr);
+  EXPECT_EQ(store.Find(99999), nullptr);
+  EXPECT_EQ(store.Find(100001), nullptr);
+
+  // An empty window (num_rows == 0) takes any key.
+  RowStore empty(0, 0, 1);
+  Put(empty, 12, 1.0f);
+  Put(empty, 0, 2.0f);
+  Put(empty, 4096, 3.0f);
+  EXPECT_EQ(Contents(empty), (RowList{{0, {2}}, {12, {1}}, {4096, {3}}}));
+
+  // A window too large to allocate starts from the first key alone.
+  RowStore huge(0, uint64_t{1} << 62, 4);
+  Put(huge, 1000, 1.0f);
+  Put(huge, 1001, 2.0f);
+  Put(huge, 5, 3.0f);
+  EXPECT_EQ(Contents(huge), (RowList{{5, {3, 3, 3, 3}},
+                                      {1000, {1, 1, 1, 1}},
+                                      {1001, {2, 2, 2, 2}}}));
+
+  // A key no allocation can reach fails loudly and changes nothing.
+  auto far = store.Insert(~uint64_t{0} - 1);
+  ASSERT_FALSE(far.ok());
+  EXPECT_TRUE(far.status().code() == StatusCode::kOutOfRange)
+      << far.status().ToString();
+  EXPECT_EQ(Contents(store), want);
+}
+
+TEST_F(PsTest, ServerAcceptsKeysOutsideItsWindow) {
+  // Server 1 of 3 owns [100, 200) of a 300-row range matrix; direct
+  // calls may still push it keys below that window and beyond num_rows.
+  auto meta = ctx_->CreateMatrix("win", 300, 2, StorageKind::kRows,
+                                 Layout::kRowPartitioned,
+                                 PartitionScheme::kRange, 0.5f);
+  ASSERT_TRUE(meta.ok());
+  PsServer* server = ctx_->server(1);
+  const std::vector<uint64_t> keys = {150, 5, 1000, 199, 100};
+  std::vector<float> values;
+  for (uint64_t k : keys) values.insert(values.end(), 2, 0.25f * k);
+  ASSERT_TRUE(server->PushAdd(meta->id, keys, values).ok());
+  ASSERT_TRUE(server->PushAdd(meta->id, keys, values).ok());
+  std::vector<float> out;
+  ASSERT_TRUE(server
+                  ->PullRows(meta->id,
+                             std::vector<uint64_t>{5, 6, 1000, 150, 250}, &out)
+                  .ok());
+  EXPECT_EQ(out, (std::vector<float>{3.0f, 3.0f, 0.5f, 0.5f, 500.5f, 500.5f,
+                                     75.5f, 75.5f, 0.5f, 0.5f}));
+  std::vector<uint64_t> stored;
+  for (const auto [key, row] : (*server->GetShard(meta->id))->rows) {
+    stored.push_back(key);
+  }
+  EXPECT_EQ(stored, (std::vector<uint64_t>{5, 100, 150, 199, 1000}));
+
+  // A matrix with num_rows == 0 takes keys on every server.
+  auto empty = ctx_->CreateMatrix("empty", 0, 1);
+  ASSERT_TRUE(empty.ok());
+  const std::vector<uint64_t> any = {0, 7, 12345};
+  ASSERT_TRUE(agent_->PushAdd(*empty, any, {1.0f, 2.0f, 3.0f}).ok());
+  auto rows = agent_->PullRows(*empty, {12345, 0, 7, 8});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<float>{3.0f, 1.0f, 2.0f, 0.0f}));
+}
+
+TEST_F(PsTest, ZeroWidthColumnSliceKeepsItsRowsAndCharges) {
+  // Two columns over three servers: server 2's slice is empty, yet a row
+  // written there still materializes and is charged one entry.
+  auto meta = ctx_->CreateMatrix("narrow", 40, 2, StorageKind::kRows,
+                                 Layout::kColumnPartitioned,
+                                 PartitionScheme::kRange);
+  ASSERT_TRUE(meta.ok());
+  PsServer* server = ctx_->server(2);
+  const sim::NodeId node = ctx_->ServerNode(2);
+  MatrixShard* shard = *server->GetShard(meta->id);
+  ASSERT_EQ(shard->slice_cols, 0u);
+  ASSERT_TRUE(server->PushAdd(meta->id, std::vector<uint64_t>{3, 39, 3},
+                              std::vector<float>{})
+                  .ok());
+  ASSERT_TRUE(server->PushAssign(meta->id, std::vector<uint64_t>{50},
+                                 std::vector<float>{})
+                  .ok());
+  EXPECT_EQ(shard->rows.size(), 3u);
+  EXPECT_EQ(cluster_->memory().Usage(node), 3 * 48u);
+  EXPECT_NE(shard->FindRow(50), nullptr);
+  EXPECT_EQ(shard->FindRow(4), nullptr);
+  std::vector<uint64_t> keys;
+  for (const auto [key, row] : shard->rows) {
+    keys.push_back(key);
+    EXPECT_TRUE(row.empty());
+  }
+  EXPECT_EQ(keys, (std::vector<uint64_t>{3, 39, 50}));
+  std::vector<float> out;
+  ASSERT_TRUE(
+      server->PullRows(meta->id, std::vector<uint64_t>{3, 4}, &out).ok());
+  EXPECT_TRUE(out.empty());
+  // init.fill materializes the rest of [0, 40) there as well.
+  ByteBuffer args;
+  args.Write<MatrixId>(meta->id);
+  args.Write<float>(1.5f);
+  ASSERT_TRUE(agent_->CallFuncAll("init.fill", args).ok());
+  EXPECT_EQ(shard->rows.size(), 41u);
+  EXPECT_EQ(cluster_->memory().Usage(node), 41 * 48u);
+  auto rows = agent_->PullRows(*meta, {3, 50, 7});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<float>{1.5f, 1.5f, 0, 0, 1.5f, 1.5f}));
+}
+
+TEST(PsServerTest, FailedChargeLeavesNoRow) {
+  // Room for three 2-float rows (56 B each): the fourth new row's charge
+  // fails, it is not materialized, and only the first three are charged.
+  SoloServer solo(3 * 56 + 20);
+  solo.Create(1, 100, 2);
+  std::vector<float> values(5 * 2, 1.0f);
+  Status st = solo.server->PushAdd(1, std::vector<uint64_t>{9, 2, 9, 70, 71},
+                                   values);
+  EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
+  EXPECT_EQ(RowsOf(solo, 1),
+            (RowList{{2, {1, 1}}, {9, {2, 2}}, {70, {1, 1}}}));
+  EXPECT_FALSE(solo.Has(1, 71));
+  const sim::NodeId node = solo.server->node();
+  EXPECT_EQ(solo.cluster->memory().Usage(node), 3 * 56u);
+  EXPECT_EQ(solo.server->charged_bytes(), 3 * 56u);
+  // The push's compute was charged before the rows were applied.
+  EXPECT_EQ(solo.cluster->clock().NowTicks(node),
+            sim::SimClock::TicksOf(
+                solo.cluster->cost().ComputeTime(10 / 4 + 5)));
+  // Dropping the matrix releases exactly what was charged.
+  ASSERT_TRUE(solo.server->DropMatrix(1).ok());
+  EXPECT_EQ(solo.cluster->memory().Usage(node), 0u);
+}
+
+/// The rows of every matrix in `metas` on every server, server by server.
+std::vector<RowList> AllRows(PsContext& ctx,
+                             const std::vector<MatrixMeta>& metas) {
+  std::vector<RowList> out;
+  for (int32_t s = 0; s < ctx.num_servers(); ++s) {
+    for (const MatrixMeta& meta : metas) {
+      out.push_back(Contents((*ctx.server(s)->GetShard(meta.id))->rows));
+    }
+  }
+  return out;
+}
+
+TEST_F(PsTest, CheckpointRestoreGivesEqualRowsForEveryLayout) {
+  std::vector<MatrixMeta> metas;
+  for (PartitionScheme scheme :
+       {PartitionScheme::kRange, PartitionScheme::kHash,
+        PartitionScheme::kHashRange}) {
+    auto meta = ctx_->CreateMatrix("rt" + std::to_string(metas.size()), 500,
+                                   3, StorageKind::kRows,
+                                   Layout::kRowPartitioned, scheme, 0.5f);
+    ASSERT_TRUE(meta.ok());
+    metas.push_back(*meta);
+  }
+  auto column = ctx_->CreateMatrix("rt_col", 500, 2, StorageKind::kRows,
+                                   Layout::kColumnPartitioned,
+                                   PartitionScheme::kRange);
+  ASSERT_TRUE(column.ok());
+  metas.push_back(*column);
+  Rng rng(3);
+  for (const MatrixMeta& meta : metas) {
+    std::vector<uint64_t> keys;
+    std::vector<float> values;
+    for (int i = 0; i < 200; ++i) {
+      keys.push_back(rng.NextBounded(600));  // some beyond num_rows
+      for (uint32_t c = 0; c < meta.num_cols; ++c) {
+        values.push_back(static_cast<float>(rng.NextGaussian()));
+      }
+    }
+    ASSERT_TRUE(agent_->PushAdd(meta, keys, values).ok());
+  }
+  const auto want = AllRows(*ctx_, metas);
+  std::vector<uint64_t> charged;
+  for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
+    charged.push_back(ctx_->server(s)->charged_bytes());
+  }
+  PsMaster master(ctx_.get(), "ckpt/rt");
+  ASSERT_TRUE(master.CheckpointAll().ok());
+  ASSERT_TRUE(agent_->PushAdd(metas[0], {1, 2}, std::vector<float>(6, 9.0f))
+                  .ok());
+  for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
+    ASSERT_TRUE(ctx_->server(s)->Restore("ckpt/rt").ok());
+    EXPECT_EQ(ctx_->server(s)->charged_bytes(), charged[s]) << "server " << s;
+  }
+  EXPECT_EQ(AllRows(*ctx_, metas), want);
+}
+
+/// A one-matrix checkpoint for server 0 of `meta` holding `rows` as
+/// (key, floats) in the given order, less its last `cut` bytes, written
+/// straight to sim-HDFS.
+void WriteCheckpoint(storage::Hdfs* hdfs, sim::NodeId node,
+                     const std::string& prefix, const MatrixMeta& meta,
+                     const RowList& rows, size_t cut) {
+  ByteBuffer buf;
+  buf.Write<uint32_t>(0x50534350);  // "PSCP"
+  buf.Write<uint64_t>(1);
+  SerializeMeta(buf, meta);
+  buf.Write<uint64_t>(rows.size());
+  for (const auto& [key, row] : rows) {
+    buf.Write<uint64_t>(key);
+    buf.WriteVector(row);
+  }
+  buf.Write<uint64_t>(0);  // no neighbor entries
+  buf.Write<uint8_t>(0);   // no CSR image
+  std::vector<uint8_t> bytes = buf.data();
+  bytes.resize(bytes.size() - cut);
+  PSG_CHECK_OK(hdfs->Write(prefix + "/server_0", std::move(bytes), node));
+}
+
+TEST_F(PsTest, RestoreRejectsBadRowsBeforeChargingThem) {
+  auto meta = ctx_->CreateMatrix("bad", 90, 4);
+  ASSERT_TRUE(meta.ok());
+  PsServer* server = ctx_->server(0);
+  const sim::NodeId node = ctx_->ServerNode(0);
+  // Header: magic, matrix count, meta, row count; each row is
+  // key + count + 4 floats.
+  ByteBuffer meta_bytes;
+  SerializeMeta(meta_bytes, *meta);
+  const size_t first_row = 4 + 8 + meta_bytes.size() + 8;
+  const size_t row_size = 8 + 8 + 4 * 4;
+  const uint64_t row_charge = 48 + 4 * 4;
+  struct Case {
+    const char* name;
+    RowList rows;
+    size_t bad_offset;
+    const char* what;
+    size_t cut = 0;
+  };
+  const std::vector<Case> cases = {
+      {"short", {{1, {1, 2, 3, 4}}, {2, {1, 2}}, {3, {1, 2, 3, 4}}},
+       first_row + row_size, "holds 2 floats"},
+      {"long", {{1, std::vector<float>(9, 1.0f)}}, first_row,
+       "holds 9 floats"},
+      {"duplicate",
+       {{1, {1, 2, 3, 4}}, {5, {1, 2, 3, 4}}, {1, {5, 6, 7, 8}}},
+       first_row + 2 * row_size, "repeats an earlier key"},
+      // Ends two floats into its second row (the neighbor count and CSR
+      // flag that follow the rows are cut too).
+      {"truncated", {{1, {1, 2, 3, 4}}, {2, {1, 2, 3, 4}}},
+       first_row + row_size, "is truncated", 8 + 1 + 2 * 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string prefix = std::string("ckpt/bad_") + c.name;
+    WriteCheckpoint(hdfs_.get(), node, prefix, *meta, c.rows, c.cut);
+    Status st = server->Restore(prefix);
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.code() == StatusCode::kIoError) << st.ToString();
+    EXPECT_NE(st.ToString().find("at offset " + std::to_string(c.bad_offset)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.ToString().find(c.what), std::string::npos)
+        << st.ToString();
+    // The rows before the bad one were restored and charged; it was not.
+    const size_t good = (c.bad_offset - first_row) / row_size;
+    EXPECT_EQ(server->charged_bytes(), good * row_charge);
+    EXPECT_EQ(cluster_->memory().Usage(node), good * row_charge);
+    EXPECT_EQ((*server->GetShard(meta->id))->rows.size(), good);
   }
 }
 
