@@ -22,6 +22,10 @@ the same name. Gated leaves, all derived from the simulated clock:
 
 Leaves compare within the relative --tolerance band unless marked
 exact above; node ids, strings and booleans always compare exactly.
+A ``sim_ticks_identical`` that is not true means a bench's simulated
+ticks moved with the thread count, which breaks the determinism
+contract: the gate fails on one in any report or baseline, and
+--update refuses to write one.
 Nothing else gates: wall clock varies by host. A failed makespan,
 busy_ticks or category leaf is reported once per bench, root-caused by
 bench_diff.py. Every gate run first checks that the baseline directory
@@ -114,6 +118,24 @@ def gated_leaves(report):
                 yield ("histograms", name, field), hist.get(field), \
                     field == "count"
     yield from bench_leaves(("bench",), report.get("bench"))
+
+
+def diverged(path, value):
+    """Yields the label of every ``sim_ticks_identical`` leaf under
+    `value` that is not true."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        if key == "sim_ticks_identical" and sub is not True:
+            yield label_of(path + (key,))
+        else:
+            yield from diverged(path + (key,), sub)
+
+
+def fail_divergence(errors, source, doc):
+    for label in diverged(("bench",), as_dict(doc).get("bench")):
+        fail(errors, "%s: %s is not true: simulated ticks depend on the "
+             "thread count", source, label)
 
 
 def put(tree, path, value):
@@ -240,6 +262,7 @@ def load_baselines(baseline_dir, errors):
         if total != makespan:
             fail(errors, "%s: critical_path.categories sum to %d but "
                  "cluster.makespan_ticks is %s", path, total, makespan)
+        fail_divergence(errors, path, baseline)
         baselines[fname] = baseline
     return baselines
 
@@ -249,10 +272,19 @@ def update(report_dir, baseline_dir):
     if not reports:
         print("error: no BENCH_*.json reports in %s" % report_dir)
         return 1
-    os.makedirs(baseline_dir, exist_ok=True)
+    projections = {}
+    errors = []
     for fname in reports:
         with open(os.path.join(report_dir, fname)) as f:
-            baseline = project(json.load(f))
+            projections[fname] = project(json.load(f))
+        fail_divergence(errors, fname, projections[fname])
+    if errors:
+        for e in errors:
+            print("error: %s" % e)
+        print("error: refusing to write baselines that pin a divergence")
+        return 1
+    os.makedirs(baseline_dir, exist_ok=True)
+    for fname, baseline in projections.items():
         path = os.path.join(baseline_dir, fname)
         with open(path, "w") as f:
             json.dump(baseline, f, indent=2, sort_keys=True)
@@ -290,6 +322,7 @@ def main():
             continue
         with open(current_path) as f:
             current = json.load(f)
+        fail_divergence(errors, current_path, current)
         diff_reports(fname, baseline, current, args.tolerance, errors)
         checked += 1
         print("checked %s against %s" %

@@ -173,6 +173,30 @@ def test_gate(dirs):
                                  10), passes=True)
 
 
+def test_divergence(dirs):
+    # A report whose ticks moved with the thread count fails even when
+    # its baseline pins the same divergence...
+    def diverge(report):
+        report["bench"]["sweep"].append({"parallelism": 8, "sim_ticks": 1000,
+                                         "sim_ticks_identical": False})
+
+    leaf = "bench.sweep[1].sim_ticks_identical is not true"
+    out = expect(dirs, diverge, passes=False, leaf=leaf)
+    assert "%s: %s" % (os.path.join(dirs.reports, NAME), leaf) in out, out
+    # ... --update refuses to write such a baseline ...
+    write(os.path.join(dirs.reports, NAME), perturbed(diverge))
+    code, out = run_checker("--update", "--report-dir", dirs.reports,
+                            "--baseline-dir", dirs.baselines)
+    assert code != 0 and "refusing" in out, out
+    assert dirs.baseline() == checker.project(full_report())
+    # ... and a baseline that pins one fails the gate by itself.
+    baseline = checker.project(perturbed(diverge))
+    write(os.path.join(dirs.baselines, NAME), baseline)
+    code, out = dirs.gate(full_report())
+    assert code != 0, out
+    assert "%s: %s" % (os.path.join(dirs.baselines, NAME), leaf) in out, out
+
+
 def test_makespan_root_cause(dirs):
     def slower(report):
         report["cluster"]["makespan_ticks"] = 1100
@@ -222,8 +246,8 @@ def test_committed_baselines():
 
 
 def run():
-    for test in (test_projection, test_gate, test_makespan_root_cause,
-                 test_missing_report, test_hygiene):
+    for test in (test_projection, test_gate, test_divergence,
+                 test_makespan_root_cause, test_missing_report, test_hygiene):
         with tempfile.TemporaryDirectory() as root:
             test(Dirs(root))
         print("ok %s" % test.__name__)

@@ -47,10 +47,9 @@ class ByteBuffer {
     std::memcpy(data_.data() + off, s.data(), s.size());
   }
 
-  /// Writes a length-prefixed vector of trivially copyable elements
-  /// (any allocator — arena-backed scratch vectors serialize the same).
-  template <typename T, typename Alloc>
-  void WriteVector(const std::vector<T, Alloc>& v) {
+  /// Writes a length-prefixed vector of trivially copyable elements.
+  template <typename T>
+  void WriteVector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     Write<uint64_t>(v.size());
     size_t bytes = v.size() * sizeof(T);
@@ -130,8 +129,8 @@ class ByteReader {
     return Status::OK();
   }
 
-  template <typename T, typename Alloc>
-  Status ReadVector(std::vector<T, Alloc>* out) {
+  template <typename T>
+  Status ReadVector(std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
     const size_t start = pos_;
     uint64_t n = 0;

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -9,7 +8,7 @@
 namespace psgraph {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
+constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 std::mutex g_emit_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -32,19 +31,10 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file)
-    : enabled_(static_cast<int>(level) >=
-               g_level.load(std::memory_order_relaxed)),
+    : enabled_(level >= kMinLogLevel),
       level_(level) {
   if (enabled_) {
     stream_ << "[" << LevelName(level_) << " " << Basename(file) << "] ";

@@ -14,11 +14,8 @@
 
 namespace psgraph {
 
+/// Messages below kInfo are dropped.
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/// Global minimum level; messages below it are dropped. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -111,10 +111,6 @@ class Metrics {
   /// report, time-series sampler) can rely on that ordering being
   /// identical across runs and parallelism levels.
   std::map<std::string, uint64_t> CounterSnapshot() const;
-  /// Deprecated alias of CounterSnapshot() (pre-v5 name).
-  std::map<std::string, uint64_t> Snapshot() const {
-    return CounterSnapshot();
-  }
 
   // -- Gauges (last-set value) --
   void SetGauge(const std::string& name, double value);

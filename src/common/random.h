@@ -58,11 +58,6 @@ class Rng {
     return static_cast<float>(NextU64() >> 40) * 0x1.0p-24f;
   }
 
-  /// Uniform double in [lo, hi).
-  double NextRange(double lo, double hi) {
-    return lo + (hi - lo) * NextDouble();
-  }
-
   bool NextBool(double p_true) { return NextDouble() < p_true; }
 
   /// Standard normal via Box-Muller (one value per call; simple, fine for

@@ -22,8 +22,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "OutOfRange";
     case StatusCode::kNotImplemented:
       return "NotImplemented";
-    case StatusCode::kAborted:
-      return "Aborted";
     case StatusCode::kUnavailable:
       return "Unavailable";
     case StatusCode::kInternal:

@@ -25,7 +25,6 @@ enum class StatusCode : int {
   kFailedPrecondition = 6,
   kOutOfRange = 7,
   kNotImplemented = 8,
-  kAborted = 9,
   kUnavailable = 10,  ///< a node is down / not reachable
   kInternal = 11,
 };
@@ -69,9 +68,6 @@ class Status {
   }
   static Status NotImplemented(std::string msg) {
     return Status(StatusCode::kNotImplemented, std::move(msg));
-  }
-  static Status Aborted(std::string msg) {
-    return Status(StatusCode::kAborted, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));

@@ -81,11 +81,6 @@ void MetricsSampler::AddSource(std::string name,
   sources_[std::move(name)] = std::move(fn);
 }
 
-void MetricsSampler::DenylistHistogram(std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  hist_denylist_.insert(std::move(name));
-}
-
 void MetricsSampler::ScrapeInto(std::map<std::string, double>* out) const {
   if (options_.metrics != nullptr) {
     for (const auto& [name, value] : options_.metrics->CounterSnapshot()) {

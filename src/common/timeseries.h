@@ -140,11 +140,6 @@ class MetricsSampler {
   /// outside the Metrics registry, e.g. MemoryAccountant watermarks.
   void AddSource(std::string name, std::function<double()> fn);
 
-  /// Excludes a histogram from scraping. Pre-seeded with
-  /// rpc.queue_ticks and dataflow.partition_ticks, whose samples
-  /// depend on thread scheduling (see the file comment).
-  void DenylistHistogram(std::string name);
-
   /// Invoked after each appended point with the point's boundary tick —
   /// the SLO watchdog evaluates its rules here.
   void set_scrape_callback(std::function<void(int64_t)> callback) {
@@ -171,8 +166,10 @@ class MetricsSampler {
   mutable std::mutex mu_;
   TimeSeriesStore store_;
   std::map<std::string, std::function<double()>> sources_;
-  std::set<std::string> hist_denylist_{"rpc.queue_ticks",
-                                       "dataflow.partition_ticks"};
+  /// Histograms never scraped: their samples depend on thread
+  /// scheduling (see the file comment).
+  const std::set<std::string> hist_denylist_{"rpc.queue_ticks",
+                                             "dataflow.partition_ticks"};
   std::function<void(int64_t)> scrape_callback_;
 };
 

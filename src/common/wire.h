@@ -31,8 +31,7 @@ inline void WriteFloatBlock(ByteBuffer* buf, const float* data, size_t n) {
   if (n > 0) std::memcpy(p, data, n * sizeof(float));
 }
 
-template <typename Alloc>
-void WriteFloatBlock(ByteBuffer* buf, const std::vector<float, Alloc>& v) {
+inline void WriteFloatBlock(ByteBuffer* buf, const std::vector<float>& v) {
   WriteFloatBlock(buf, v.data(), v.size());
 }
 

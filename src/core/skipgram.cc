@@ -46,6 +46,15 @@ Result<SkipGramModel> CreateSkipGramModel(PsGraphContext& ctx,
   PSG_ASSIGN_OR_RETURN(auto resp,
                        driver_agent.CallFuncAll("init.randn", args));
   (void)resp;
+  if (!order1) {
+    // Materialize every context row now. Otherwise the first update to
+    // touch a row would materialize it, and the charge for that would
+    // fall on whichever concurrent executor's request got there first.
+    ByteBuffer fill;
+    fill.Write<ps::MatrixId>(model.ctx.id);
+    fill.Write<float>(0.0f);
+    PSG_ASSIGN_OR_RETURN(resp, driver_agent.CallFuncAll("init.fill", fill));
+  }
   return model;
 }
 

@@ -918,20 +918,6 @@ class Dataset {
     return RunAction([&](int32_t p) { return node_->Borrow(p).status(); });
   }
 
-  /// Streams each partition into `fn(p, std::move(rows))` on the
-  /// evaluating task. At parallelism > 1 invocations for partitions on
-  /// *different* executors run concurrently (fn must tolerate that); one
-  /// executor's partitions arrive in ascending order on one thread.
-  /// F: (int32_t partition, std::vector<T>&&) -> Status.
-  template <typename F>
-  Status ForeachPartition(F fn) const {
-    return RunAction([&](int32_t p) -> Status {
-      auto part = node_->Compute(p);
-      if (!part.ok()) return part.status();
-      return fn(p, std::move(*part));
-    });
-  }
-
  private:
   /// Every action's core: the stage walk writes the upstream map stages,
   /// then fn(p) runs for every partition, then the stage barrier.

@@ -129,12 +129,6 @@ Status DeserializeElem(ByteReader& reader, T* out) {
   }
 }
 
-/// JVM-equivalent size of a whole partition vector.
-template <typename T>
-uint64_t JvmBytesOfVector(const std::vector<T>& v) {
-  return JvmBytesOf(v);
-}
-
 }  // namespace psgraph::dataflow
 
 #endif  // PSGRAPH_DATAFLOW_ELEMENT_TRAITS_H_

@@ -61,12 +61,6 @@ inline uint64_t LouvainChooseCommunity(
   return best;
 }
 
-/// PageRank residual update used by both engines:
-/// rank_new = reset + (1 - reset) * sum(contributions).
-inline double PageRankValue(double reset_prob, double contrib_sum) {
-  return reset_prob + (1.0 - reset_prob) * contrib_sum;
-}
-
 }  // namespace psgraph::graph
 
 #endif  // PSGRAPH_GRAPH_ALGO_MATH_H_

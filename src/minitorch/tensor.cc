@@ -43,10 +43,6 @@ Tensor Tensor::FromData(int64_t rows, int64_t cols,
   return t;
 }
 
-std::string Tensor::ShapeString() const {
-  return "[" + std::to_string(rows()) + "x" + std::to_string(cols()) + "]";
-}
-
 namespace {
 
 /// Post-order DFS over the tape (children before parents in `order`).

@@ -73,9 +73,6 @@ class Tensor {
   float At(int64_t r, int64_t c) const {
     return impl_->data[r * impl_->cols + c];
   }
-  float& MutableAt(int64_t r, int64_t c) {
-    return impl_->data[r * impl_->cols + c];
-  }
   const std::vector<float>& data() const { return impl_->data; }
   std::vector<float>& mutable_data() { return impl_->data; }
   const std::vector<float>& grad() const { return impl_->grad; }
@@ -93,8 +90,6 @@ class Tensor {
 
   detail::TensorImpl* impl() const { return impl_.get(); }
   std::shared_ptr<detail::TensorImpl> shared_impl() const { return impl_; }
-
-  std::string ShapeString() const;
 
  private:
   std::shared_ptr<detail::TensorImpl> impl_;

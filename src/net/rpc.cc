@@ -16,12 +16,6 @@ void RpcEndpoint::Register(const std::string& method, Handler handler) {
   handlers_[method] = std::move(handler);
 }
 
-Result<ByteBuffer> RpcEndpoint::Dispatch(const std::string& method,
-                                         const std::vector<uint8_t>& request) {
-  std::lock_guard<std::mutex> serial(serial_mu_);
-  return DispatchUnlocked(method, request);
-}
-
 Result<ByteBuffer> RpcEndpoint::DispatchUnlocked(
     const std::string& method, const std::vector<uint8_t>& request) {
   Handler handler;
@@ -39,11 +33,6 @@ Result<ByteBuffer> RpcEndpoint::DispatchUnlocked(
 void RpcFabric::Bind(sim::NodeId node, std::shared_ptr<RpcEndpoint> endpoint) {
   std::lock_guard<std::mutex> lock(mu_);
   endpoints_[node] = std::move(endpoint);
-}
-
-void RpcFabric::Unbind(sim::NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  endpoints_.erase(node);
 }
 
 namespace {

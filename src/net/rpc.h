@@ -43,13 +43,9 @@ class RpcEndpoint {
   /// Registers a handler; overwrites any existing one for `method`.
   void Register(const std::string& method, Handler handler);
 
-  /// Dispatches a request under serial_mutex(). NotFound if the method is
-  /// unknown.
-  Result<ByteBuffer> Dispatch(const std::string& method,
-                              const std::vector<uint8_t>& request);
-
-  /// Dispatch variant for callers that already hold serial_mutex() (the
-  /// fabric brackets clock charging and dispatch under one lock).
+  /// Runs the handler for `method`; NotFound if the method is unknown.
+  /// The caller holds serial_mutex() (the fabric brackets clock charging
+  /// and dispatch under one lock).
   Result<ByteBuffer> DispatchUnlocked(const std::string& method,
                                       const std::vector<uint8_t>& request);
 
@@ -71,7 +67,6 @@ class RpcFabric {
   explicit RpcFabric(sim::SimCluster* cluster) : cluster_(cluster) {}
 
   void Bind(sim::NodeId node, std::shared_ptr<RpcEndpoint> endpoint);
-  void Unbind(sim::NodeId node);
 
   /// Synchronous call from `from` to `to`. Charges request and response
   /// transfer times; returns Unavailable when `to` is dead or unbound.

@@ -130,8 +130,7 @@ Result<std::vector<float>> PsAgent::PullRowsRemote(
     server_keys.reserve(by_server[s].size());
     for (uint32_t idx : by_server[s]) server_keys.push_back(keys[idx]);
     ByteBuffer req;
-    req.Write<MatrixId>(meta.id);
-    PutDeltaList(&req, server_keys);
+    net::EncodeKeysRequest(meta.id, server_keys, &req);
     metrics().Add("wire.pull.req_bytes", req.size());
     metrics().Add("wire.pull.req_raw_bytes",
                   RawKeyFramingBytes(server_keys.size()));
@@ -171,8 +170,7 @@ Result<std::vector<float>> PsAgent::PullRowsColumnPartitioned(
   ScopedSpan span(&tracer(), "agent.pull", node_, t0,
                   [this] { return NowTicks(); });
   ByteBuffer req;
-  req.Write<MatrixId>(meta.id);
-  PutDeltaList(&req, keys);
+  net::EncodeKeysRequest(meta.id, keys, &req);
 
   std::vector<ParallelCall> calls;
   std::vector<int32_t> call_server;
@@ -280,9 +278,7 @@ Status PsAgent::PushRemote(const MatrixMeta& meta,
                   slice.begin() + i * width);
       }
       ByteBuffer req;
-      req.Write<MatrixId>(meta.id);
-      PutDeltaList(&req, keys);
-      WriteFloatBlock(&req, slice);
+      net::EncodeRowsRequest(meta.id, keys, slice, &req);
       metrics().Add("wire.push.req_bytes", req.size());
       metrics().Add("wire.push.req_raw_bytes",
                     RawKeyFramingBytes(keys.size()) +
@@ -304,9 +300,7 @@ Status PsAgent::PushRemote(const MatrixMeta& meta,
                              values.begin() + uint64_t{idx + 1} * cols);
       }
       ByteBuffer req;
-      req.Write<MatrixId>(meta.id);
-      PutDeltaList(&req, server_keys);
-      WriteFloatBlock(&req, server_values);
+      net::EncodeRowsRequest(meta.id, server_keys, server_values, &req);
       metrics().Add("wire.push.req_bytes", req.size());
       metrics().Add("wire.push.req_raw_bytes",
                     RawKeyFramingBytes(server_keys.size()) +
@@ -349,16 +343,8 @@ Status PsAgent::PushNeighbors(
   std::vector<ParallelCall> calls;
   for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
     if (by_server[s].empty()) continue;
-    std::vector<uint64_t> keys;
-    keys.reserve(by_server[s].size());
-    for (uint32_t idx : by_server[s]) keys.push_back(tables[idx].vertex);
     ByteBuffer req;
-    req.Write<MatrixId>(meta.id);
-    PutDeltaList(&req, keys);
-    for (uint32_t idx : by_server[s]) {
-      PutDeltaList(&req, tables[idx].neighbors);
-      WriteFloatBlock(&req, tables[idx].weights);
-    }
+    net::EncodeNeighborsRequest(meta.id, tables, by_server[s], &req);
     calls.push_back({ctx_->ServerNode(s), "ps.push_nbrs", std::move(req)});
   }
   metrics().Observe("agent.push_nbrs.fanout", calls.size());
@@ -444,7 +430,7 @@ Status PsAgent::FreezeNeighbors(const MatrixMeta& meta) {
   calls.reserve(ctx_->num_servers());
   for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
     ByteBuffer req;
-    req.Write<MatrixId>(meta.id);
+    net::EncodeMatrixRequest(meta.id, &req);
     calls.push_back({ctx_->ServerNode(s), "ps.freeze_nbrs",
                      std::move(req)});
   }
@@ -505,8 +491,7 @@ Result<NeighborBlock> PsAgent::PullNeighbors(
     server_keys.reserve(by_server[s].size());
     for (uint32_t idx : by_server[s]) server_keys.push_back(keys[idx]);
     ByteBuffer req;
-    req.Write<MatrixId>(meta.id);
-    PutDeltaList(&req, server_keys);
+    net::EncodeKeysRequest(meta.id, server_keys, &req);
     calls.push_back({ctx_->ServerNode(s), "ps.pull_nbrs", std::move(req)});
     call_server.push_back(s);
   }
@@ -526,16 +511,14 @@ Result<std::vector<uint8_t>> PsAgent::CallFunc(int32_t server,
                                                const std::string& name,
                                                const ByteBuffer& args) {
   ByteBuffer req;
-  req.WriteString(name);
-  req.WriteRaw(args.data().data(), args.size());
+  net::EncodeFuncRequest(name, args.data(), &req);
   return Call(server, "ps.func", req);
 }
 
 Result<std::vector<std::vector<uint8_t>>> PsAgent::CallFuncAll(
     const std::string& name, const ByteBuffer& args) {
   ByteBuffer req;
-  req.WriteString(name);
-  req.WriteRaw(args.data().data(), args.size());
+  net::EncodeFuncRequest(name, args.data(), &req);
   std::vector<ParallelCall> calls;
   calls.reserve(ctx_->num_servers());
   for (int32_t s = 0; s < ctx_->num_servers(); ++s) {
@@ -578,8 +561,7 @@ Result<std::vector<double>> PsAgent::DotProducts(
   args.Write<MatrixId>(b.id);
   PutDeltaList(&args, flat);
   ByteBuffer req;
-  req.WriteString("dot.partial");
-  req.WriteRaw(args.data().data(), args.size());
+  net::EncodeFuncRequest("dot.partial", args.data(), &req);
   // Raw-equivalent: the same request with the pair list in the v1
   // fixed-width vector framing instead of the delta list.
   const uint64_t req_raw = req.size() -
@@ -619,12 +601,8 @@ Status PsAgent::MergeRows(const MatrixMeta& meta, int32_t server,
   const int64_t t0 = NowTicks();
   ScopedSpan span(&tracer(), "agent.merge", node_, t0,
                   [this] { return NowTicks(); });
-  net::MergeRequest merge;
-  merge.matrix = meta.id;
-  merge.keys = keys;
-  merge.deltas = deltas;
   ByteBuffer req;
-  net::EncodeMergeRequest(merge, &req);
+  net::EncodeRowsRequest(meta.id, keys, deltas, &req);
   metrics().Add("wire.merge.req_bytes", req.size());
   metrics().Add("wire.merge.req_raw_bytes",
                 RawKeyFramingBytes(keys.size()) +

@@ -142,11 +142,6 @@ class PsAgent {
       const MatrixMeta& a, const MatrixMeta& b,
       const std::vector<std::pair<uint64_t, uint64_t>>& pairs);
 
-  /// Column-partitioned pull: fetches each server's slice and
-  /// concatenates them into full rows in key order.
-  Result<std::vector<float>> PullRowsColumnPartitioned(
-      const MatrixMeta& meta, const std::vector<uint64_t>& keys);
-
   /// Sends accumulated replica deltas for keys homed on `server` over
   /// "ps.merge". `keys` must be ascending and owned by that server;
   /// `deltas` holds keys.size() * num_cols floats.
@@ -168,6 +163,10 @@ class PsAgent {
                                     const ByteBuffer& req);
   Status Push(const MatrixMeta& meta, const std::vector<uint64_t>& keys,
               const std::vector<float>& values, bool add);
+  /// Column-partitioned pull: fetches each server's slice and
+  /// concatenates them into full rows in key order.
+  Result<std::vector<float>> PullRowsColumnPartitioned(
+      const MatrixMeta& meta, const std::vector<uint64_t>& keys);
   /// The pre-replication row pull: every key crosses the wire.
   Result<std::vector<float>> PullRowsRemote(
       const MatrixMeta& meta, const std::vector<uint64_t>& keys);

@@ -61,10 +61,6 @@ class Partitioner {
     return 0;
   }
 
-  int32_t ServerOf(uint64_t key, int32_t num_servers) const {
-    return PartitionOf(key) % num_servers;
-  }
-
   /// The smallest key range [begin, end) inside [0, key_space) that holds
   /// every key of the key space partition `p` owns: its own block under
   /// the range scheme, and the whole key space under the hash schemes,

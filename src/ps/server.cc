@@ -13,6 +13,40 @@ namespace psgraph::ps {
 namespace {
 constexpr uint64_t kHashEntryOverhead = 48;
 constexpr uint32_t kCheckpointMagic = 0x50534350;  // "PSCP"
+
+/// Why PullNeighbors and ExportMatrix could not index `csr` safely, or
+/// empty when they can: offsets must be keys + 1 non-decreasing values
+/// from 0 to the neighbor count, keys strictly ascending (the lookups
+/// binary-search them), and weights absent or one per neighbor.
+std::string CsrDefect(const CsrStore& csr) {
+  const auto str = [](uint64_t v) { return std::to_string(v); };
+  if (csr.offsets.size() != csr.keys.size() + 1) {
+    return "has " + str(csr.offsets.size()) + " offsets for " +
+           str(csr.keys.size()) + " keys";
+  }
+  if (csr.offsets.front() != 0) {
+    return "starts its offsets at " + str(csr.offsets.front());
+  }
+  for (size_t i = 1; i < csr.offsets.size(); ++i) {
+    if (csr.offsets[i] < csr.offsets[i - 1]) {
+      return "has decreasing offsets at index " + str(i);
+    }
+  }
+  if (csr.offsets.back() != csr.neighbors.size()) {
+    return "ends its offsets at " + str(csr.offsets.back()) + ", not at its " +
+           str(csr.neighbors.size()) + " neighbors";
+  }
+  for (size_t i = 1; i < csr.keys.size(); ++i) {
+    if (csr.keys[i] <= csr.keys[i - 1]) {
+      return "has keys out of order at index " + str(i);
+    }
+  }
+  if (!csr.weights.empty() && csr.weights.size() != csr.neighbors.size()) {
+    return "has " + str(csr.weights.size()) + " weights for " +
+           str(csr.neighbors.size()) + " neighbors";
+  }
+  return "";
+}
 }  // namespace
 
 std::pair<uint32_t, uint32_t> ColumnSliceOf(uint32_t cols, int32_t s,
@@ -103,11 +137,18 @@ uint64_t PsServer::EntryBytes(const NeighborEntry& e) {
 uint64_t PsServer::charged_bytes() const { return total_charged_; }
 
 Status PsServer::InitMatrix(const MatrixMeta& meta) {
-  if (shards_.count(meta.id) > 0) {
-    return Status::AlreadyExists("matrix " + std::to_string(meta.id) +
-                                 " already on server " +
-                                 std::to_string(server_index_));
-  }
+  if (shards_.count(meta.id) > 0) return AlreadyHeld(meta.id);
+  shards_.emplace(meta.id, NewShard(meta));
+  return Status::OK();
+}
+
+Status PsServer::AlreadyHeld(MatrixId id) const {
+  return Status::AlreadyExists("matrix " + std::to_string(id) +
+                               " already on server " +
+                               std::to_string(server_index_));
+}
+
+MatrixShard PsServer::NewShard(const MatrixMeta& meta) const {
   MatrixShard shard;
   shard.meta = meta;
   // A column-partitioned server holds a slice of every row; a
@@ -125,8 +166,7 @@ Status PsServer::InitMatrix(const MatrixMeta& meta) {
                  .KeyWindow(server_index_);
   }
   shard.rows = RowStore(window.first, window.second, shard.slice_cols);
-  shards_.emplace(meta.id, std::move(shard));
-  return Status::OK();
+  return shard;
 }
 
 Status PsServer::DropMatrix(MatrixId id) {
@@ -571,7 +611,7 @@ Status PsServer::FreezeNeighbors(MatrixId id) {
 }
 
 Result<ByteBuffer> PsServer::CallFunc(const std::string& name,
-                                      const std::vector<uint8_t>& args) {
+                                      std::span<const uint8_t> args) {
   PSG_ASSIGN_OR_RETURN(PsFunc fn, PsFuncRegistry::Global().Find(name));
   const int64_t t0 = NowTicks();
   ScopedSpan span(&tracer(), "ps.func." + name, node_, t0,
@@ -704,24 +744,24 @@ Status PsServer::Restore(const std::string& prefix) {
       std::vector<uint8_t> bytes,
       hdfs_->Read(prefix + "/server_" + std::to_string(server_index_),
                   node_));
-  // Drop current state first.
-  for (auto& [id, shard] : shards_) ReleaseMemory(shard.charged_bytes);
-  shards_.clear();
-
+  // Parse and validate the whole checkpoint into fresh shards; the
+  // server's state and memory change only once all of it checks out.
+  const std::string corrupt_file = "corrupt checkpoint for server " +
+                                   std::to_string(server_index_);
+  std::map<MatrixId, MatrixShard> restored;
   ByteReader reader(bytes);
   uint32_t magic = 0;
   PSG_RETURN_NOT_OK(reader.Read(&magic));
-  if (magic != kCheckpointMagic) {
-    return Status::IoError("corrupt checkpoint for server " +
-                           std::to_string(server_index_));
-  }
+  if (magic != kCheckpointMagic) return Status::IoError(corrupt_file);
   uint64_t num_matrices = 0;
   PSG_RETURN_NOT_OK(reader.Read(&num_matrices));
   for (uint64_t m = 0; m < num_matrices; ++m) {
     MatrixMeta meta;
     PSG_RETURN_NOT_OK(DeserializeMeta(reader, &meta));
-    PSG_RETURN_NOT_OK(InitMatrix(meta));
-    MatrixShard& shard = shards_[meta.id];
+    if (restored.count(meta.id) > 0) return AlreadyHeld(meta.id);
+    MatrixShard& shard =
+        restored.emplace(meta.id, NewShard(meta)).first->second;
+    const std::string matrix = " of matrix " + std::to_string(meta.id);
     uint64_t num_rows = 0;
     PSG_RETURN_NOT_OK(reader.Read(&num_rows));
     const uint32_t cols = shard.slice_cols;
@@ -736,11 +776,9 @@ Status PsServer::Restore(const std::string& prefix) {
       PSG_RETURN_NOT_OK(reader.Read(&key));
       PSG_RETURN_NOT_OK(reader.Read(&count));
       auto corrupt = [&](const std::string& what) {
-        return Status::IoError(
-            "corrupt checkpoint for server " +
-            std::to_string(server_index_) + ": row " + std::to_string(key) +
-            " of matrix " + std::to_string(meta.id) + " at offset " +
-            std::to_string(offset) + " " + what);
+        return Status::IoError(corrupt_file + ": row " +
+                               std::to_string(key) + matrix + " at offset " +
+                               std::to_string(offset) + " " + what);
       };
       if (count != cols) {
         return corrupt("holds " + std::to_string(count) +
@@ -752,42 +790,59 @@ Status PsServer::Restore(const std::string& prefix) {
       }
       const size_t floats_bytes = size_t{cols} * sizeof(float);
       if (reader.remaining() < floats_bytes) return corrupt("is truncated");
-      PSG_RETURN_NOT_OK(ChargeMemory(row_bytes, "ps restore row"));
-      Result<float*> row = shard.rows.Insert(key);
-      if (!row.ok()) {
-        ReleaseMemory(row_bytes);
-        return row.status();
-      }
+      PSG_ASSIGN_OR_RETURN(float* row, shard.rows.Insert(key));
       shard.charged_bytes += row_bytes;
-      PSG_RETURN_NOT_OK(reader.ReadRaw(*row, floats_bytes));
+      PSG_RETURN_NOT_OK(reader.ReadRaw(row, floats_bytes));
     }
     uint64_t num_entries = 0;
     PSG_RETURN_NOT_OK(reader.Read(&num_entries));
     for (uint64_t i = 0; i < num_entries; ++i) {
+      const size_t offset = reader.position();
       uint64_t key = 0;
       NeighborEntry entry;
       PSG_RETURN_NOT_OK(reader.Read(&key));
       PSG_RETURN_NOT_OK(reader.ReadVector(&entry.neighbors));
       PSG_RETURN_NOT_OK(reader.ReadVector(&entry.weights));
-      uint64_t bytes_e = EntryBytes(entry);
-      PSG_RETURN_NOT_OK(ChargeMemory(bytes_e, "ps restore nbrs"));
-      shard.charged_bytes += bytes_e;
-      shard.neighbors.emplace(key, std::move(entry));
+      const uint64_t entry_bytes = EntryBytes(entry);
+      if (!shard.neighbors.emplace(key, std::move(entry)).second) {
+        return Status::IoError(corrupt_file + ": neighbor list " +
+                               std::to_string(key) + matrix + " at offset " +
+                               std::to_string(offset) +
+                               " repeats an earlier key");
+      }
+      shard.charged_bytes += entry_bytes;
     }
     uint8_t has_csr = 0;
     PSG_RETURN_NOT_OK(reader.Read(&has_csr));
     if (has_csr != 0) {
+      const size_t offset = reader.position();
       CsrStore csr;
       PSG_RETURN_NOT_OK(reader.ReadVector(&csr.keys));
       PSG_RETURN_NOT_OK(reader.ReadVector(&csr.offsets));
       PSG_RETURN_NOT_OK(reader.ReadVector(&csr.neighbors));
       PSG_RETURN_NOT_OK(reader.ReadVector(&csr.weights));
-      uint64_t bytes_c = csr.ByteSize();
-      PSG_RETURN_NOT_OK(ChargeMemory(bytes_c, "ps restore csr"));
-      shard.charged_bytes += bytes_c;
+      const std::string defect = CsrDefect(csr);
+      if (!defect.empty()) {
+        return Status::IoError(corrupt_file + ": CSR image" + matrix +
+                               " at offset " + std::to_string(offset) + " " +
+                               defect);
+      }
+      shard.charged_bytes += csr.ByteSize();
       shard.csr = std::move(csr);
     }
   }
+  // Charge only the difference: usage and peak end where releasing the
+  // old state and charging the new one would leave them, and a
+  // checkpoint that does not fit leaves the server as it was.
+  uint64_t old_bytes = 0, new_bytes = 0;
+  for (const auto& [id, shard] : shards_) old_bytes += shard.charged_bytes;
+  for (const auto& [id, shard] : restored) new_bytes += shard.charged_bytes;
+  if (new_bytes > old_bytes) {
+    PSG_RETURN_NOT_OK(ChargeMemory(new_bytes - old_bytes, "ps restore"));
+  } else {
+    ReleaseMemory(old_bytes - new_bytes);
+  }
+  shards_ = std::move(restored);
   // Everything since the HDFS read began (I/O + deserialization) is
   // recovery time, not training compute.
   cluster_->cost_ledger().Record(node_, sim::CostCategory::kRecovery,

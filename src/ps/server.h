@@ -20,11 +20,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/byte_buffer.h"
 #include "common/flat_hash.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "net/ps_wire.h"
 #include "net/rpc.h"
 #include "ps/matrix_meta.h"
 #include "ps/row_store.h"
@@ -166,7 +166,6 @@ class PsServer {
 
   Status InitMatrix(const MatrixMeta& meta);
   Status DropMatrix(MatrixId id);
-  bool HasMatrix(MatrixId id) const { return shards_.count(id) > 0; }
 
   /// Pulls `keys` rows; appends slice_cols floats per key to `out`
   /// (init_value-filled for rows never pushed).
@@ -218,14 +217,17 @@ class PsServer {
                        ByteBuffer* out);
 
   Result<ByteBuffer> CallFunc(const std::string& name,
-                              const std::vector<uint8_t>& args);
+                              std::span<const uint8_t> args);
 
   /// Writes every shard to `<prefix>/server_<index>` on HDFS; rows go
   /// out in ascending key order.
   Status Checkpoint(const std::string& prefix);
-  /// Replaces all state from a checkpoint written by Checkpoint(). Fails
-  /// with a Status naming the byte offset, before charging the row, on a
-  /// row whose width is not the shard's slice or whose key repeats.
+  /// Replaces all state from a checkpoint written by Checkpoint(). The
+  /// whole file is parsed and validated first: a row whose width is not
+  /// the shard's slice, a repeated row or neighbor key, or a CSR image
+  /// whose offsets, keys or weights could not be indexed fails with a
+  /// Status naming the byte offset, and leaves the server, its charges
+  /// included, as it was.
   Status Restore(const std::string& prefix);
 
   /// Serializes this server's partition of matrix `id` for snapshot
@@ -243,6 +245,10 @@ class PsServer {
   uint64_t charged_bytes() const;
 
  private:
+  /// An empty shard of `meta`, sized to this server's key window or
+  /// column slice.
+  MatrixShard NewShard(const MatrixMeta& meta) const;
+  Status AlreadyHeld(MatrixId id) const;
   Status ChargeMemory(uint64_t bytes, const char* what);
   void ReleaseMemory(uint64_t bytes);
   void ChargeCompute(uint64_t ops);
@@ -267,10 +273,14 @@ class PsServer {
   storage::Hdfs* hdfs_;
   std::map<MatrixId, MatrixShard> shards_;
   uint64_t total_charged_ = 0;
-  /// Per-request decode scratch for the RPC handlers (server_rpc.cc):
-  /// reset at the top of every request, valid under the endpoint's
+  /// Decode scratch for the RPC handlers (server_rpc.cc), one per
+  /// request shape that carries lists: each request is decoded over the
+  /// last one, keeping the vectors' capacity. Valid under the endpoint's
   /// serial mutex.
-  Arena request_arena_;
+  net::KeysRequest keys_request_;
+  net::RowsRequest rows_request_;
+  net::NeighborsRequest<NeighborEntry> nbrs_request_;
+  net::MutateRequest mutate_request_;
   /// Reusable pull response staging (capacity persists across requests).
   std::vector<float> pull_scratch_;
   /// Per-server counter names (`ps.server<k>.rows_pulled/pushed`), built

@@ -1,11 +1,10 @@
-// RPC handler glue: decodes "ps.*" wire messages into PsServer calls.
-//
-// Hot-path framing (wire format v2): key batches are delta-encoded
-// varint lists (common/varint.h) and value blocks are varint-counted
-// raw fp32 (common/wire.h) — the agent encodes the matching side in
-// ps/agent.cc. Decode scratch lives in the server's per-request arena,
-// reset at the top of each handler; handlers run under the endpoint's
-// serial mutex, so the arena never sees two requests at once.
+// RPC handler glue: each "ps.*" handler decodes its request with the
+// shape's codec in net/ps_wire.h, into this server's reused request
+// struct, then calls the matching PsServer method. Handlers run under
+// the endpoint's serial mutex, so a request struct never holds two
+// requests at once. A psFunc call decodes into a local struct instead:
+// its args are a view of the request bytes, which must not outlive the
+// handler.
 
 #include "ps/server.h"
 
@@ -15,197 +14,86 @@
 
 namespace psgraph::ps {
 
-namespace {
-
-Result<ByteBuffer> Empty() { return ByteBuffer(); }
-
-}  // namespace
-
 void PsServer::RegisterHandlers(net::RpcEndpoint* endpoint) {
-  endpoint->Register(
-      "ps.init", [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        MatrixMeta meta;
-        PSG_RETURN_NOT_OK(DeserializeMeta(reader, &meta));
-        PSG_RETURN_NOT_OK(InitMatrix(meta));
-        return Empty();
-      });
+  using Request = const std::vector<uint8_t>&;
 
-  endpoint->Register(
-      "ps.drop", [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        PSG_RETURN_NOT_OK(reader.Read(&id));
-        PSG_RETURN_NOT_OK(DropMatrix(id));
-        return Empty();
-      });
+  endpoint->Register("ps.pull", [this](Request req) -> Result<ByteBuffer> {
+    PSG_RETURN_NOT_OK(net::DecodeKeysRequest(req, &keys_request_));
+    pull_scratch_.clear();
+    PSG_RETURN_NOT_OK(
+        PullRows(keys_request_.matrix, keys_request_.keys, &pull_scratch_));
+    ByteBuffer resp;
+    resp.Reserve(pull_scratch_.size() * sizeof(float) + kMaxVarint64Bytes);
+    WriteFloatBlock(&resp, pull_scratch_);
+    return resp;
+  });
 
-  endpoint->Register(
-      "ps.pull", [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        auto keys = MakeArenaVector<uint64_t>(&request_arena_);
-        PSG_RETURN_NOT_OK(reader.Read(&id));
-        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &keys));
-        pull_scratch_.clear();
-        PSG_RETURN_NOT_OK(
-            PullRows(id, {keys.data(), keys.size()}, &pull_scratch_));
-        ByteBuffer resp;
-        resp.Reserve(pull_scratch_.size() * sizeof(float) +
-                     kMaxVarint64Bytes);
-        WriteFloatBlock(&resp, pull_scratch_);
-        return resp;
-      });
-
-  auto push_handler = [this](const std::vector<uint8_t>& req,
-                             bool add) -> Result<ByteBuffer> {
-    request_arena_.Reset();
-    ByteReader reader(req.data(), req.size());
-    MatrixId id = -1;
-    auto keys = MakeArenaVector<uint64_t>(&request_arena_);
-    auto values = MakeArenaVector<float>(&request_arena_);
-    PSG_RETURN_NOT_OK(reader.Read(&id));
-    PSG_RETURN_NOT_OK(GetDeltaList(&reader, &keys));
-    PSG_RETURN_NOT_OK(ReadFloatBlock(&reader, &values));
-    std::span<const uint64_t> key_span{keys.data(), keys.size()};
-    std::span<const float> value_span{values.data(), values.size()};
-    if (add) {
-      PSG_RETURN_NOT_OK(PushAdd(id, key_span, value_span));
-    } else {
-      PSG_RETURN_NOT_OK(PushAssign(id, key_span, value_span));
-    }
-    return Empty();
+  auto push = [this](Request req, bool add) -> Result<ByteBuffer> {
+    PSG_RETURN_NOT_OK(net::DecodeRowsRequest(req, &rows_request_));
+    const net::RowsRequest& r = rows_request_;
+    PSG_RETURN_NOT_OK(add ? PushAdd(r.matrix, r.keys, r.values)
+                          : PushAssign(r.matrix, r.keys, r.values));
+    return ByteBuffer();
   };
   endpoint->Register("ps.push_add",
-                     [push_handler](const std::vector<uint8_t>& req) {
-                       return push_handler(req, true);
-                     });
+                     [push](Request req) { return push(req, true); });
   endpoint->Register("ps.push_assign",
-                     [push_handler](const std::vector<uint8_t>& req) {
-                       return push_handler(req, false);
-                     });
+                     [push](Request req) { return push(req, false); });
+
+  endpoint->Register("ps.merge", [this](Request req) -> Result<ByteBuffer> {
+    PSG_RETURN_NOT_OK(net::DecodeRowsRequest(req, &rows_request_));
+    const net::RowsRequest& r = rows_request_;
+    PSG_RETURN_NOT_OK(MergeRows(r.matrix, r.keys, r.values));
+    return ByteBuffer();
+  });
 
   endpoint->Register(
-      "ps.merge",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        auto keys = MakeArenaVector<uint64_t>(&request_arena_);
-        auto deltas = MakeArenaVector<float>(&request_arena_);
-        PSG_RETURN_NOT_OK(
-            net::DecodeMergeRequest(&reader, &id, &keys, &deltas));
-        PSG_RETURN_NOT_OK(MergeRows(id, {keys.data(), keys.size()},
-                                    {deltas.data(), deltas.size()}));
-        return Empty();
+      "ps.push_nbrs", [this](Request req) -> Result<ByteBuffer> {
+        PSG_RETURN_NOT_OK(net::DecodeNeighborsRequest(req, &nbrs_request_));
+        const auto& r = nbrs_request_;
+        PSG_RETURN_NOT_OK(PushNeighbors(r.matrix, r.keys, r.entries));
+        return ByteBuffer();
       });
 
-  endpoint->Register(
-      "ps.push_nbrs",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        auto keys = MakeArenaVector<uint64_t>(&request_arena_);
-        PSG_RETURN_NOT_OK(reader.Read(&id));
-        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &keys));
-        std::vector<NeighborEntry> entries(keys.size());
-        for (auto& entry : entries) {
-          PSG_RETURN_NOT_OK(GetDeltaList(&reader, &entry.neighbors));
-          PSG_RETURN_NOT_OK(ReadFloatBlock(&reader, &entry.weights));
-        }
-        PSG_RETURN_NOT_OK(
-            PushNeighbors(id, {keys.data(), keys.size()}, entries));
-        return Empty();
-      });
+  endpoint->Register("ps.mutate", [this](Request req) -> Result<ByteBuffer> {
+    PSG_RETURN_NOT_OK(net::DecodeMutateRequest(req, &mutate_request_));
+    const net::MutateRequest& r = mutate_request_;
+    PSG_RETURN_NOT_OK(MutateNeighbors(r.matrix, r.insert_src, r.insert_dst,
+                                      r.insert_weights, r.delete_src,
+                                      r.delete_dst));
+    return ByteBuffer();
+  });
 
   endpoint->Register(
-      "ps.mutate",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
-        ByteReader reader(req.data(), req.size());
+      "ps.freeze_nbrs", [this](Request req) -> Result<ByteBuffer> {
         MatrixId id = -1;
-        auto ins_src = MakeArenaVector<uint64_t>(&request_arena_);
-        auto ins_dst = MakeArenaVector<uint64_t>(&request_arena_);
-        auto ins_w = MakeArenaVector<float>(&request_arena_);
-        auto del_src = MakeArenaVector<uint64_t>(&request_arena_);
-        auto del_dst = MakeArenaVector<uint64_t>(&request_arena_);
-        PSG_RETURN_NOT_OK(net::DecodeMutateRequest(
-            &reader, &id, &ins_src, &ins_dst, &ins_w, &del_src, &del_dst));
-        PSG_RETURN_NOT_OK(MutateNeighbors(
-            id, {ins_src.data(), ins_src.size()},
-            {ins_dst.data(), ins_dst.size()}, {ins_w.data(), ins_w.size()},
-            {del_src.data(), del_src.size()},
-            {del_dst.data(), del_dst.size()}));
-        return Empty();
-      });
-
-  endpoint->Register(
-      "ps.freeze_nbrs",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        PSG_RETURN_NOT_OK(reader.Read(&id));
+        PSG_RETURN_NOT_OK(net::DecodeMatrixRequest(req, &id));
         PSG_RETURN_NOT_OK(FreezeNeighbors(id));
-        return Empty();
+        return ByteBuffer();
       });
 
   endpoint->Register(
-      "ps.pull_nbrs",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        auto keys = MakeArenaVector<uint64_t>(&request_arena_);
-        PSG_RETURN_NOT_OK(reader.Read(&id));
-        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &keys));
+      "ps.pull_nbrs", [this](Request req) -> Result<ByteBuffer> {
+        PSG_RETURN_NOT_OK(net::DecodeKeysRequest(req, &keys_request_));
         ByteBuffer resp;
         PSG_RETURN_NOT_OK(
-            PullNeighbors(id, {keys.data(), keys.size()}, &resp));
+            PullNeighbors(keys_request_.matrix, keys_request_.keys, &resp));
         return resp;
       });
 
-  endpoint->Register(
-      "ps.func", [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        std::string name;
-        PSG_RETURN_NOT_OK(reader.ReadString(&name));
-        std::vector<uint8_t> args(req.begin() + reader.position(),
-                                  req.end());
-        return CallFunc(name, args);
-      });
+  endpoint->Register("ps.func", [this](Request req) -> Result<ByteBuffer> {
+    net::FuncRequest func;
+    PSG_RETURN_NOT_OK(net::DecodeFuncRequest(req, &func));
+    return CallFunc(func.name, func.args);
+  });
 
-  endpoint->Register(
-      "ps.checkpoint",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        std::string prefix;
-        PSG_RETURN_NOT_OK(reader.ReadString(&prefix));
-        PSG_RETURN_NOT_OK(Checkpoint(prefix));
-        return Empty();
-      });
-
-  endpoint->Register(
-      "ps.export",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        MatrixId id = -1;
-        PSG_RETURN_NOT_OK(reader.Read(&id));
-        ByteBuffer resp;
-        PSG_RETURN_NOT_OK(ExportMatrix(id, &resp));
-        return resp;
-      });
-
-  endpoint->Register(
-      "ps.restore",
-      [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        ByteReader reader(req.data(), req.size());
-        std::string prefix;
-        PSG_RETURN_NOT_OK(reader.ReadString(&prefix));
-        PSG_RETURN_NOT_OK(Restore(prefix));
-        return Empty();
-      });
+  endpoint->Register("ps.export", [this](Request req) -> Result<ByteBuffer> {
+    MatrixId id = -1;
+    PSG_RETURN_NOT_OK(net::DecodeMatrixRequest(req, &id));
+    ByteBuffer resp;
+    PSG_RETURN_NOT_OK(ExportMatrix(id, &resp));
+    return resp;
+  });
 }
 
 }  // namespace psgraph::ps

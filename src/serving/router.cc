@@ -150,7 +150,6 @@ Status ServingRouter::FlushBatches(
   cluster_->cost_ledger().Record(
       node_, sim::CostCategory::kServingQueue,
       cluster_->clock().AdvanceToTicksJump(node_, trigger_ticks));
-  flush_arena_.Reset();
 
   Status result = Status::OK();
   // One CallParallel per request type: at most one in-flight call per
@@ -168,12 +167,13 @@ Status ServingRouter::FlushBatches(
       if (batch.items.empty()) continue;
       metrics().Observe("serving.batch.occupancy", batch.items.size());
       metrics().Add("serving.batches", 1);
-      auto keys = MakeArenaVector<uint64_t>(&flush_arena_);
+      flush_keys_.clear();
       for (const SubItem& item : batch.items) {
-        keys.insert(keys.end(), item.keys.begin(), item.keys.end());
+        flush_keys_.insert(flush_keys_.end(), item.keys.begin(),
+                           item.keys.end());
       }
       ByteBuffer req;
-      PutDeltaList(&req, keys.data(), keys.size());
+      PutDeltaList(&req, flush_keys_);
       calls.push_back({shard_nodes_[static_cast<size_t>(shard)],
                        MethodOf(type), std::move(req)});
       shards.push_back(shard);

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "net/rpc.h"
 #include "ps/partitioner.h"
@@ -120,9 +119,9 @@ class ServingRouter {
   std::vector<RequestRecord> records_;
   std::vector<int32_t> pending_subs_;  ///< open sub-requests per record
   std::vector<std::array<Batch, 2>> pending_;  ///< [shard][type]
-  /// Scratch for concatenating batch keys during a flush round; reset
-  /// per FlushBatches call (the router is a single event loop).
-  Arena flush_arena_;
+  /// Scratch for concatenating one batch's keys during a flush, reused
+  /// across batches (the router is a single event loop).
+  std::vector<uint64_t> flush_keys_;
 };
 
 }  // namespace psgraph::serving

@@ -70,14 +70,12 @@ Status ServingShard::Start(net::RpcFabric* fabric) {
   endpoint_->Register(
       "serve.lookup",
       [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
         ByteReader reader(req.data(), req.size());
-        auto keys = MakeArenaVector<uint64_t>(&request_arena_);
-        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &keys));
+        request_keys_.clear();
+        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &request_keys_));
         int64_t version = -1;
         std::vector<float> values;
-        PSG_RETURN_NOT_OK(
-            Lookup({keys.data(), keys.size()}, &version, &values));
+        PSG_RETURN_NOT_OK(Lookup(request_keys_, &version, &values));
         ByteBuffer resp;
         resp.Write<int64_t>(version);
         WriteFloatBlock(&resp, values);
@@ -86,14 +84,12 @@ Status ServingShard::Start(net::RpcFabric* fabric) {
   endpoint_->Register(
       "serve.infer",
       [this](const std::vector<uint8_t>& req) -> Result<ByteBuffer> {
-        request_arena_.Reset();
         ByteReader reader(req.data(), req.size());
-        auto nodes = MakeArenaVector<uint64_t>(&request_arena_);
-        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &nodes));
+        request_keys_.clear();
+        PSG_RETURN_NOT_OK(GetDeltaList(&reader, &request_keys_));
         int64_t version = -1;
         std::vector<float> values;
-        PSG_RETURN_NOT_OK(
-            Infer({nodes.data(), nodes.size()}, &version, &values));
+        PSG_RETURN_NOT_OK(Infer(request_keys_, &version, &values));
         ByteBuffer resp;
         resp.Write<int64_t>(version);
         WriteFloatBlock(&resp, values);

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -130,9 +129,9 @@ class ServingShard {
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   const std::string hit_rate_gauge_name_;
-  /// Per-request decode scratch for the RPC handlers; reset at the top
-  /// of each request under the endpoint's serial mutex.
-  Arena request_arena_;
+  /// Decoded request keys, reused by every request (capacity persists);
+  /// only touched under the endpoint's serial mutex.
+  std::vector<uint64_t> request_keys_;
 };
 
 }  // namespace psgraph::serving

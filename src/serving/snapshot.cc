@@ -12,6 +12,7 @@
 #include "common/trace.h"
 #include "common/varint.h"
 #include "common/wire.h"
+#include "net/ps_wire.h"
 #include "net/rpc.h"
 #include "ps/partitioner.h"
 
@@ -124,7 +125,7 @@ Result<SnapshotManifest> SnapshotPublisher::Publish() {
     calls.reserve(ps_->num_servers());
     for (int32_t s = 0; s < ps_->num_servers(); ++s) {
       ByteBuffer req;
-      req.Write<ps::MatrixId>(meta.id);
+      net::EncodeMatrixRequest(meta.id, &req);
       calls.push_back({ps_->ServerNode(s), "ps.export", std::move(req)});
     }
     PSG_ASSIGN_OR_RETURN(
@@ -141,7 +142,18 @@ Result<SnapshotManifest> SnapshotPublisher::Publish() {
       PSG_RETURN_NOT_OK(reader.Read(&slice_cols));
       std::vector<uint64_t> row_keys;
       PSG_RETURN_NOT_OK(GetDeltaList(&reader, &row_keys));
-      std::vector<float> slice(slice_cols);
+      // The rows are row_keys.size() x slice_cols raw floats. Divide
+      // rather than multiply so a corrupt width cannot wrap past the
+      // bound, and check before sizing anything from it.
+      if (!row_keys.empty() &&
+          slice_cols > reader.remaining() / sizeof(float) / row_keys.size()) {
+        return Status::OutOfRange(
+            "ps.export: " + std::to_string(row_keys.size()) + " rows x " +
+            std::to_string(slice_cols) + " floats at offset " +
+            std::to_string(reader.position()) + " exceed remaining " +
+            std::to_string(reader.remaining()) + " bytes");
+      }
+      std::vector<float> slice(row_keys.empty() ? 0 : slice_cols);
       for (uint64_t key : row_keys) {
         PSG_RETURN_NOT_OK(reader.ReadRaw(
             slice.data(), size_t{slice_cols} * sizeof(float)));

@@ -58,10 +58,6 @@ inline constexpr const char* kCostCategoryNames[kNumCostCategories] = {
     "stream.retrain",
 };
 
-inline const char* CostCategoryName(CostCategory c) {
-  return kCostCategoryNames[static_cast<int>(c)];
-}
-
 /// Category charged to a caller stalled on a fan-out whose slowest call
 /// used `method`: replica merges, serving lookups and mutation applies
 /// are first-class categories, everything else is generic RPC wait.

@@ -88,13 +88,6 @@ std::vector<std::string> Hdfs::List(const std::string& prefix,
   return out;
 }
 
-uint64_t Hdfs::TotalBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [_, bytes] : files_) total += bytes.size();
-  return total;
-}
-
 void Hdfs::ChargeIo(sim::NodeId node, uint64_t bytes, bool write) const {
   if (node < 0) return;
   const auto& cost = cluster_->cost();

@@ -57,8 +57,6 @@ class Hdfs {
   /// "hdfs.lists" / "hdfs.files_listed".
   std::vector<std::string> List(const std::string& prefix,
                                 sim::NodeId node = -1) const;
-  /// Total stored bytes (capacity checks in tests).
-  uint64_t TotalBytes() const;
 
  private:
   void ChargeIo(sim::NodeId node, uint64_t bytes, bool write) const;

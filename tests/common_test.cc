@@ -224,7 +224,7 @@ TEST(MetricsTest, AddAndSnapshot) {
   m.Add("b", 1);
   EXPECT_EQ(m.Get("a"), 12u);
   EXPECT_EQ(m.Get("missing"), 0u);
-  auto snap = m.Snapshot();
+  auto snap = m.CounterSnapshot();
   EXPECT_EQ(snap.size(), 2u);
   m.Reset();
   EXPECT_EQ(m.Get("a"), 0u);

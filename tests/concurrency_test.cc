@@ -21,6 +21,7 @@
 #include "core/graphsage.h"
 #include "core/kcore.h"
 #include "core/label_propagation.h"
+#include "core/line.h"
 #include "core/neighbor_algos.h"
 #include "core/pagerank.h"
 #include "core/psgraph_context.h"
@@ -393,6 +394,51 @@ TEST(ConcurrencyTest, PageRankClocksBitIdenticalAcrossParallelism) {
   ASSERT_EQ(seq.ranks.size(), par.ranks.size());
   for (size_t i = 0; i < seq.ranks.size(); ++i) {
     ASSERT_NEAR(seq.ranks[i], par.ranks[i], 1e-4) << "vertex " << i;
+  }
+}
+
+// LINE trains its executors concurrently, so every server sees their
+// line.adjust (or pull/push) requests in an order the threads pick. The
+// simulated charges must not depend on it: every node's clock and memory
+// peak are equal at parallelism 1 and 8, in both update modes. The
+// embeddings themselves are Hogwild and may differ in the last bits.
+TEST(ConcurrencyTest, LineClocksAndPeaksIdenticalAcrossParallelism) {
+  const graph::EdgeList edges = graph::GenerateErdosRenyi(300, 2400, 23);
+  struct Run {
+    std::vector<int64_t> ticks;
+    std::vector<uint64_t> peaks;
+  };
+  auto run = [&](size_t parallelism, bool use_psfunc_dot) {
+    ParallelismGuard guard(parallelism);
+    core::PsGraphContext::Options opts;
+    opts.cluster.num_executors = 4;
+    opts.cluster.num_servers = 3;
+    opts.cluster.executor_mem_bytes = 256ull << 20;
+    opts.cluster.server_mem_bytes = 256ull << 20;
+    auto ctx = core::PsGraphContext::Create(opts);
+    PSG_CHECK_OK(ctx.status());
+    auto ds = core::StageAndLoadEdges(**ctx, edges, "input/conc_line.bin");
+    PSG_CHECK_OK(ds.status());
+    core::LineOptions line;
+    line.embedding_dim = 8;
+    line.epochs = 2;
+    line.batch_size = 256;
+    line.use_psfunc_dot = use_psfunc_dot;
+    PSG_CHECK_OK(core::Line(**ctx, *ds, 300, line).status());
+    sim::SimCluster& cluster = (*ctx)->cluster();
+    Run out;
+    for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
+      out.ticks.push_back(cluster.clock().NowTicks(n));
+      out.peaks.push_back(cluster.memory().Peak(n));
+    }
+    return out;
+  };
+  for (bool use_psfunc_dot : {true, false}) {
+    SCOPED_TRACE(use_psfunc_dot ? "psfunc dot" : "pull/push");
+    const Run seq = run(1, use_psfunc_dot);
+    const Run par = run(8, use_psfunc_dot);
+    EXPECT_EQ(seq.ticks, par.ticks);
+    EXPECT_EQ(seq.peaks, par.peaks);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,6 +18,7 @@
 #include "common/metrics.h"
 #include "common/varint.h"
 #include "minitorch/nn.h"
+#include "net/ps_wire.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
@@ -255,8 +257,7 @@ TEST_F(PsTest, NeighborBlockRejectsLeftoverResponseBytes) {
   ASSERT_TRUE(agent_->PushNeighbors(*meta, {{3, {4, 5}, {}}}).ok());
   Partitioner part(meta->scheme, meta->num_rows, ctx_->num_servers());
   ByteBuffer req;
-  req.Write<MatrixId>(meta->id);
-  PutDeltaList(&req, std::vector<uint64_t>{3});
+  net::EncodeKeysRequest(meta->id, std::vector<uint64_t>{3}, &req);
   auto resp = fabric_->Call(cluster_->config().executor(0),
                             ctx_->ServerNode(part.PartitionOf(3)),
                             "ps.pull_nbrs", req);
@@ -1136,11 +1137,12 @@ TEST_F(PsTest, CheckpointRestoreGivesEqualRowsForEveryLayout) {
 }
 
 /// A one-matrix checkpoint for server 0 of `meta` holding `rows` as
-/// (key, floats) in the given order, less its last `cut` bytes, written
-/// straight to sim-HDFS.
+/// (key, floats) in the given order and, when given, a CSR image, less
+/// its last `cut` bytes, written straight to sim-HDFS.
 void WriteCheckpoint(storage::Hdfs* hdfs, sim::NodeId node,
                      const std::string& prefix, const MatrixMeta& meta,
-                     const RowList& rows, size_t cut) {
+                     const RowList& rows, size_t cut,
+                     const CsrStore* csr = nullptr) {
   ByteBuffer buf;
   buf.Write<uint32_t>(0x50534350);  // "PSCP"
   buf.Write<uint64_t>(1);
@@ -1151,7 +1153,13 @@ void WriteCheckpoint(storage::Hdfs* hdfs, sim::NodeId node,
     buf.WriteVector(row);
   }
   buf.Write<uint64_t>(0);  // no neighbor entries
-  buf.Write<uint8_t>(0);   // no CSR image
+  buf.Write<uint8_t>(csr != nullptr ? 1 : 0);
+  if (csr != nullptr) {
+    buf.WriteVector(csr->keys);
+    buf.WriteVector(csr->offsets);
+    buf.WriteVector(csr->neighbors);
+    buf.WriteVector(csr->weights);
+  }
   std::vector<uint8_t> bytes = buf.data();
   bytes.resize(bytes.size() - cut);
   PSG_CHECK_OK(hdfs->Write(prefix + "/server_0", std::move(bytes), node));
@@ -1162,19 +1170,32 @@ TEST_F(PsTest, RestoreRejectsBadRowsBeforeChargingThem) {
   ASSERT_TRUE(meta.ok());
   PsServer* server = ctx_->server(0);
   const sim::NodeId node = ctx_->ServerNode(0);
+  // A row the server holds before every failed restore, and must still
+  // hold after it, with its charges.
+  const std::vector<float> seeded{9, 8, 7, 6};
+  ASSERT_TRUE(server->PushAssign(meta->id, std::vector<uint64_t>{10}, seeded)
+                  .ok());
+  const uint64_t charged = server->charged_bytes();
+  const uint64_t usage = cluster_->memory().Usage(node);
+  ASSERT_GT(charged, 0u);
   // Header: magic, matrix count, meta, row count; each row is
-  // key + count + 4 floats.
+  // key + count + 4 floats. A CSR image follows the rows, the neighbor
+  // count and the CSR flag.
   ByteBuffer meta_bytes;
   SerializeMeta(meta_bytes, *meta);
   const size_t first_row = 4 + 8 + meta_bytes.size() + 8;
   const size_t row_size = 8 + 8 + 4 * 4;
-  const uint64_t row_charge = 48 + 4 * 4;
+  CsrStore bad_csr;
+  bad_csr.keys = {2, 4};
+  bad_csr.offsets = {0, 3, 2};  // decreasing: key 4 would span -1 entries
+  bad_csr.neighbors = {5, 6};
   struct Case {
     const char* name;
     RowList rows;
     size_t bad_offset;
     const char* what;
     size_t cut = 0;
+    const CsrStore* csr = nullptr;
   };
   const std::vector<Case> cases = {
       {"short", {{1, {1, 2, 3, 4}}, {2, {1, 2}}, {3, {1, 2, 3, 4}}},
@@ -1188,11 +1209,13 @@ TEST_F(PsTest, RestoreRejectsBadRowsBeforeChargingThem) {
       // flag that follow the rows are cut too).
       {"truncated", {{1, {1, 2, 3, 4}}, {2, {1, 2, 3, 4}}},
        first_row + row_size, "is truncated", 8 + 1 + 2 * 4},
+      {"csr", {{1, {1, 2, 3, 4}}}, first_row + row_size + 8 + 1,
+       "has decreasing offsets at index 2", 0, &bad_csr},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string prefix = std::string("ckpt/bad_") + c.name;
-    WriteCheckpoint(hdfs_.get(), node, prefix, *meta, c.rows, c.cut);
+    WriteCheckpoint(hdfs_.get(), node, prefix, *meta, c.rows, c.cut, c.csr);
     Status st = server->Restore(prefix);
     ASSERT_FALSE(st.ok());
     EXPECT_TRUE(st.code() == StatusCode::kIoError) << st.ToString();
@@ -1201,11 +1224,78 @@ TEST_F(PsTest, RestoreRejectsBadRowsBeforeChargingThem) {
         << st.ToString();
     EXPECT_NE(st.ToString().find(c.what), std::string::npos)
         << st.ToString();
-    // The rows before the bad one were restored and charged; it was not.
-    const size_t good = (c.bad_offset - first_row) / row_size;
-    EXPECT_EQ(server->charged_bytes(), good * row_charge);
-    EXPECT_EQ(cluster_->memory().Usage(node), good * row_charge);
-    EXPECT_EQ((*server->GetShard(meta->id))->rows.size(), good);
+    // Nothing of the bad checkpoint was restored or charged.
+    EXPECT_EQ(server->charged_bytes(), charged);
+    EXPECT_EQ(cluster_->memory().Usage(node), usage);
+    MatrixShard* shard = *server->GetShard(meta->id);
+    EXPECT_EQ(shard->rows.size(), 1u);
+    const float* row = shard->FindRow(10);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(std::vector<float>(row, row + 4), seeded);
+    EXPECT_FALSE(shard->csr.has_value());
+  }
+}
+
+TEST(CsrRestoreTest, EveryMalformedImageIsRejected) {
+  sim::ClusterConfig cfg;
+  cfg.num_executors = 1;
+  cfg.num_servers = 1;
+  sim::SimCluster cluster(cfg);
+  storage::Hdfs hdfs(&cluster);
+  PsServer server(0, 1, &cluster, &hdfs);
+  MatrixMeta meta;
+  meta.id = 3;
+  meta.name = "adj";
+  meta.kind = StorageKind::kNeighbors;
+  ASSERT_TRUE(server.InitMatrix(meta).ok());
+  const sim::NodeId node = server.node();
+  CsrStore good;
+  good.keys = {2, 4, 9};
+  good.offsets = {0, 2, 2, 3};
+  good.neighbors = {5, 6, 7};
+  WriteCheckpoint(&hdfs, node, "ckpt/csr_good", meta, {}, 0, &good);
+  ASSERT_TRUE(server.Restore("ckpt/csr_good").ok());
+  const uint64_t charged = server.charged_bytes();
+  EXPECT_EQ(charged, good.ByteSize());
+  struct Case {
+    const char* name;
+    std::function<void(CsrStore&)> corrupt;
+    const char* what;
+  };
+  const std::vector<Case> cases = {
+      {"short offsets", [](CsrStore& c) { c.offsets.pop_back(); },
+       "has 3 offsets for 3 keys"},
+      {"nonzero start", [](CsrStore& c) { c.offsets[0] = 1; },
+       "starts its offsets at 1"},
+      {"decreasing", [](CsrStore& c) { c.offsets[2] = 1; },
+       "has decreasing offsets at index 2"},
+      {"past the end", [](CsrStore& c) { c.offsets[3] = 4; },
+       "ends its offsets at 4, not at its 3 neighbors"},
+      {"repeated key", [](CsrStore& c) { c.keys[1] = 2; },
+       "has keys out of order at index 1"},
+      {"descending key", [](CsrStore& c) { c.keys[2] = 3; },
+       "has keys out of order at index 2"},
+      {"short weights", [](CsrStore& c) { c.weights = {1.0f, 2.0f}; },
+       "has 2 weights for 3 neighbors"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    CsrStore csr = good;
+    c.corrupt(csr);
+    const std::string prefix = std::string("ckpt/csr_") + c.name;
+    WriteCheckpoint(&hdfs, node, prefix, meta, {}, 0, &csr);
+    Status st = server.Restore(prefix);
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.code() == StatusCode::kIoError) << st.ToString();
+    EXPECT_NE(st.ToString().find("CSR image of matrix 3"), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.ToString().find(c.what), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(server.charged_bytes(), charged);
+    EXPECT_EQ(cluster.memory().Usage(node), charged);
+    MatrixShard* shard = *server.GetShard(meta.id);
+    ASSERT_TRUE(shard->csr.has_value());
+    EXPECT_EQ(shard->csr->offsets, good.offsets);
   }
 }
 

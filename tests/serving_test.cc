@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "common/varint.h"
+#include "net/ps_wire.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
@@ -299,6 +302,69 @@ TEST(SnapshotTest, CorruptBlobFailsChecksumNamingTheShard) {
       << shard1.status().ToString();
   EXPECT_NE(shard1.status().ToString().find("shard_1"), std::string::npos)
       << shard1.status().ToString();
+}
+
+TEST(SnapshotTest, CorruptExportResponseFailsBeforeSizingRows) {
+  Stack s;
+  PushTrainingState(s, 0.0f);
+  const sim::NodeId server0 = s.ps.ServerNode(0);
+  ByteBuffer req;
+  net::EncodeMatrixRequest(s.ps.GetMatrix("emb")->id, &req);
+  auto real = s.fabric.Call(s.driver(), server0, "ps.export", req);
+  ASSERT_TRUE(real.ok());
+  // [col_begin][slice_cols][row keys][rows]: three rows of 2^32 - 1
+  // floats each (48 GiB) claimed by a 16-byte response.
+  ByteBuffer inflated;
+  inflated.Write<uint32_t>(0);
+  inflated.Write<uint32_t>(0xFFFFFFFFu);
+  PutDeltaList(&inflated, std::vector<uint64_t>{1, 2, 3});
+  inflated.Write<float>(1.0f);
+  // Server 0's real response, cut two bytes into its last row (the empty
+  // adjacency list after the rows is one byte).
+  ByteReader header(*real);
+  uint32_t col_begin = 0, slice_cols = 0;
+  std::vector<uint64_t> row_keys;
+  ASSERT_TRUE(header.Read(&col_begin).ok());
+  ASSERT_TRUE(header.Read(&slice_cols).ok());
+  ASSERT_TRUE(GetDeltaList(&header, &row_keys).ok());
+  ASSERT_EQ(slice_cols, kDim);
+  ASSERT_FALSE(row_keys.empty());
+  const size_t rows_at = header.position();
+  std::vector<uint8_t> truncated = *real;
+  truncated.resize(truncated.size() - 3);
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> response;
+    std::string what;
+  };
+  const std::vector<Case> cases = {
+      {"inflated", inflated.data(),
+       "ps.export: 3 rows x 4294967295 floats at offset 12 exceed "
+       "remaining 4 bytes"},
+      {"truncated", truncated,
+       "ps.export: " + std::to_string(row_keys.size()) +
+           " rows x 4 floats at offset " + std::to_string(rows_at) +
+           " exceed remaining " + std::to_string(truncated.size() - rows_at) +
+           " bytes"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto endpoint = std::make_shared<net::RpcEndpoint>();
+    endpoint->Register(
+        "ps.export",
+        [resp = c.response](const std::vector<uint8_t>&) -> Result<ByteBuffer> {
+          return ByteBuffer(resp);
+        });
+    s.fabric.Bind(server0, endpoint);
+    serving::SnapshotPublisher publisher(&s.ps, PublishOptions());
+    auto manifest = publisher.Publish();
+    ASSERT_FALSE(manifest.ok());
+    EXPECT_TRUE(manifest.status().code() == StatusCode::kOutOfRange)
+        << manifest.status().ToString();
+    EXPECT_NE(manifest.status().ToString().find(c.what), std::string::npos)
+        << manifest.status().ToString();
+    EXPECT_TRUE(publisher.CurrentVersion().status().IsNotFound());
+  }
 }
 
 TEST(SnapshotTest, RetentionKeepsNewestAndCurrent) {

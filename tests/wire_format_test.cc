@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,9 +20,12 @@
 #include "common/random.h"
 #include "common/varint.h"
 #include "common/wire.h"
+#include "graph/types.h"
+#include "net/ps_wire.h"
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
+#include "ps/server.h"
 #include "sim/cluster.h"
 #include "storage/hdfs.h"
 
@@ -370,8 +375,7 @@ class PullResponseTest : public ::testing::Test {
   /// The server's response bytes for `keys`, as the handler returns them.
   std::vector<uint8_t> Pull() {
     ByteBuffer req;
-    req.Write<ps::MatrixId>(meta_.id);
-    PutDeltaList(&req, keys_);
+    net::EncodeKeysRequest(meta_.id, keys_, &req);
     auto resp = fabric_->Call(cluster_->config().executor(0),
                               ctx_->ServerNode(0), "ps.pull_nbrs", req);
     PSG_CHECK_OK(resp.status());
@@ -483,6 +487,179 @@ TEST_F(PullResponseTest, InflatedPerKeyCountRejectedBeforeAllocation) {
         << st.ToString();
     EXPECT_EQ(st.ToString(), RefPullResponse(bad, keys_.size()).ToString());
   }
+}
+
+// --- Garbage input for every "ps.*" request codec (net/ps_wire.h) -----
+
+/// One decode of possibly corrupt bytes: its Status and the largest
+/// element count of any vector it filled.
+struct Decoded {
+  Status status;
+  size_t max_elements = 0;
+};
+
+/// Feeds `decode` (the function a ps.* handler calls) `encoded`, which
+/// must decode, then every strict prefix and every single-bit flip of
+/// it, each in an exactly sized buffer so an overread trips the
+/// sanitizers. Every input must come back with a Status and no decoded
+/// vector may hold more elements than the input has bytes. A strict
+/// prefix shorter than `shortest_valid` must fail; longer ones may pass
+/// (a psFunc's arguments are opaque to the codec).
+void FeedGarbage(
+    const std::vector<uint8_t>& encoded,
+    const std::function<Decoded(std::span<const uint8_t>)>& decode,
+    size_t shortest_valid) {
+  ASSERT_TRUE(decode(encoded).status.ok());
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    const std::vector<uint8_t> prefix(encoded.begin(), encoded.begin() + len);
+    const Decoded got = decode(prefix);
+    if (len < shortest_valid) {
+      EXPECT_FALSE(got.status.ok()) << "prefix " << len << " decoded";
+    }
+    EXPECT_LE(got.max_elements, len) << "prefix " << len;
+  }
+  for (size_t bit = 0; bit < encoded.size() * 8; ++bit) {
+    std::vector<uint8_t> flipped = encoded;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    const Decoded got = decode(flipped);
+    EXPECT_LE(got.max_elements, flipped.size()) << "bit " << bit;
+  }
+}
+
+TEST(PsRequestCodecTest, MatrixRequestSurvivesGarbage) {
+  ByteBuffer buf;
+  net::EncodeMatrixRequest(-7, &buf);
+  int32_t matrix = 0;
+  ASSERT_TRUE(net::DecodeMatrixRequest(buf.data(), &matrix).ok());
+  EXPECT_EQ(matrix, -7);
+  FeedGarbage(
+      buf.data(),
+      [&](std::span<const uint8_t> in) {
+        return Decoded{net::DecodeMatrixRequest(in, &matrix)};
+      },
+      buf.size());
+}
+
+TEST(PsRequestCodecTest, KeysRequestSurvivesGarbage) {
+  const std::vector<uint64_t> keys = {3, 70000, 1ull << 40, 5};
+  ByteBuffer buf;
+  net::EncodeKeysRequest(4, keys, &buf);
+  net::KeysRequest req;
+  ASSERT_TRUE(net::DecodeKeysRequest(buf.data(), &req).ok());
+  EXPECT_EQ(req.matrix, 4);
+  EXPECT_EQ(req.keys, keys);
+  FeedGarbage(
+      buf.data(),
+      [&](std::span<const uint8_t> in) {
+        return Decoded{net::DecodeKeysRequest(in, &req), req.keys.size()};
+      },
+      buf.size());
+}
+
+TEST(PsRequestCodecTest, RowsRequestSurvivesGarbage) {
+  const std::vector<uint64_t> keys = {1, 2, 900};
+  const std::vector<float> values = {0.5f, -1.0f, 2.0f, 3.5f, 1e9f, -0.0f};
+  ByteBuffer buf;
+  net::EncodeRowsRequest(2, keys, values, &buf);
+  net::RowsRequest req;
+  ASSERT_TRUE(net::DecodeRowsRequest(buf.data(), &req).ok());
+  EXPECT_EQ(req.matrix, 2);
+  EXPECT_EQ(req.keys, keys);
+  EXPECT_EQ(req.values, values);
+  FeedGarbage(
+      buf.data(),
+      [&](std::span<const uint8_t> in) {
+        return Decoded{net::DecodeRowsRequest(in, &req),
+                       std::max<size_t>({req.keys.size(), req.values.size()})};
+      },
+      buf.size());
+}
+
+TEST(PsRequestCodecTest, NeighborsRequestSurvivesGarbage) {
+  const std::vector<graph::NeighborList> tables = {
+      {3, {4, 1, 900000}, {}},
+      {8, {}, {}},
+      {20, {70000, 70001, 2}, {0.5f, -1.25f, 3.0f}},
+  };
+  const std::vector<uint32_t> index = {2, 0, 1};
+  ByteBuffer buf;
+  net::EncodeNeighborsRequest(9, tables, index, &buf);
+  net::NeighborsRequest<ps::NeighborEntry> req;
+  ASSERT_TRUE(net::DecodeNeighborsRequest(buf.data(), &req).ok());
+  EXPECT_EQ(req.matrix, 9);
+  EXPECT_EQ(req.keys, (std::vector<uint64_t>{20, 3, 8}));
+  ASSERT_EQ(req.entries.size(), 3u);
+  for (size_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(req.entries[i].neighbors, tables[index[i]].neighbors);
+    EXPECT_EQ(req.entries[i].weights, tables[index[i]].weights);
+  }
+  FeedGarbage(
+      buf.data(),
+      [&](std::span<const uint8_t> in) {
+        Decoded got{net::DecodeNeighborsRequest(in, &req),
+                    std::max<size_t>({req.keys.size(), req.entries.size()})};
+        for (const ps::NeighborEntry& e : req.entries) {
+          got.max_elements = std::max<size_t>(
+              {got.max_elements, e.neighbors.size(), e.weights.size()});
+        }
+        return got;
+      },
+      buf.size());
+}
+
+TEST(PsRequestCodecTest, MutateRequestSurvivesGarbage) {
+  net::MutateRequest want;
+  want.matrix = 5;
+  want.insert_src = {1, 1, 40};
+  want.insert_dst = {9, 2, 700000};
+  want.insert_weights = {0.25f, 1.0f, -2.0f};
+  want.delete_src = {3, 8, 8};
+  want.delete_dst = {1ull << 33, 4, 0};
+  ByteBuffer buf;
+  net::EncodeMutateRequest(want, &buf);
+  net::MutateRequest req;
+  ASSERT_TRUE(net::DecodeMutateRequest(buf.data(), &req).ok());
+  EXPECT_EQ(req.matrix, want.matrix);
+  EXPECT_EQ(req.insert_src, want.insert_src);
+  EXPECT_EQ(req.insert_dst, want.insert_dst);
+  EXPECT_EQ(req.insert_weights, want.insert_weights);
+  EXPECT_EQ(req.delete_src, want.delete_src);
+  EXPECT_EQ(req.delete_dst, want.delete_dst);
+  FeedGarbage(
+      buf.data(),
+      [&](std::span<const uint8_t> in) {
+        return Decoded{net::DecodeMutateRequest(in, &req),
+                       std::max<size_t>({req.insert_src.size(),
+                                         req.insert_dst.size(),
+                                         req.insert_weights.size(),
+                                         req.delete_src.size(),
+                                         req.delete_dst.size()})};
+      },
+      buf.size());
+}
+
+TEST(PsRequestCodecTest, FuncRequestSurvivesGarbage) {
+  ByteBuffer args;
+  args.Write<int32_t>(1);
+  args.Write<float>(0.85f);
+  PutDeltaList(&args, std::vector<uint64_t>{4, 9, 12});
+  const std::string name = "pagerank.advance";
+  ByteBuffer buf;
+  net::EncodeFuncRequest(name, args.data(), &buf);
+  net::FuncRequest req;
+  ASSERT_TRUE(net::DecodeFuncRequest(buf.data(), &req).ok());
+  EXPECT_EQ(req.name, name);
+  EXPECT_EQ(std::vector<uint8_t>(req.args.begin(), req.args.end()),
+            args.data());
+  // [u64 length][name]; any prefix past the name is a shorter argument
+  // payload, which only the psFunc itself can reject.
+  FeedGarbage(
+      buf.data(),
+      [&](std::span<const uint8_t> in) {
+        return Decoded{net::DecodeFuncRequest(in, &req),
+                       std::max<size_t>({req.name.size(), req.args.size()})};
+      },
+      8 + name.size());
 }
 
 }  // namespace
