@@ -66,6 +66,7 @@ void RunOne(const graph::EdgeList& edges, uint64_t num_vertices,
   PSG_CHECK_OK(adj.status());
 
   (*ctx)->metrics().Reset();  // isolate PageRank traffic from loading
+  (*ctx)->rpc_telemetry().Reset();
   stream::DeltaPageRankOptions po;
   po.max_iterations = 60;
   po.tolerance = 1e-9;
@@ -76,10 +77,8 @@ void RunOne(const graph::EdgeList& edges, uint64_t num_vertices,
   auto full = engine->RecomputeFull();
   PSG_CHECK_OK(full.status());
 
-  Metrics& metrics = (*ctx)->metrics();
-  const uint64_t rows_pushed = metrics.Get("ps.rows_pushed");
-  const uint64_t rpc_bytes =
-      metrics.Get("rpc.bytes_sent") + metrics.Get("rpc.bytes_received");
+  const uint64_t rows_pushed = (*ctx)->metrics().Get("ps.rows_pushed");
+  const uint64_t rpc_bytes = SumRpcBytes((*ctx)->rpc_telemetry()).total();
 
   // One 0.5 s epoch of edge mutations, applied incrementally: the
   // increments story extended to a mutating graph.

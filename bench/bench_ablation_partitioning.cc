@@ -40,14 +40,14 @@ void RunOne(const graph::EdgeList& edges, graph::PartitionStrategy strat,
   auto stats = graph::ComputePartitionStats(parts);
 
   (*ctx)->metrics().Reset();  // isolate PageRank traffic from loading
+  (*ctx)->rpc_telemetry().Reset();
   core::PageRankOptions po;
   po.max_iterations = 10;
   po.group_to_neighbor_tables = group;
   auto result = core::PageRank(**ctx, *ds, 0, po);
   PSG_CHECK_OK(result.status());
 
-  uint64_t ps_bytes = (*ctx)->metrics().Get("rpc.bytes_sent") +
-                      (*ctx)->metrics().Get("rpc.bytes_received");
+  const uint64_t ps_bytes = SumRpcBytes((*ctx)->rpc_telemetry()).total();
   std::printf(
       "%-27s src-replication=%-6.2f ps-traffic/iter=%-9s end-to-end "
       "sim=%s\n",

@@ -32,6 +32,7 @@ void RunOne(const graph::EdgeList& edges, bool psfunc, int dim,
   PSG_CHECK_OK(ds.status());
 
   (*ctx)->metrics().Reset();  // isolate training traffic from loading
+  (*ctx)->rpc_telemetry().Reset();
   core::LineOptions lo;
   lo.embedding_dim = dim;
   lo.epochs = 1;
@@ -39,8 +40,7 @@ void RunOne(const graph::EdgeList& edges, bool psfunc, int dim,
   auto result = core::Line(**ctx, *ds, 0, lo);
   PSG_CHECK_OK(result.status());
 
-  const uint64_t rpc_bytes = (*ctx)->metrics().Get("rpc.bytes_sent") +
-                             (*ctx)->metrics().Get("rpc.bytes_received");
+  const uint64_t rpc_bytes = SumRpcBytes((*ctx)->rpc_telemetry()).total();
   std::printf("%-26s rpc-bytes=%-10s sim/epoch=%s (loss %.4f)\n",
               psfunc ? "psFunc dot products" : "pull whole vectors",
               FormatBytes((double)rpc_bytes).c_str(),

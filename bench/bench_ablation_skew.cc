@@ -209,8 +209,11 @@ CellStats RunOne(bool zipfian, bool replicate, const ZipfSampler& zipf,
   cell.Set("replica_local_rows", stats.replica_local_rows);
   JsonValue per_server = JsonValue::Object();
   for (int32_t s = 0; s < cfg.num_servers; ++s) {
-    per_server.Set("s" + std::to_string(s),
-                   req_bytes[static_cast<size_t>(s)]);
+    // Appended, not `"s" + std::to_string(s)`: GCC 12 reports a false
+    // -Wrestrict inside libstdc++'s operator+ on a temporary.
+    std::string key = "s";
+    key += std::to_string(s);
+    per_server.Set(key, req_bytes[static_cast<size_t>(s)]);
   }
   cell.Set("req_bytes_per_server", std::move(per_server));
   report->Set(cell_key, std::move(cell));

@@ -90,8 +90,6 @@ void Run() {
   BenchReport report("ablation_sync");
   RunOne(edges, ps::SyncProtocol::kBsp, "BSP", ds1.paper_scale(), &report,
          "bsp");
-  RunOne(edges, ps::SyncProtocol::kSsp, "SSP-3", ds1.paper_scale(),
-         &report, "ssp3");
   RunOne(edges, ps::SyncProtocol::kAsp, "ASP", ds1.paper_scale(), &report,
          "asp");
   std::printf("\nNote: ASP trades the barrier wait for bounded staleness "

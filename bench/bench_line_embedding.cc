@@ -58,6 +58,7 @@ void Run() {
 
   Stopwatch wall;
   (*ctx)->metrics().Reset();  // isolate the training phase from loading
+  (*ctx)->rpc_telemetry().Reset();
   double t0 = (*ctx)->cluster().clock().Makespan();
   auto result = core::Line(**ctx, *ds, 0, lo);
   PSG_CHECK_OK(result.status());
@@ -72,11 +73,10 @@ void Run() {
   std::printf("  total (%d epochs at paper's 6-epoch budget: %s)\n",
               epochs,
               FormatDuration(per_epoch * ds1.paper_scale() * 6).c_str());
-  std::printf(
-      "  rpc bytes sent=%s received=%s\n",
-      FormatBytes((double)(*ctx)->metrics().Get("rpc.bytes_sent")).c_str(),
-      FormatBytes((double)(*ctx)->metrics().Get("rpc.bytes_received"))
-          .c_str());
+  const RpcBytes rpc_bytes = SumRpcBytes((*ctx)->rpc_telemetry());
+  std::printf("  rpc bytes sent=%s received=%s\n",
+              FormatBytes((double)rpc_bytes.sent).c_str(),
+              FormatBytes((double)rpc_bytes.received).c_str());
 
   // Wire-format accounting: the agent meters every pull/push payload it
   // encodes against the fixed-width v1 framing of the same batch, so the

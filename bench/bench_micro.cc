@@ -365,10 +365,10 @@ void BM_RmatGenerate(benchmark::State& state) {
 BENCHMARK(BM_RmatGenerate)->Arg(1 << 16)->Arg(1 << 19);
 
 // Deterministic instrumented PS workload for the regression baseline:
-// with parallelism pinned to 1 every simulated tick — including
-// rpc.queue_ticks — is reproducible run-to-run, so the pull/push latency
-// histograms and per-node makespans in BENCH_micro.json can be diffed
-// exactly by scripts/check_bench_regression.py. The google-benchmark
+// with parallelism pinned to 1 every simulated tick is reproducible
+// run-to-run, so the pull/push latency histograms and per-node
+// makespans in BENCH_micro.json can be diffed exactly by
+// scripts/check_bench_regression.py. The google-benchmark
 // timings above measure wall clock and are NOT part of the report.
 void EmitMicroReport() {
   SetGlobalParallelism(1);

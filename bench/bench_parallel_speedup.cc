@@ -70,8 +70,8 @@ Sample RunPageRank(const graph::EdgeList& edges, size_t parallelism,
   s.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   s.sim_seconds = (*ctx)->cluster().clock().Makespan();
   s.makespan_ticks = MakespanTicks(**ctx);
-  // The parallelism=1 run is fully deterministic (even rpc.queue_ticks),
-  // so it is the one whose histograms the regression checker gates on.
+  // The parallelism=1 run is the one whose histograms the regression
+  // checker gates on.
   if (report != nullptr) report->Capture(&(*ctx)->cluster());
   return s;
 }

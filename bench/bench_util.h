@@ -10,6 +10,7 @@
 #ifndef PSGRAPH_BENCH_BENCH_UTIL_H_
 #define PSGRAPH_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/env.h"  // EnvU64, which reads the benches' PSG_* scale knobs
+#include "common/rpc_telemetry.h"
 #include "common/trace_export.h"
 #include "sim/report.h"
 
@@ -45,6 +47,23 @@ inline std::string FormatBytes(double bytes) {
     std::snprintf(buf, sizeof(buf), "%.2f GB", bytes / (1ull << 30));
   }
   return buf;
+}
+
+/// Payload bytes of every RPC an RpcTelemetry metered since its last
+/// Reset(), in each direction.
+struct RpcBytes {
+  uint64_t sent = 0;      ///< caller -> callee
+  uint64_t received = 0;  ///< callee -> caller
+  uint64_t total() const { return sent + received; }
+};
+
+inline RpcBytes SumRpcBytes(const RpcTelemetry& telemetry) {
+  RpcBytes bytes;
+  for (const RpcTelemetry::MethodStat& m : telemetry.Snapshot()) {
+    bytes.sent += m.request_bytes;
+    bytes.received += m.response_bytes;
+  }
+  return bytes;
 }
 
 struct CellResult {

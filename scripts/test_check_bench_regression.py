@@ -36,10 +36,10 @@ def full_report():
         "schema": "psgraph.run_report",
         "schema_version": 8,
         "name": "synthetic",
-        "counters": {"rpc.calls": 12},
+        "counters": {"ps.rows_pulled": 12},
         "gauges": {"parallelism": 1.0},
         "histograms": {"agent.pull.latency_ticks": hist,
-                       "rpc.queue_ticks": dict(hist)},
+                       "ps.func.service_ticks": dict(hist)},
         "spans": {"agent.pull": {"count": 4, "total_ticks": 150,
                                  "max_ticks": 50}},
         "spans_dropped": 0,
@@ -167,10 +167,10 @@ def test_gate(dirs):
     # Wall clock and ungated sections never gate.
     expect(dirs, lambda r: r["bench"]["rows"][0].update(wall_seconds=9.0),
            passes=True)
-    expect(dirs, lambda r: r["counters"].update({"rpc.calls": 99}),
+    expect(dirs, lambda r: r["counters"].update({"ps.rows_pulled": 99}),
            passes=True)
-    expect(dirs, lambda r: scale(r["histograms"]["rpc.queue_ticks"], "p99",
-                                 10), passes=True)
+    expect(dirs, lambda r: scale(r["histograms"]["ps.func.service_ticks"],
+                                 "p99", 10), passes=True)
 
 
 def test_divergence(dirs):

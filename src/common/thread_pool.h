@@ -7,8 +7,7 @@
 // RpcFabric::CallParallel overlaps handler dispatch, and benches sweep the
 // effective parallelism. The *logical* parallelism is a separate knob
 // (Get/SetGlobalParallelism, env PSGRAPH_THREADS): at parallelism 1 every
-// engine takes its strictly sequential path, which reproduces the
-// single-threaded execution order exactly — CI uses that to prove the
+// engine runs on the calling thread — CI uses that to prove the
 // simulated-clock math is identical with and without real threads.
 
 #ifndef PSGRAPH_COMMON_THREAD_POOL_H_

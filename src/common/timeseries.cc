@@ -91,7 +91,6 @@ void MetricsSampler::ScrapeInto(std::map<std::string, double>* out) const {
     }
     for (const auto& [name, hist] :
          options_.metrics->HistogramSnapshots()) {
-      if (hist_denylist_.count(name) != 0) continue;
       const HistogramPercentiles p = hist.Percentiles();
       (*out)["hist." + name + ".p50"] = p.p50;
       (*out)["hist." + name + ".p99"] = p.p99;

@@ -25,14 +25,7 @@
 //   <source name>         registered callbacks (memory watermarks, ...)
 // A series first seen at point k is zero-backfilled for points 1..k-1
 // (counters and gauges default to zero before first touch); a series
-// absent from a later scrape (registry reset) records zero. Histograms
-// whose per-sample values are scheduling-dependent at parallelism > 1
-// (rpc.queue_ticks: queueing behind the endpoint's event loop;
-// dataflow.partition_ticks: an engine computing partitions from its own
-// tasks can reach an unwritten shuffle lazily, and whichever task gets
-// there first absorbs its whole map stage) are denylisted from scraping
-// so the determinism contract holds — their totals still reach the
-// terminal report.
+// absent from a later scrape (registry reset) records zero.
 //
 // The scrape interval and capacity are MetricsSampler::Options; a
 // SimCluster's sampler scrapes once per simulated millisecond into 256
@@ -45,7 +38,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -166,10 +158,6 @@ class MetricsSampler {
   mutable std::mutex mu_;
   TimeSeriesStore store_;
   std::map<std::string, std::function<double()>> sources_;
-  /// Histograms never scraped: their samples depend on thread
-  /// scheduling (see the file comment).
-  const std::set<std::string> hist_denylist_{"rpc.queue_ticks",
-                                             "dataflow.partition_ticks"};
   std::function<void(int64_t)> scrape_callback_;
 };
 

@@ -80,7 +80,7 @@ Result<std::unique_ptr<PsGraphContext>> PsGraphContext::Create(
   ctx->master_ = std::make_unique<ps::PsMaster>(
       ctx->ps_.get(), options.checkpoint_prefix);
   ctx->sync_ = std::make_unique<ps::SyncController>(
-      ctx->cluster_.get(), options.sync, options.ssp_staleness);
+      ctx->cluster_.get(), options.sync);
   for (int32_t e = 0; e < options.cluster.num_executors; ++e) {
     ctx->agents_.push_back(std::make_unique<ps::PsAgent>(
         ctx->ps_.get(), options.cluster.executor(e)));

@@ -39,8 +39,6 @@ class PsGraphContext {
   struct Options {
     sim::ClusterConfig cluster;
     ps::SyncProtocol sync = ps::SyncProtocol::kBsp;
-    /// Barrier period when sync == kSsp (bounded staleness).
-    int ssp_staleness = 3;
     /// HDFS prefix for PS checkpoints.
     std::string checkpoint_prefix = "ckpt/psgraph";
     /// Checkpoint every N iterations (<= 0 disables periodic

@@ -6,9 +6,9 @@
 // order within a task — so each executor's simulated clock receives its
 // charges from a single thread in a fixed order and the makespan math
 // stays exact and deterministic at any parallelism (see DESIGN.md,
-// "Execution model"). PSGRAPH_THREADS=1 forces the sequential reference
-// path. The context holds no shuffle state: each ShuffleWriter owns its
-// blocks (dataset.h).
+// "Execution model"). PSGRAPH_THREADS=1 runs the same tasks inline, one
+// executor after another. The context holds no shuffle state: each
+// ShuffleWriter owns its blocks (dataset.h).
 
 #ifndef PSGRAPH_DATAFLOW_CONTEXT_H_
 #define PSGRAPH_DATAFLOW_CONTEXT_H_

@@ -73,51 +73,30 @@ struct KeyHasher {
 };
 
 /// Engine core shared by all actions and the shuffle map stage: runs
-/// fn(p) for every partition in [0, n). At global parallelism 1 this is
-/// the strictly sequential reference path (ascending p, abort on the
-/// first error). Otherwise one pool task per executor walks that
-/// executor's partitions in ascending order — all simulated-clock and
-/// memory charges for one executor come from one thread in a fixed
-/// order, which is what makes N-thread makespans bit-identical to the
-/// sequential run. A failing partition aborts only its own executor's
-/// stream; the error with the lowest partition index is returned, so the
-/// reported error matches the sequential path.
+/// fn(p) for every partition in [0, n). One stream per executor walks
+/// that executor's partitions in ascending order — pool tasks at global
+/// parallelism > 1, inline in executor order at 1 — so all
+/// simulated-clock and memory charges for one executor come from one
+/// thread in a fixed order, which is what makes makespans bit-identical
+/// at any parallelism. A failing partition aborts only its own
+/// executor's stream; the error with the lowest partition index is
+/// returned.
 inline Status RunPartitioned(DataflowContext* ctx, int32_t n,
                              const std::function<Status(int32_t)>& fn) {
-  // Per-partition-task instrumentation: bracket each task with the owning
-  // executor's simulated clock. An action's brackets hold only its own
-  // partitions' work: its map stages ran before it (PrepareStages). An
-  // engine that calls ComputePartition/BorrowPartition from its own tasks
-  // can still reach an unwritten shuffle, whose map stage then runs
-  // nested in whichever task gets there first and is absorbed by that
-  // bracket — so individual "dataflow.partition_ticks" samples stay
-  // scheduling-dependent at parallelism > 1 (the histogram is denylisted
-  // from the telemetry sampler for that reason; totals at barriers stay
-  // deterministic).
   sim::SimCluster* cluster = ctx->cluster();
   auto run_one = [&](int32_t p) -> Status {
     const sim::NodeId exec = ctx->ExecutorOf(p);
     const int64_t t0 = cluster->clock().NowTicks(exec);
     ScopedSpan span(&cluster->tracer(), "dataflow.partition", exec, t0,
                     [&] { return cluster->clock().NowTicks(exec); });
-    Status st = fn(p);
-    cluster->metrics().Observe(
-        "dataflow.partition_ticks",
-        static_cast<uint64_t>(cluster->clock().NowTicks(exec) - t0));
-    return st;
+    return fn(p);
   };
-  const size_t parallelism = GlobalParallelism();
-  if (parallelism <= 1) {
-    for (int32_t p = 0; p < n; ++p) {
-      PSG_RETURN_NOT_OK(run_one(p));
-    }
-    return Status::OK();
-  }
   const int32_t num_tasks = ctx->num_executors();
   std::vector<Status> errors(num_tasks, Status::OK());
   std::vector<int32_t> error_at(num_tasks, INT32_MAX);
   GlobalThreadPool().ParallelForBounded(
-      static_cast<size_t>(num_tasks), parallelism - 1, [&](size_t e) {
+      static_cast<size_t>(num_tasks), GlobalParallelism() - 1,
+      [&](size_t e) {
         for (int32_t p = static_cast<int32_t>(e); p < n; p += num_tasks) {
           Status st = run_one(p);
           if (!st.ok()) {

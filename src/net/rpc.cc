@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
 #include "common/rpc_telemetry.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -59,7 +58,6 @@ Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
     sim::NodeId from, std::vector<ParallelCall> calls) {
   const size_t n = calls.size();
   const bool timed = from >= 0;
-  Metrics& metrics = cluster_->metrics();
   Tracer& tracer = cluster_->tracer();
   RpcTelemetry& telemetry = cluster_->rpc_telemetry();
   // The caller's innermost open span (e.g. "agent.pull"), captured on
@@ -95,8 +93,6 @@ Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
       return Status::Unavailable("rpc: node " + std::to_string(call.to) +
                                  " has no endpoint bound");
     }
-    metrics.Add("rpc.calls", 1);
-    metrics.Add("rpc.bytes_sent", call.request.size());
     telemetry.RecordCall(call.method, call.to, call.request.size());
     if (timed) {
       send_cursor += WireTicks(cluster_->cost(), call.request.size());
@@ -136,7 +132,6 @@ Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
           timed ? cluster_->clock().NowTicks(call.to) - busy_before : 0);
       return response.status();
     }
-    metrics.Add("rpc.bytes_received", response->size());
     if (timed) {
       // A server's clock accumulates pure *busy* time (handler compute
       // charged inside the handler, plus serializing the response onto
@@ -162,19 +157,11 @@ Result<std::vector<std::vector<uint8_t>>> RpcFabric::CallParallel(
                                        sim::CostCategory::kStreamApply,
                                        *service_out - wire);
       }
-      // Service time is bracketed under the endpoint's serial lock, so it
-      // is deterministic per request; queueing (waiting behind the shard's
-      // event loop after arriving) depends on dispatch interleaving at
-      // parallelism > 1 and is therefore excluded from regression gating.
-      metrics.Observe("rpc.service_ticks",
-                      static_cast<uint64_t>(*service_out));
-      metrics.Observe(
-          "rpc.queue_ticks",
-          static_cast<uint64_t>(
-              std::max<int64_t>(0, busy_before - arrival_ticks)));
     }
     // Caller wait = send serialization + latency + service + latency,
-    // all deterministic per call (queueing excluded, like service time).
+    // all deterministic per call: service is bracketed under the
+    // endpoint's serial lock, and queueing behind other callers (which
+    // depends on dispatch interleaving) is excluded.
     telemetry.RecordResponse(
         call.method, call.to, response->size(), *service_out,
         timed ? arrival_ticks + *service_out + latency_ticks - t0 : 0);

@@ -93,17 +93,13 @@ Result<std::vector<float>> PsAgent::PullRows(
   std::vector<float> out(keys.size() * cols, 0.0f);
   std::vector<uint64_t> cold_keys;
   std::vector<uint32_t> cold_idx;
-  uint64_t local = 0;
   for (uint32_t i = 0; i < keys.size(); ++i) {
-    if (replicas_->ServePull(meta.id, keys[i],
-                             out.data() + uint64_t{i} * cols)) {
-      ++local;
-    } else {
+    if (!replicas_->ServePull(meta.id, keys[i],
+                              out.data() + uint64_t{i} * cols)) {
       cold_keys.push_back(keys[i]);
       cold_idx.push_back(i);
     }
   }
-  if (local > 0) metrics().Add("ps.replica.local_pull_rows", local);
   if (cold_keys.empty()) return out;
   PSG_ASSIGN_OR_RETURN(auto cold, PullRowsRemote(meta, cold_keys));
   for (size_t j = 0; j < cold_idx.size(); ++j) {
@@ -137,7 +133,6 @@ Result<std::vector<float>> PsAgent::PullRowsRemote(
     calls.push_back({ctx_->ServerNode(s), "ps.pull", std::move(req)});
     call_server.push_back(s);
   }
-  metrics().Observe("agent.pull.fanout", calls.size());
   PSG_ASSIGN_OR_RETURN(auto responses,
                        ctx_->fabric()->CallParallel(node_, std::move(calls)));
   metrics().Observe("agent.pull.latency_ticks",
@@ -184,7 +179,6 @@ Result<std::vector<float>> PsAgent::PullRowsColumnPartitioned(
     calls.push_back({ctx_->ServerNode(s), "ps.pull", req});
     call_server.push_back(s);
   }
-  metrics().Observe("agent.pull.fanout", calls.size());
   PSG_ASSIGN_OR_RETURN(auto responses,
                        ctx_->fabric()->CallParallel(node_, std::move(calls)));
   metrics().Observe("agent.pull.latency_ticks",
@@ -228,17 +222,13 @@ Status PsAgent::Push(const MatrixMeta& meta,
     // next barrier); only the cold tail crosses the wire.
     std::vector<uint64_t> cold_keys;
     std::vector<float> cold_values;
-    uint64_t local = 0;
     for (uint32_t i = 0; i < keys.size(); ++i) {
       const float* row = values.data() + uint64_t{i} * cols;
-      if (replicas_->AbsorbAdd(meta.id, keys[i], row)) {
-        ++local;
-      } else {
+      if (!replicas_->AbsorbAdd(meta.id, keys[i], row)) {
         cold_keys.push_back(keys[i]);
         cold_values.insert(cold_values.end(), row, row + cols);
       }
     }
-    if (local > 0) metrics().Add("ps.replica.local_push_rows", local);
     if (cold_keys.empty()) return Status::OK();
     return PushRemote(meta, cold_keys, cold_values, /*add=*/true);
   }
@@ -308,7 +298,6 @@ Status PsAgent::PushRemote(const MatrixMeta& meta,
       calls.push_back({ctx_->ServerNode(s), method, std::move(req)});
     }
   }
-  metrics().Observe("agent.push.fanout", calls.size());
   PSG_ASSIGN_OR_RETURN(auto responses,
                        ctx_->fabric()->CallParallel(node_, std::move(calls)));
   metrics().Observe("agent.push.latency_ticks",
@@ -347,11 +336,8 @@ Status PsAgent::PushNeighbors(
     net::EncodeNeighborsRequest(meta.id, tables, by_server[s], &req);
     calls.push_back({ctx_->ServerNode(s), "ps.push_nbrs", std::move(req)});
   }
-  metrics().Observe("agent.push_nbrs.fanout", calls.size());
   PSG_ASSIGN_OR_RETURN(auto responses,
                        ctx_->fabric()->CallParallel(node_, std::move(calls)));
-  metrics().Observe("agent.push_nbrs.latency_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   (void)responses;
   return Status::OK();
 }
@@ -405,23 +391,11 @@ Status PsAgent::MutateNeighbors(const MatrixMeta& meta,
     }
     ByteBuffer req;
     net::EncodeMutateRequest(wire_req, &req);
-    metrics().Add("wire.mutate.req_bytes", req.size());
-    // Raw equivalent: v1 key framing for both src lists, bare u64 dst
-    // per op, float block for weights.
-    metrics().Add(
-        "wire.mutate.req_raw_bytes",
-        RawKeyFramingBytes(ins.size()) + RawKeyFramingBytes(del.size()) +
-            8 * (static_cast<uint64_t>(ins.size()) + del.size()) +
-            RawFloatFramingBytes(wire_req.insert_weights.size()));
     calls.push_back({ctx_->ServerNode(s), "ps.mutate", std::move(req)});
   }
-  metrics().Observe("agent.mutate.fanout", calls.size());
   PSG_ASSIGN_OR_RETURN(auto responses,
                        ctx_->fabric()->CallParallel(node_, std::move(calls)));
-  metrics().Observe("agent.mutate.latency_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   (void)responses;
-  metrics().Add("agent.mutations_sent", mutations.size());
   return Status::OK();
 }
 
@@ -495,11 +469,8 @@ Result<NeighborBlock> PsAgent::PullNeighbors(
     calls.push_back({ctx_->ServerNode(s), "ps.pull_nbrs", std::move(req)});
     call_server.push_back(s);
   }
-  metrics().Observe("agent.pull_nbrs.fanout", calls.size());
   PSG_ASSIGN_OR_RETURN(auto responses,
                        ctx_->fabric()->CallParallel(node_, std::move(calls)));
-  metrics().Observe("agent.pull_nbrs.latency_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   for (size_t c = 0; c < responses.size(); ++c) {
     PSG_RETURN_NOT_OK(
         out.DecodeResponse(responses[c], by_server[call_server[c]]));
@@ -527,10 +498,7 @@ Result<std::vector<std::vector<uint8_t>>> PsAgent::CallFuncAll(
   const int64_t t0 = NowTicks();
   ScopedSpan span(&tracer(), "agent.func", node_, t0,
                   [this] { return NowTicks(); });
-  metrics().Observe("agent.func.fanout", calls.size());
   auto responses = ctx_->fabric()->CallParallel(node_, std::move(calls));
-  metrics().Observe("agent.func.latency_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   return responses;
 }
 
@@ -603,14 +571,8 @@ Status PsAgent::MergeRows(const MatrixMeta& meta, int32_t server,
                   [this] { return NowTicks(); });
   ByteBuffer req;
   net::EncodeRowsRequest(meta.id, keys, deltas, &req);
-  metrics().Add("wire.merge.req_bytes", req.size());
-  metrics().Add("wire.merge.req_raw_bytes",
-                RawKeyFramingBytes(keys.size()) +
-                    RawFloatFramingBytes(deltas.size()));
   PSG_ASSIGN_OR_RETURN(auto resp, Call(server, "ps.merge", req));
   (void)resp;
-  metrics().Observe("agent.merge.latency_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/metrics.h"
 #include "ps/agent.h"
 #include "ps/context.h"
 #include "ps/partitioner.h"
@@ -75,10 +74,6 @@ uint64_t ReplicaCache::local_rows() const {
 }
 
 // --- ReplicationManager ---
-
-Metrics& ReplicationManager::metrics() const {
-  return ps_->cluster()->metrics();
-}
 
 ReplicationManager::ReplicationManager(PsContext* ps,
                                        std::vector<PsAgent*> agents,
@@ -181,7 +176,6 @@ Status ReplicationManager::Merge() {
     PSG_RETURN_NOT_OK(Broadcast(meta, hot_[id]));
   }
   ++merges_;
-  metrics().Add("replication.merges", 1);
   // Merge runs at superstep barriers (a serial orchestration point), so
   // scraping up to the cluster makespan here is deterministic.
   sim::SimCluster* cl = ps_->cluster();
@@ -233,9 +227,6 @@ Status ReplicationManager::FlushDeltas(const MatrixMeta& meta,
                            values.begin() + (i + 1) * cols);
     }
     if (server_keys.empty()) continue;
-    metrics().Add("replication.merge_bytes",
-                  server_keys.size() * sizeof(uint64_t) +
-                      server_values.size() * sizeof(float));
     PSG_RETURN_NOT_OK(
         agents_[executor]->MergeRows(meta, s, server_keys, server_values));
     std::lock_guard<std::mutex> lock(cache->mu_);

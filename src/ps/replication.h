@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "ps/matrix_meta.h"
 
@@ -90,8 +89,7 @@ class ReplicaCache {
   /// assigned the same row by the agent).
   void ApplyAssign(MatrixId id, uint64_t key, const float* src);
 
-  /// Rows served / absorbed locally (diagnostics; the agent also meters
-  /// ps.replica.* counters).
+  /// Rows served / absorbed locally (read by bench_ablation_skew).
   uint64_t local_rows() const;
 
  private:
@@ -162,8 +160,6 @@ class ReplicationManager {
   /// to each executor) and installs the rows as the new replica values.
   Status Broadcast(const MatrixMeta& meta,
                    const std::vector<uint64_t>& hot);
-
-  Metrics& metrics() const;
 
   PsContext* ps_;
   std::vector<PsAgent*> agents_;

@@ -108,11 +108,7 @@ PsServer::PsServer(int32_t server_index, int32_t num_servers,
       num_servers_(num_servers),
       cluster_(cluster),
       node_(cluster->config().server(server_index)),
-      hdfs_(hdfs),
-      pulled_counter_name_("ps.server" + std::to_string(server_index) +
-                           ".rows_pulled"),
-      pushed_counter_name_("ps.server" + std::to_string(server_index) +
-                           ".rows_pushed") {}
+      hdfs_(hdfs) {}
 
 Status PsServer::ChargeMemory(uint64_t bytes, const char* what) {
   PSG_RETURN_NOT_OK(cluster_->memory().Allocate(node_, bytes, what));
@@ -216,8 +212,6 @@ Status PsServer::PullRows(MatrixId id, std::span<const uint64_t> keys,
     dst += cols;
   }
   metrics().Add("ps.rows_pulled", keys.size());
-  metrics().Add(pulled_counter_name_, keys.size());
-  metrics().Observe("ps.pull.keys_per_request", keys.size());
   metrics().Observe("ps.pull.service_ticks",
                     static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
@@ -237,8 +231,6 @@ Status PsServer::PushAdd(MatrixId id, std::span<const uint64_t> keys,
   ChargeCompute(values.size() / 4 + keys.size());
   PSG_RETURN_NOT_OK(ApplyRows(shard, keys, values, /*add=*/true));
   metrics().Add("ps.rows_pushed", keys.size());
-  metrics().Add(pushed_counter_name_, keys.size());
-  metrics().Observe("ps.push.keys_per_request", keys.size());
   metrics().Observe("ps.push.service_ticks",
                     static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
@@ -284,8 +276,6 @@ PsServer::RowBatch::~RowBatch() {
   if (ticks_ > 0) s.cluster_->clock().AdvanceTicks(s.node_, ticks_);
   if (rows_ == 0) return;
   s.metrics().Add("ps.rows_pushed", rows_);
-  s.metrics().Add(s.pushed_counter_name_, rows_);
-  s.metrics().GetHistogram("ps.push.keys_per_request").RecordN(1, rows_);
   Histogram& service = s.metrics().GetHistogram("ps.push.service_ticks");
   for (const auto& [ticks, n] : service_runs_) service.RecordN(ticks, n);
 }
@@ -336,12 +326,6 @@ Status PsServer::MergeRows(MatrixId id, std::span<const uint64_t> keys,
   }
   ChargeCompute(deltas.size() / 4 + keys.size());
   PSG_RETURN_NOT_OK(ApplyRows(shard, keys, deltas, /*add=*/true));
-  // Counted under ps.merge.*, not ps.rows_pushed: replica management
-  // traffic is not workload access.
-  metrics().Add("ps.merge.rows", keys.size());
-  metrics().Observe("ps.merge.keys_per_request", keys.size());
-  metrics().Observe("ps.merge.service_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
 }
 
@@ -357,8 +341,6 @@ Status PsServer::PushAssign(MatrixId id, std::span<const uint64_t> keys,
   ChargeCompute(values.size() / 4 + keys.size());
   PSG_RETURN_NOT_OK(ApplyRows(shard, keys, values, /*add=*/false));
   metrics().Add("ps.rows_pushed", keys.size());
-  metrics().Add(pushed_counter_name_, keys.size());
-  metrics().Observe("ps.push.keys_per_request", keys.size());
   metrics().Observe("ps.push.service_ticks",
                     static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
@@ -399,7 +381,6 @@ Status PsServer::PushNeighbors(MatrixId id,
     }
   }
   ChargeCompute(keys.size());
-  metrics().Add("ps.neighbor_entries_pushed", keys.size());
   return Status::OK();
 }
 
@@ -425,19 +406,26 @@ Status PsServer::MutateNeighbors(MatrixId id,
   const bool weighted = !insert_weights.empty();
   uint64_t ops = insert_src.size() + delete_src.size();
 
-  // Inserts first, deletes second — legal because an epoch batch never
-  // carries the same (src, dst) twice (see net::MutateRequest).
+  // The batch applies to copies of the lists it touches, and its insert
+  // bytes are charged in one allocation before the copies replace the
+  // stored lists: a bad edge or an exhausted budget leaves the shard,
+  // its charges and the clock as they were. Inserts first, deletes
+  // second — legal because an epoch batch never carries the same
+  // (src, dst) twice (see net::MutateRequest).
+  std::map<uint64_t, NeighborEntry> staged;
+  uint64_t insert_bytes = 0;
+  uint64_t released = 0;
   for (size_t i = 0; i < insert_src.size(); ++i) {
     const uint64_t src = insert_src[i];
     const uint64_t dst = insert_dst[i];
-    auto [it, inserted] = shard->neighbors.try_emplace(src);
-    if (inserted) {
-      Status st = ChargeMemory(kHashEntryOverhead, "ps neighbor table");
-      if (!st.ok()) {
-        shard->neighbors.erase(it);
-        return st;
+    auto [it, fresh] = staged.try_emplace(src);
+    if (fresh) {
+      auto stored = shard->neighbors.find(src);
+      if (stored == shard->neighbors.end()) {
+        insert_bytes += kHashEntryOverhead;
+      } else {
+        it->second = stored->second;
       }
-      shard->charged_bytes += kHashEntryOverhead;
     }
     NeighborEntry& entry = it->second;
     ops += entry.neighbors.size();  // duplicate scan below
@@ -447,10 +435,7 @@ Status PsServer::MutateNeighbors(MatrixId id,
           "mutate: duplicate INSERT of edge " + std::to_string(src) +
           " -> " + std::to_string(dst));
     }
-    const uint64_t extra =
-        sizeof(uint64_t) + (weighted ? sizeof(float) : 0);
-    PSG_RETURN_NOT_OK(ChargeMemory(extra, "ps neighbor table"));
-    shard->charged_bytes += extra;
+    insert_bytes += sizeof(uint64_t) + (weighted ? sizeof(float) : 0);
     entry.neighbors.push_back(dst);
     if (weighted) entry.weights.push_back(insert_weights[i]);
   }
@@ -458,11 +443,15 @@ Status PsServer::MutateNeighbors(MatrixId id,
   for (size_t i = 0; i < delete_src.size(); ++i) {
     const uint64_t src = delete_src[i];
     const uint64_t dst = delete_dst[i];
-    auto it = shard->neighbors.find(src);
-    if (it == shard->neighbors.end()) {
-      return Status::NotFound(
-          "mutate: DELETE of edge " + std::to_string(src) + " -> " +
-          std::to_string(dst) + ": source vertex has no adjacency");
+    auto it = staged.find(src);
+    if (it == staged.end()) {
+      auto stored = shard->neighbors.find(src);
+      if (stored == shard->neighbors.end()) {
+        return Status::NotFound(
+            "mutate: DELETE of edge " + std::to_string(src) + " -> " +
+            std::to_string(dst) + ": source vertex has no adjacency");
+      }
+      it = staged.emplace(src, stored->second).first;
     }
     NeighborEntry& entry = it->second;
     auto pos =
@@ -478,18 +467,23 @@ Status PsServer::MutateNeighbors(MatrixId id,
     // Order-preserving erase: adjacency order is part of the
     // deterministic state (CSR freeze, samplers iterate it).
     entry.neighbors.erase(pos);
-    uint64_t released = sizeof(uint64_t);
+    released += sizeof(uint64_t);
     if (!entry.weights.empty()) {
       entry.weights.erase(entry.weights.begin() +
                           static_cast<ptrdiff_t>(idx));
       released += sizeof(float);
     }
-    ReleaseMemory(released);
-    shard->charged_bytes -= std::min(shard->charged_bytes, released);
-    // A vertex whose last edge is deleted keeps its (empty) entry:
-    // degree 0 is a real state, and re-insertion stays cheap.
   }
 
+  PSG_RETURN_NOT_OK(ChargeMemory(insert_bytes, "ps neighbor table"));
+  shard->charged_bytes += insert_bytes;
+  ReleaseMemory(released);
+  shard->charged_bytes -= std::min(shard->charged_bytes, released);
+  // A vertex whose last edge is deleted keeps its (empty) entry: degree
+  // 0 is a real state, and re-insertion stays cheap.
+  for (auto& [src, entry] : staged) {
+    shard->neighbors.try_emplace(src).first->second = std::move(entry);
+  }
   ChargeCompute(ops);
   metrics().Add("ps.edges_inserted", insert_src.size());
   metrics().Add("ps.edges_deleted", delete_src.size());
@@ -560,8 +554,6 @@ Status PsServer::PullNeighbors(MatrixId id,
     WriteFloatBlock(out, l.weights.data(), l.weights.size());
   }
   metrics().Add("ps.neighbor_entries_pulled", keys.size());
-  metrics().Observe("ps.pull_nbrs.service_ticks",
-                    static_cast<uint64_t>(NowTicks() - t0));
   return Status::OK();
 }
 
@@ -662,7 +654,6 @@ Status PsServer::Checkpoint(const std::string& prefix) {
       buf.WriteVector(shard.csr->weights);
     }
   }
-  metrics().Add("ps.checkpoint_bytes", buf.size());
   const uint64_t bytes = buf.size();
   const int64_t save_t0 = NowTicks();
   Status st = hdfs_->Write(
@@ -731,7 +722,6 @@ Status PsServer::ExportMatrix(MatrixId id, ByteBuffer* out) {
   }
 
   ChargeCompute(out->size());
-  metrics().Add("ps.export_bytes", out->size());
   return Status::OK();
 }
 

@@ -117,9 +117,9 @@ class PsServer {
   /// applies exactly like a one-key PushAdd/PushAssign — same compute
   /// ticks, memory charged at the same point (so MemoryLimitExceeded
   /// stops at the same row, after charging that row's compute), same
-  /// float order — but the clock advance, the ps.rows_pushed counters
-  /// and the per-row ps.push.keys_per_request / ps.push.service_ticks
-  /// samples are recorded once, when the batch is destroyed. A batch
+  /// float order — but the clock advance, the ps.rows_pushed counter
+  /// and the per-row ps.push.service_ticks samples are recorded once,
+  /// when the batch is destroyed. A batch
   /// lives inside one psFunc call, under the endpoint's serial lock, so
   /// nothing else moves this shard's clock between its rows.
   class RowBatch {
@@ -195,8 +195,11 @@ class PsServer {
   /// size); DELETE removes `delete_dst[i]` from `delete_src[i]`'s list.
   /// Fails loudly — naming the edge — on a duplicate INSERT, a DELETE of
   /// an edge or source vertex that does not exist, or a frozen (CSR)
-  /// shard; the batch is applied in order and an error aborts mid-batch,
-  /// so callers treat any failure as fatal to the epoch.
+  /// shard. All or nothing: the ops apply in order to copies of the
+  /// lists they touch, and the copies replace the stored lists only
+  /// once every op has succeeded and the batch's insert bytes are
+  /// charged, in one allocation. A failed batch leaves the adjacency,
+  /// the shard's charges and the server clock unchanged.
   Status MutateNeighbors(MatrixId id,
                          std::span<const uint64_t> insert_src,
                          std::span<const uint64_t> insert_dst,
@@ -283,10 +286,6 @@ class PsServer {
   net::MutateRequest mutate_request_;
   /// Reusable pull response staging (capacity persists across requests).
   std::vector<float> pull_scratch_;
-  /// Per-server counter names (`ps.server<k>.rows_pulled/pushed`), built
-  /// once in the ctor so the request hot paths never allocate for them.
-  std::string pulled_counter_name_;
-  std::string pushed_counter_name_;
 };
 
 /// Computes the column slice [begin, end) server `s` of `n` owns for a

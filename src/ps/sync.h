@@ -1,8 +1,6 @@
 // Synchronization controller (paper §III-A): BSP inserts a barrier across
 // all executors at every iteration boundary; ASP lets executors run
-// free; SSP (stale synchronous parallel — the classic middle ground the
-// Angel PS family also offers) barriers only every `staleness`
-// iterations, bounding how far executors may drift apart.
+// free.
 
 #ifndef PSGRAPH_PS_SYNC_H_
 #define PSGRAPH_PS_SYNC_H_
@@ -18,29 +16,20 @@ namespace psgraph::ps {
 enum class SyncProtocol : uint8_t {
   kBsp = 0,
   kAsp = 1,
-  kSsp = 2,
 };
 
 class SyncController {
  public:
-  SyncController(sim::SimCluster* cluster, SyncProtocol protocol,
-                 int staleness = 3)
-      : cluster_(cluster),
-        protocol_(protocol),
-        staleness_(staleness < 1 ? 1 : staleness) {}
+  SyncController(sim::SimCluster* cluster, SyncProtocol protocol)
+      : cluster_(cluster), protocol_(protocol) {}
 
   SyncProtocol protocol() const { return protocol_; }
-  int staleness() const { return staleness_; }
 
   /// In BSP mode, advances every executor's simulated clock to the
   /// slowest one (the barrier); in ASP mode this is a no-op and stragglers
   /// simply lag. Returns the barrier time (BSP) or 0 (ASP).
   double IterationBarrier() {
-    ++calls_;
     if (protocol_ == SyncProtocol::kAsp) return 0.0;
-    if (protocol_ == SyncProtocol::kSsp && calls_ % staleness_ != 0) {
-      return 0.0;  // within the staleness bound: run ahead
-    }
     std::vector<int32_t> executors;
     executors.reserve(cluster_->config().num_executors);
     for (int32_t e = 0; e < cluster_->config().num_executors; ++e) {
@@ -75,8 +64,6 @@ class SyncController {
  private:
   sim::SimCluster* cluster_;
   SyncProtocol protocol_;
-  int staleness_;
-  int64_t calls_ = 0;
   double total_wait_ = 0.0;
 };
 

@@ -195,7 +195,6 @@ Status ServingRouter::FlushBatches(
           FailSub(item.request_index, completion);
         }
       }
-      metrics().Add("serving.errors", 1);
       if (result.ok()) result = responses.status();
       continue;
     }
@@ -208,7 +207,6 @@ Status ServingRouter::FlushBatches(
         for (const SubItem& item : taken[i]) {
           FailSub(item.request_index, completion);
         }
-        metrics().Add("serving.errors", 1);
         if (result.ok()) result = st;
         continue;
       }

@@ -138,7 +138,6 @@ Status ServingShard::Preload(int64_t version) {
   PSG_RETURN_NOT_OK(cluster_->memory().Allocate(
       node_, state->image.blob_bytes, "serving snapshot"));
   standby_ = std::move(state);
-  metrics().Add("serving.preloads", 1);
   return Status::OK();
 }
 
@@ -161,7 +160,6 @@ Status ServingShard::Activate(int64_t version) {
   active_ = std::move(incoming);
   // The cache indexed rows of the retired version.
   ResetCache();
-  metrics().Add("serving.activations", 1);
   return Status::OK();
 }
 
@@ -232,7 +230,6 @@ Status ServingShard::Lookup(std::span<const uint64_t> keys,
       out->insert(out->end(), cols, m->info.init_value);
     }
   }
-  metrics().Add("serving.lookup_keys", keys.size());
   UpdateHitRateGauge();
   return Status::OK();
 }

@@ -85,8 +85,7 @@ bool SpanTicksDeterministicPerNode(const std::string& name) {
   // A partition span can absorb a whole shuffle map stage when an
   // engine's own task reaches the shuffle lazily, in whichever task gets
   // there first — WHICH node pays is a scheduling accident even though
-  // the cluster-wide total is not (the same reason
-  // dataflow.partition_ticks is denylisted from the sampler).
+  // the cluster-wide total is not.
   return name != "dataflow.partition";
 }
 

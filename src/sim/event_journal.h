@@ -31,7 +31,7 @@ enum class JournalEventType : uint8_t {
   kHealthCheck,           ///< master verdict; value = dead servers found
   kCheckpointSave,        ///< one server checkpointed; value = bytes
   kCheckpointRestore,     ///< one server restored; value = bytes
-  kBarrierEntry,          ///< BSP/SSP barrier taken; value = wait ticks
+  kBarrierEntry,          ///< BSP barrier taken; value = wait ticks
   kRecoveryBegin,         ///< repairs started; value = dead nodes
   kRecoveryEnd,           ///< repairs done; value = nodes restarted
   kRollback,              ///< consistent rollback; value = target iteration

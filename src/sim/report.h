@@ -67,10 +67,9 @@ namespace psgraph::sim {
 ///       optional "freshness" bench-payload section (per-mutation-rate
 ///       staleness quantiles from bench_freshness).
 ///   8 — the "skew" and "serving" sections are gone. Nothing read
-///       either: per-server load stays in "rpc" and the
-///       ps.server<k>.rows_pulled/rows_pushed counters, and every
-///       serving number stays in "counters" and "histograms" under
-///       serving.*.
+///       either: per-server load stays in "rpc" (calls, bytes and busy
+///       ticks by callee), and every serving number stays in
+///       "counters" and "histograms" under serving.*.
 inline constexpr const char* kRunReportSchema = "psgraph.run_report";
 inline constexpr int kRunReportSchemaVersion = 8;
 

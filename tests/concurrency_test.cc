@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "net/rpc.h"
 #include "ps/agent.h"
 #include "ps/context.h"
+#include "ps/replication.h"
 #include "sim/cluster.h"
 #include "sim/memory_accountant.h"
 #include "storage/hdfs.h"
@@ -493,6 +495,130 @@ TEST(ConcurrencyTest, GraphxClocksAndOutputsIdenticalAcrossParallelism) {
   EXPECT_EQ(seq.coreness, par.coreness);
   EXPECT_EQ(seq.triangles, par.triangles);
   EXPECT_GT(seq.triangles, 0u);
+
+  // An executor budget some executors outgrow (Fig. 6's GraphX OOM
+  // cells): each executor's partitions run up to its own first failure
+  // at every parallelism, so the charges and the returned error agree.
+  struct OomRun {
+    std::vector<int64_t> ticks;
+    std::vector<uint64_t> peaks;
+    std::string status;
+  };
+  auto run_oom = [&](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    sim::ClusterConfig cfg;
+    cfg.num_executors = 3;
+    cfg.num_servers = 1;
+    // The run above peaks at 48,200, 51,064 and 46,800 B on the three
+    // executors, so executor 1 runs out of this budget.
+    cfg.executor_mem_bytes = 48ull << 10;
+    cfg.server_mem_bytes = 64ull << 20;
+    sim::SimCluster cluster(cfg);
+    dataflow::DataflowContext ctx(&cluster);
+    auto ds = dataflow::Dataset<graph::Edge>::FromVector(&ctx, edges, 6);
+    graphx::PageRankOptions pr;
+    pr.max_iterations = 5;
+    OomRun out;
+    out.status = graphx::PageRank(ds, pr).status().ToString();
+    for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
+      out.ticks.push_back(cluster.clock().NowTicks(n));
+      out.peaks.push_back(cluster.memory().Peak(n));
+    }
+    return out;
+  };
+  const OomRun oom_seq = run_oom(1);
+  const OomRun oom_par = run_oom(8);
+  EXPECT_NE(oom_seq.status.find("MemoryLimitExceeded"), std::string::npos)
+      << oom_seq.status;
+  EXPECT_EQ(oom_seq.status, oom_par.status);
+  EXPECT_EQ(oom_seq.ticks, oom_par.ticks);
+  EXPECT_EQ(oom_seq.peaks, oom_par.peaks);
+}
+
+// Hot-key replication under concurrent executors: in each superstep
+// every executor pulls the hot and its own cold keys and adds to both
+// through its replica cache, all inside one dataflow action, and the
+// driver merges at the barrier. Every node's clock and memory peak and
+// every merged row must be equal at parallelism 1 and 8. A cold key has
+// one writer, so no row's float sum depends on arrival order; the hot
+// deltas merge home in executor order.
+TEST(ConcurrencyTest, ReplicationMergeIdenticalAcrossParallelism) {
+  constexpr int32_t kExecutors = 4;
+  constexpr uint64_t kRows = 96;
+  constexpr uint32_t kCols = 4;
+  const std::vector<uint64_t> hot{3, 17, 40, 41};
+  struct Run {
+    std::vector<int64_t> ticks;
+    std::vector<uint64_t> peaks;
+    std::vector<float> rows;
+    uint64_t local_rows = 0;
+  };
+  auto run = [&](size_t parallelism) {
+    ParallelismGuard guard(parallelism);
+    core::PsGraphContext::Options opts;
+    opts.cluster.num_executors = kExecutors;
+    opts.cluster.num_servers = 3;
+    opts.cluster.executor_mem_bytes = 64ull << 20;
+    opts.cluster.server_mem_bytes = 64ull << 20;
+    auto ctx_or = core::PsGraphContext::Create(opts);
+    PSG_CHECK_OK(ctx_or.status());
+    core::PsGraphContext& ctx = **ctx_or;
+    auto meta = ctx.ps().CreateMatrix("emb", kRows, kCols);
+    PSG_CHECK_OK(meta.status());
+    ps::ReplicationManager& rep = ctx.replication();
+    PSG_CHECK_OK(rep.Track(*meta));
+    PSG_CHECK_OK(rep.SeedHotKeys(meta->id, hot));
+    for (int superstep = 0; superstep < 3; ++superstep) {
+      PSG_CHECK_OK(dataflow::RunPartitioned(
+          &ctx.dataflow(), kExecutors, [&](int32_t e) -> Status {
+            std::vector<uint64_t> cold;
+            for (uint64_t k = 50 + e; k < kRows; k += kExecutors) {
+              cold.push_back(k);
+            }
+            std::vector<uint64_t> keys = hot;
+            keys.insert(keys.end(), cold.begin(), cold.end());
+            ps::PsAgent& agent = ctx.agent(e);
+            for (int round = 0; round < 4; ++round) {
+              PSG_RETURN_NOT_OK(agent.PullRows(*meta, keys).status());
+              const float step = 0.1f * static_cast<float>(e + 1) +
+                                 0.013f * static_cast<float>(round);
+              PSG_RETURN_NOT_OK(agent.PushAdd(
+                  *meta, hot, std::vector<float>(hot.size() * kCols, step)));
+              PSG_RETURN_NOT_OK(agent.PushAdd(
+                  *meta, cold,
+                  std::vector<float>(cold.size() * kCols, step)));
+            }
+            return Status::OK();
+          }));
+      ctx.sync().IterationBarrier();
+      PSG_CHECK_OK(rep.Merge());
+    }
+    EXPECT_EQ(rep.merges(), 3u);
+    sim::SimCluster& cluster = ctx.cluster();
+    Run out;
+    for (int32_t n = 0; n < cluster.config().num_nodes(); ++n) {
+      out.ticks.push_back(cluster.clock().NowTicks(n));
+      out.peaks.push_back(cluster.memory().Peak(n));
+    }
+    for (int32_t e = 0; e < kExecutors; ++e) {
+      out.local_rows += rep.cache(e)->local_rows();
+    }
+    std::vector<uint64_t> all(kRows);
+    for (uint64_t k = 0; k < kRows; ++k) all[k] = k;
+    auto rows = ctx.agent(0).PullRows(*meta, all);
+    PSG_CHECK_OK(rows.status());
+    out.rows = std::move(*rows);
+    return out;
+  };
+  const Run seq = run(1);
+  const Run par = run(8);
+  EXPECT_EQ(seq.ticks, par.ticks);
+  EXPECT_EQ(seq.peaks, par.peaks);
+  EXPECT_EQ(seq.rows, par.rows);
+  EXPECT_EQ(seq.local_rows, par.local_rows);
+  // Every hot access was served or absorbed locally.
+  EXPECT_EQ(seq.local_rows, 3u * kExecutors * 4 * 2 * hot.size());
+  EXPECT_NE(seq.rows[3 * kCols], 0.0f);
 }
 
 TEST(ConcurrencyTest, GraphSageAndEulerIdenticalAcrossParallelism) {

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/metrics.h"
+#include "common/rpc_telemetry.h"
 #include "core/deepwalk.h"
 #include "core/fast_unfolding.h"
 #include "core/graph_loader.h"
@@ -134,10 +134,16 @@ TEST(IntegrationTest, FullPipelineOnSharedContext) {
   EXPECT_EQ(ServerMemoryInUse(ctx), baseline_mem);
 
   // The whole pipeline advanced the simulated clock and produced RPC
-  // traffic and checkpoints, counted in the context's own registry.
+  // traffic, metered by the context's own fabric telemetry.
   EXPECT_GT(ctx.cluster().clock().Makespan(), 0.0);
-  EXPECT_GT(ctx.metrics().Get("rpc.calls"), 0u);
-  EXPECT_GT(ctx.metrics().GetHistogram("rpc.service_ticks").count(), 0u);
+  uint64_t rpc_calls = 0;
+  int64_t rpc_busy_ticks = 0;
+  for (const RpcTelemetry::MethodStat& m : ctx.rpc_telemetry().Snapshot()) {
+    rpc_calls += m.calls;
+    rpc_busy_ticks += m.callee_busy_ticks;
+  }
+  EXPECT_GT(rpc_calls, 0u);
+  EXPECT_GT(rpc_busy_ticks, 0);
 
   // The machine-readable run report validates against its own schema.
   sim::RunReport run = sim::CollectRunReport("integration", &ctx.cluster());

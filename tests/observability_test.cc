@@ -164,7 +164,7 @@ sim::ClusterConfig BareConfig() {
 TEST(RunReportTest, CollectFromBareClusterRoundTrips) {
   sim::SimCluster cluster(BareConfig());
   cluster.tracer().set_enabled(true);
-  cluster.metrics().Add("rpc.calls", 7);
+  cluster.metrics().Add("ps.rows_pulled", 7);
   cluster.metrics().SetGauge("parallelism", 4.0);
   cluster.metrics().Observe("ps.pull.service_ticks", 100);
   cluster.metrics().Observe("ps.pull.service_ticks", 200);
@@ -173,7 +173,7 @@ TEST(RunReportTest, CollectFromBareClusterRoundTrips) {
 
   sim::RunReport report = sim::CollectRunReport("unit", &cluster);
   report.bench.Set("note", "hello");
-  EXPECT_EQ(report.counters["rpc.calls"], 7u);
+  EXPECT_EQ(report.counters["ps.rows_pulled"], 7u);
   EXPECT_EQ(report.histograms["ps.pull.service_ticks"].count, 2u);
   EXPECT_EQ(report.spans["ps.pull"].count, 1u);
 
@@ -312,12 +312,17 @@ TEST(RunReportTest, V3RpcAndEventsSectionsFromCleanRun) {
   sim::RunReport report = sim::CollectRunReport("v3", &(*ctx)->cluster());
   ASSERT_FALSE(report.rpc.empty());
   uint64_t calls = 0;
+  uint64_t pull_req_bytes = 0;
   for (const auto& m : report.rpc) {
     calls += m.calls;
+    if (m.method == "ps.pull") pull_req_bytes += m.request_bytes;
     EXPECT_FALSE(m.method.empty());
     EXPECT_EQ(m.errors_unavailable + m.errors_handler, 0u);
   }
-  EXPECT_EQ(calls, report.counters["rpc.calls"]);
+  EXPECT_GT(calls, 0u);
+  // The agent meters the ps.pull payloads it encodes; the fabric meters
+  // the same bytes on the wire.
+  EXPECT_EQ(pull_req_bytes, report.counters["wire.pull.req_bytes"]);
   // Sorted by (method, callee node).
   for (size_t i = 1; i < report.rpc.size(); ++i) {
     EXPECT_LE(std::make_pair(report.rpc[i - 1].method,
@@ -399,10 +404,12 @@ TEST(ContextMetricsTest, TwoContextsDoNotCrossContaminate) {
   po.max_iterations = 2;
   ASSERT_TRUE(core::PageRank(**a, *ds, 0, po).status().ok());
 
-  EXPECT_GT((*a)->metrics().Get("rpc.calls"), 0u);
+  EXPECT_GT((*a)->metrics().Get("ps.rows_pulled"), 0u);
   EXPECT_GT((*a)->metrics().GetHistogram("ps.pull.service_ticks").count(),
             0u);
-  EXPECT_EQ((*b)->metrics().Get("rpc.calls"), 0u);
+  EXPECT_FALSE((*a)->rpc_telemetry().Snapshot().empty());
+  EXPECT_EQ((*b)->metrics().Get("ps.rows_pulled"), 0u);
+  EXPECT_TRUE((*b)->rpc_telemetry().Snapshot().empty());
 }
 
 // Every SimCluster owns its seven sinks. Traffic on one bare cluster
@@ -413,7 +420,7 @@ TEST(ClusterSinksTest, BareClustersShareNoSink) {
   for (sim::SimCluster* c : {&busy, &idle}) c->tracer().set_enabled(true);
   sim::WatchdogRule any_rpc;
   any_rpc.name = "any_rpc";
-  any_rpc.series = "counter.rpc.calls";
+  any_rpc.series = "rpc.total.calls";
   busy.watchdog().AddRule(any_rpc);
 
   net::RpcFabric fabric(&busy);
@@ -439,7 +446,7 @@ TEST(ClusterSinksTest, BareClustersShareNoSink) {
   busy.sampler().ForceSample(busy.clock().MakespanTicks());
 
   // The traffic reached every sink of the cluster it ran on...
-  EXPECT_GT(busy.metrics().Get("rpc.calls"), 0u);
+  EXPECT_GT(busy.metrics().Get("ps.rows_pulled"), 0u);
   EXPECT_FALSE(busy.tracer().Snapshot().empty());
   EXPECT_FALSE(busy.convergence().Snapshot().empty());
   EXPECT_FALSE(busy.rpc_telemetry().Snapshot().empty());
@@ -479,8 +486,11 @@ TEST(RunReportTest, BareClusterReportHasTimeseries) {
   sim::RunReport report = sim::CollectRunReport("bare", &cluster);
   EXPECT_GT(report.timeseries.points, 0u);
   ASSERT_EQ(report.timeseries.series.count("rpc.total.calls"), 1u);
+  uint64_t calls = 0;
+  for (const RpcTelemetry::MethodStat& m : report.rpc) calls += m.calls;
+  EXPECT_GT(calls, 0u);
   EXPECT_EQ(report.timeseries.series.at("rpc.total.calls").back(),
-            static_cast<double>(report.counters.at("rpc.calls")));
+            static_cast<double>(calls));
   auto parsed = JsonValue::Parse(sim::RunReportToJson(report).Dump());
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(sim::ValidateRunReportJson(*parsed).ok());
@@ -868,7 +878,7 @@ TEST(MetricsSamplerTest, PollAppendsOnePointPerCrossedBoundary) {
 
   metrics.Add("c", 3);
   metrics.SetGauge("g", 1.5);
-  metrics.Observe("rpc.queue_ticks", 42);  // denylisted histogram
+  metrics.Observe("h", 42);
   rpc.RecordCall("pull", 1, 64);
   watermark = 7;
   sampler.Poll(50);  // before the first boundary: nothing yet
@@ -890,8 +900,10 @@ TEST(MetricsSamplerTest, PollAppendsOnePointPerCrossedBoundary) {
   EXPECT_EQ(store.Latest("rpc.total.calls"), 1.0);
   EXPECT_EQ(store.Latest("rpc.total.request_bytes"), 64.0);
   EXPECT_EQ(store.Latest("rpc.pull.bytes"), 64.0);
-  EXPECT_EQ(store.Series("hist.rpc.queue_ticks.p99"), nullptr)
-      << "denylisted histograms must never produce a series";
+  for (const char* q : {"hist.h.p50", "hist.h.p99", "hist.h.p999"}) {
+    ASSERT_NE(store.Series(q), nullptr) << q;
+    EXPECT_EQ(store.Series(q)->size(), 3u) << q;
+  }
 
   // Disabled samplers (interval 0) no-op.
   MetricsSampler disabled;
@@ -1121,10 +1133,10 @@ TEST(RunReportTest, V5TimeseriesAndAlertsSectionsFromCleanRun) {
   // The sampler scraped real curves: RPC totals and the context's own
   // counters show up as series of the right length.
   const auto& series = report.timeseries.series;
-  ASSERT_EQ(series.count("counter.rpc.calls"), 1u);
-  EXPECT_EQ(series.at("counter.rpc.calls").size(),
+  ASSERT_EQ(series.count("counter.ps.rows_pulled"), 1u);
+  EXPECT_EQ(series.at("counter.ps.rows_pulled").size(),
             report.timeseries.points);
-  EXPECT_GT(series.at("counter.rpc.calls").back(), 0.0);
+  EXPECT_GT(series.at("counter.ps.rows_pulled").back(), 0.0);
   ASSERT_EQ(series.count("rpc.total.calls"), 1u);
 
   JsonValue doc = sim::RunReportToJson(report);
@@ -1215,8 +1227,7 @@ TEST(FlightRecorderTest, RunReportSectionsAreDeterministic) {
   // Determinism: the simulated sections of the same run at thread
   // parallelism 1 and 8 must not differ by a single byte (wall-clock
   // gauges excluded by construction — these sections carry only
-  // sim-derived quantities; rpc.queue_ticks is denylisted from the
-  // sampler for exactly this reason).
+  // sim-derived quantities).
   SetGlobalParallelism(8);
   JsonValue doc2 = run_report_json();
   SetGlobalParallelism(0);  // restore the env/hardware default

@@ -551,21 +551,6 @@ TEST_F(PsTest, ServerMemoryBudgetEnforced) {
   EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
 }
 
-TEST_F(PsTest, SyncControllerSspBarriersEveryNthCall) {
-  SyncController ssp(cluster_.get(), SyncProtocol::kSsp, /*staleness=*/3);
-  cluster_->clock().Advance(cluster_->config().executor(0), 9.0);
-  ssp.IterationBarrier();  // call 1: within bound, no barrier
-  EXPECT_DOUBLE_EQ(cluster_->clock().Now(cluster_->config().executor(1)),
-                   0.0);
-  ssp.IterationBarrier();  // call 2: still within bound
-  EXPECT_DOUBLE_EQ(cluster_->clock().Now(cluster_->config().executor(1)),
-                   0.0);
-  ssp.IterationBarrier();  // call 3: barrier fires
-  EXPECT_DOUBLE_EQ(cluster_->clock().Now(cluster_->config().executor(1)),
-                   9.0);
-  EXPECT_GT(ssp.total_wait(), 0.0);
-}
-
 TEST_F(PsTest, SyncControllerBspVsAsp) {
   cluster_->clock().Advance(cluster_->config().executor(0), 10.0);
   SyncController asp(cluster_.get(), SyncProtocol::kAsp);
@@ -635,10 +620,10 @@ void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
             per_row.cluster->memory().Usage(node));
   EXPECT_EQ(batched.cluster->memory().Peak(node),
             per_row.cluster->memory().Peak(node));
-  // ps.rows_pushed and the per-server ps.server0.rows_pushed.
+  // ps.rows_pushed.
   EXPECT_EQ(batched.cluster->metrics().CounterSnapshot(),
             per_row.cluster->metrics().CounterSnapshot());
-  // ps.push.keys_per_request and ps.push.service_ticks.
+  // ps.push.service_ticks.
   auto hb = batched.cluster->metrics().HistogramSnapshots();
   auto hp = per_row.cluster->metrics().HistogramSnapshots();
   ASSERT_EQ(hb.size(), hp.size());

@@ -671,6 +671,10 @@ TEST(ServingReportTest, PipelineReportValidatesWithServingMetrics) {
   };
   EXPECT_EQ(counter("serving.requests_completed"), 300);
   EXPECT_EQ(counter("serving.requests_failed"), 0);
+  // Every submitted request completed or failed, exactly once.
+  EXPECT_EQ(counter("serving.requests"),
+            counter("serving.requests_completed") +
+                counter("serving.requests_failed"));
   EXPECT_EQ(counter("serving.torn_reads"), 0);
   EXPECT_EQ(counter("serving.swaps"), 2);
   EXPECT_EQ(counter("serving.snapshots_published"), 2);

@@ -22,6 +22,7 @@
 #include "graph/generators.h"
 #include "graph/types.h"
 #include "ps/agent.h"
+#include "ps/partitioner.h"
 #include "stream/incremental.h"
 #include "stream/mutation_log.h"
 #include "stream/pipeline.h"
@@ -132,7 +133,10 @@ TEST(MutationLogTest, DeterministicValidEpochs) {
 }
 
 TEST(MutateNeighborsTest, DeleteOfNonexistentEdgeFailsLoudly) {
-  auto ctx_or = core::PsGraphContext::Create(SmallOptions());
+  // A 1 MB server budget, so one batch below can exceed it.
+  core::PsGraphContext::Options opts = SmallOptions();
+  opts.cluster.server_mem_bytes = 1ull << 20;
+  auto ctx_or = core::PsGraphContext::Create(opts);
   PSG_CHECK_OK(ctx_or.status());
   auto& ctx = **ctx_or;
   const uint64_t n = 16;
@@ -161,6 +165,85 @@ TEST(MutateNeighborsTest, DeleteOfNonexistentEdgeFailsLoudly) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("duplicate"), std::string::npos)
       << s.message();
+
+  // A bad multi-op batch applies nothing: not its earlier inserts and
+  // deletes, not their memory charges, not their compute. Each batch
+  // goes straight to the server owning its sources, so no wire ticks
+  // land on its clock either.
+  const ps::Partitioner part(adj->scheme, adj->num_rows,
+                             ctx.ps().num_servers());
+  ps::PsServer* server = ctx.ps().server(part.PartitionOf(3));
+  std::vector<uint64_t> own;  // the server's sources, ascending
+  for (uint64_t v = 0; v < n; ++v) {
+    if (ctx.ps().server(part.PartitionOf(v)) == server) own.push_back(v);
+  }
+  ASSERT_GE(own.size(), 2u);
+  auto adjacency = [&] {
+    auto block = agent.PullNeighbors(*adj, own);
+    PSG_CHECK_OK(block.status());
+    std::vector<std::vector<uint64_t>> lists;
+    for (size_t i = 0; i < block->size(); ++i) {
+      lists.emplace_back(block->neighbors(i).begin(),
+                         block->neighbors(i).end());
+    }
+    return lists;
+  };
+  const std::vector<std::vector<uint64_t>> before = adjacency();
+  const uint64_t a = own[0];
+  const uint64_t b = own[1];
+  const uint64_t b_edge = before[1][0];  // a live edge b -> b_edge
+  // A vertex own[i] has no edge to.
+  auto non_neighbor = [&](size_t i) {
+    uint64_t v = 0;
+    while (v == own[i] ||
+           std::count(before[i].begin(), before[i].end(), v) > 0) {
+      ++v;
+    }
+    return v;
+  };
+  const uint64_t x = non_neighbor(0);
+  const uint64_t y = non_neighbor(1);
+  auto expect_applies_nothing =
+      [&](const char* what, std::vector<uint64_t> insert_src,
+          std::vector<uint64_t> insert_dst, std::vector<uint64_t> delete_src,
+          std::vector<uint64_t> delete_dst, const char* error) {
+        SCOPED_TRACE(what);
+        const sim::NodeId node = server->node();
+        const uint64_t charged = server->charged_bytes();
+        const uint64_t usage = ctx.cluster().memory().Usage(node);
+        const uint64_t peak = ctx.cluster().memory().Peak(node);
+        const int64_t ticks = ctx.cluster().clock().NowTicks(node);
+        Status st = server->MutateNeighbors(adj->id, insert_src, insert_dst,
+                                            {}, delete_src, delete_dst);
+        EXPECT_FALSE(st.ok());
+        EXPECT_NE(st.message().find(error), std::string::npos)
+            << st.message();
+        EXPECT_EQ(server->charged_bytes(), charged);
+        EXPECT_EQ(ctx.cluster().memory().Usage(node), usage);
+        EXPECT_EQ(ctx.cluster().memory().Peak(node), peak);
+        EXPECT_EQ(ctx.cluster().clock().NowTicks(node), ticks);
+        EXPECT_EQ(adjacency(), before);
+      };
+  expect_applies_nothing("last insert repeats the batch's first",
+                         {a, b, a}, {x, y, x}, {b}, {b_edge}, "duplicate");
+  expect_applies_nothing("last delete names an edge the batch deleted",
+                         {a}, {x}, {a, b, a}, {x, b_edge, x},
+                         "nonexistent edge");
+  // One new source per insert after the first, each charged a 48 B
+  // table entry and its 8 B neighbor id: the last insert crosses the
+  // budget.
+  const uint64_t per_new_source = 48 + sizeof(uint64_t);
+  const sim::NodeId node = server->node();
+  const uint64_t room = ctx.cluster().memory().Budget(node) -
+                        ctx.cluster().memory().Usage(node);
+  std::vector<uint64_t> insert_src{a};
+  std::vector<uint64_t> insert_dst{x};
+  for (uint64_t k = 0; k <= room / per_new_source; ++k) {
+    insert_src.push_back(n + 1000 + k);
+    insert_dst.push_back(a);
+  }
+  expect_applies_nothing("inserts exceed the server budget", insert_src,
+                         insert_dst, {}, {}, "needs");
 
   // A valid insert-then-delete round trip still works after the errors.
   PSG_CHECK_OK(agent.MutateNeighbors(
