@@ -4,9 +4,10 @@
 // slowest one; under ASP executors run free. With a skewed partitioning
 // (vertex partitioning of a power-law graph puts whole hub neighbor
 // tables on single executors, and production inputs are often skewed)
-// the stragglers make everyone else idle at each barrier; ASP removes
-// that wait at the price of bounded staleness, which GE/GNN training
-// tolerates but exact PageRank does not (§III-B).
+// the stragglers make everyone else idle at each barrier; ASP drops
+// that barrier and bounds no staleness: an executor may read values any
+// number of iterations old, which GE/GNN training tolerates but exact
+// PageRank does not (§III-B).
 
 #include <cstdio>
 
@@ -92,7 +93,7 @@ void Run() {
          "bsp");
   RunOne(edges, ps::SyncProtocol::kAsp, "ASP", ds1.paper_scale(), &report,
          "asp");
-  std::printf("\nNote: ASP trades the barrier wait for bounded staleness "
+  std::printf("\nNote: ASP drops the barrier wait and bounds no staleness "
               "(acceptable for GE/GNN, not for exact PageRank).\n");
   report.Write();
 }

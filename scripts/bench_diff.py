@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Root-causes the makespan delta between two bench run reports.
+"""Root-causes the makespan delta between two bench run reports, or
+checks that two sets of reports agree leaf for leaf.
 
 Usage:
     scripts/bench_diff.py BASELINE.json CURRENT.json
+    scripts/bench_diff.py --leaves DIR_A DIR_B
 
 Each file is a ``BENCH_<name>.json`` run report (schema v6+) or its
 committed baseline (check_bench_regression.py's projection of one). The
@@ -24,10 +26,23 @@ arithmetic, not heuristics. ``check_bench_regression.py`` imports
 uploads the full output as an artifact when the bench gate trips.
 
 Exit status is always 0: this is a diagnostic lens, not a gate.
+
+``--leaves`` pairs up the ``BENCH_*.json`` reports of two directories
+(say, every bench run at ``PSGRAPH_THREADS=1`` on two commits) and
+compares every leaf of each pair except the wall-clock ones, named in
+``WALL_LEAVES``. Per report it prints how many leaves it compared and
+the first differences. It exits 1 when a leaf differs or a report
+exists on one side only: "no simulated number moved" as a check.
 """
 
 import json
+import os
 import sys
+
+# Leaves derived from real time, which differ between any two runs.
+WALL_LEAVES = ("wall_seconds", "speedup")
+# Differences printed per report.
+MAX_SHOWN = 10
 
 
 def _pct(part, whole):
@@ -100,10 +115,65 @@ def attribute(baseline, current):
     return lines
 
 
+def flatten(node, path="", name=""):
+    """Yields (path, name, value) for every leaf of a parsed report;
+    `name` is the last object key on the path."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from flatten(value, path + "." + key if path else key, key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from flatten(value, "%s[%d]" % (path, i), name)
+    else:
+        yield path, name, node
+
+
+def _same(x, y):
+    # NaN equals NaN here: a leaf that reads NaN on both sides has not moved.
+    return x == y or (x != x and y != y)
+
+
+def diff_leaves(dir_a, dir_b):
+    """Compares the non-wall leaves of the reports in two directories.
+    Returns (lines, ok)."""
+    def reports(d):
+        return {f for f in os.listdir(d)
+                if f.startswith("BENCH_") and f.endswith(".json")}
+
+    a_files, b_files = reports(dir_a), reports(dir_b)
+    lines = []
+    ok = True
+    for f in sorted(a_files ^ b_files):
+        lines.append("%s: only in %s" % (f, dir_a if f in a_files else dir_b))
+        ok = False
+    for f in sorted(a_files & b_files):
+        with open(os.path.join(dir_a, f)) as fa:
+            a = {p: v for p, n, v in flatten(json.load(fa))
+                 if n not in WALL_LEAVES}
+        with open(os.path.join(dir_b, f)) as fb:
+            b = {p: v for p, n, v in flatten(json.load(fb))
+                 if n not in WALL_LEAVES}
+        differ = [p for p in sorted(set(a) | set(b))
+                  if p not in a or p not in b or not _same(a[p], b[p])]
+        lines.append("%s: %d leaves compared, %d differ" %
+                     (f, len(set(a) | set(b)), len(differ)))
+        for p in differ[:MAX_SHOWN]:
+            lines.append("  %s: %s -> %s" % (p, a.get(p, "(absent)"),
+                                             b.get(p, "(absent)")))
+        ok = ok and not differ
+    return lines, ok
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "--leaves":
+        lines, ok = diff_leaves(argv[2], argv[3])
+        for line in lines:
+            print(line)
+        return 0 if ok else 1
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[0])
         print("usage: %s BASELINE.json CURRENT.json" % argv[0])
+        print("       %s --leaves DIR_A DIR_B" % argv[0])
         return 2
     with open(argv[1]) as f:
         baseline = json.load(f)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Gated test: bench_diff.attribute() must root-cause a synthetic
-slowdown to the right category.
+slowdown to the right category, and ``--leaves`` must catch every moved
+non-wall leaf between two report directories.
 
 Scenario: a run whose RPC cost was inflated — makespan grows by 500
 ticks and the entire delta lands in rpc.wait. The attribution must name
@@ -8,8 +9,12 @@ rpc.wait first, with the exact delta and a 100% share, and must flag
 the straggler change and the slowed span.
 """
 
-import sys
+import contextlib
+import io
+import json
 import os
+import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_diff  # noqa: E402
@@ -88,6 +93,57 @@ def run():
     assert any("tracing off" in l for l in lines), lines
 
     print("OK: bench_diff attributes the synthetic slowdown to rpc.wait")
+    return run_leaves()
+
+
+def write_reports(d, reports):
+    for name, report in reports.items():
+        with open(os.path.join(d, "BENCH_%s.json" % name), "w") as f:
+            json.dump(report, f)
+
+
+def leaves_main(dir_a, dir_b):
+    """bench_diff.py --leaves DIR_A DIR_B: (exit status, printed text)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = bench_diff.main(["bench_diff.py", "--leaves", dir_a, dir_b])
+    return status, out.getvalue()
+
+
+def run_leaves():
+    def report(sim=1.5, wall=2.0, speedup=1.7, rows=(3, 4)):
+        return {"name": "synthetic",
+                "bench": {"rows": [{"sim_seconds": sim, "wall_seconds": wall,
+                                    "oom": False}],
+                          "speedup": [speedup, speedup],
+                          "counts": list(rows)},
+                "metrics": {"counters": {"ps.rows_pulled": 10}}}
+
+    with tempfile.TemporaryDirectory() as a, \
+            tempfile.TemporaryDirectory() as b:
+        write_reports(a, {"x": report(), "y": report()})
+        # Wall-derived leaves may differ; nothing else did.
+        write_reports(b, {"x": report(wall=9.0, speedup=0.5),
+                          "y": report()})
+        status, text = leaves_main(a, b)
+        assert status == 0, text
+        assert "BENCH_x.json: 6 leaves compared, 0 differ" in text, text
+
+        # A moved simulated leaf and a longer list both fail, by path.
+        write_reports(b, {"x": report(sim=1.25), "y": report(rows=(3, 4, 5))})
+        status, text = leaves_main(a, b)
+        assert status == 1, text
+        assert "bench.rows[0].sim_seconds: 1.5 -> 1.25" in text, text
+        assert "bench.counts[2]: (absent) -> 5" in text, text
+
+        # A report on one side only fails too.
+        write_reports(b, {"y": report()})
+        os.remove(os.path.join(b, "BENCH_x.json"))
+        status, text = leaves_main(a, b)
+        assert status == 1, text
+        assert "BENCH_x.json: only in " + a in text, text
+
+    print("OK: bench_diff --leaves flags moved and one-sided leaves only")
     return 0
 
 

@@ -79,7 +79,7 @@ Status SaveEmbeddings(storage::Hdfs& hdfs, const std::string& path,
   buf.Write<uint64_t>(num_vertices);
   buf.Write<int32_t>(dim);
   buf.WriteVector(embeddings);
-  return hdfs.Write(path, buf, node);
+  return hdfs.Write(path, std::move(buf).TakeData(), node);
 }
 
 Result<LoadedEmbeddings> LoadEmbeddings(storage::Hdfs& hdfs,

@@ -48,6 +48,10 @@ void DataflowContext::ReleasePartitionMemory(int32_t partition,
   cluster_->memory().Release(ExecutorOf(partition), bytes);
 }
 
+uint64_t DataflowContext::PartitionHeadroom(int32_t partition) const {
+  return cluster_->memory().Headroom(ExecutorOf(partition));
+}
+
 void DataflowContext::StageBarrier() {
   std::vector<int32_t> executors;
   executors.reserve(cluster_->config().num_executors);
@@ -59,6 +63,38 @@ void DataflowContext::StageBarrier() {
   // Stage fences are serial driver points: scrape the telemetry series
   // up to the barrier (all executor clocks are equal now).
   cluster_->sampler().Poll(cluster_->clock().NowTicks(executors[0]));
+}
+
+RecordCharges::RecordCharges(DataflowContext* ctx, int32_t partition,
+                             const char* what)
+    : ctx_(ctx),
+      partition_(partition),
+      what_(what),
+      headroom_(ctx->PartitionHeadroom(partition)) {}
+
+Status RecordCharges::AddAlone(uint64_t delta) {
+  PSG_RETURN_NOT_OK(Commit());
+  PSG_RETURN_NOT_OK(ctx_->AllocatePartitionMemory(partition_, delta, what_));
+  // Only reachable if something else freed this executor's memory.
+  charged_ += delta;
+  headroom_ = ctx_->PartitionHeadroom(partition_);
+  return Status::OK();
+}
+
+Status RecordCharges::Commit() {
+  if (pending_ == 0) return Status::OK();
+  const uint64_t bytes = pending_;
+  pending_ = 0;
+  headroom_ -= bytes;
+  PSG_RETURN_NOT_OK(ctx_->AllocatePartitionMemory(partition_, bytes, what_));
+  charged_ += bytes;
+  return Status::OK();
+}
+
+void RecordCharges::Release() {
+  (void)Commit();
+  ctx_->ReleasePartitionMemory(partition_, charged_);
+  charged_ = 0;
 }
 
 }  // namespace psgraph::dataflow

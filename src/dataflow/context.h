@@ -56,6 +56,8 @@ class DataflowContext {
   Status AllocatePartitionMemory(int32_t partition, uint64_t bytes,
                                  const char* what);
   void ReleasePartitionMemory(int32_t partition, uint64_t bytes);
+  /// What the owning executor can still allocate.
+  uint64_t PartitionHeadroom(int32_t partition) const;
 
   /// BSP barrier across all executors at a stage boundary.
   void StageBarrier();
@@ -74,6 +76,46 @@ class DataflowContext {
   sim::SimCluster* cluster_;
   // Sized once in the constructor, never resized (atomics cannot move).
   std::vector<std::atomic<uint64_t>> executor_epochs_;
+};
+
+/// A task's per-record memory charges on its executor (the reduce-side
+/// hash tables), handed to the accountant per run of records rather
+/// than per record. It reads the executor's headroom once, sums each
+/// record's delta locally while the sum fits, and charges the sum in one
+/// call. The first delta that does not fit commits what is pending and
+/// is then charged alone, so it fails at the same record as one
+/// Allocate per record would, with the same message, usage and peak.
+///
+/// Precondition (DESIGN.md §9): only the executor's own partition stream
+/// charges its node, so nothing else moves the headroom during the task.
+class RecordCharges {
+ public:
+  RecordCharges(DataflowContext* ctx, int32_t partition, const char* what);
+
+  /// Charges one record's delta.
+  Status Add(uint64_t delta) {
+    if (delta <= headroom_ - pending_) {
+      pending_ += delta;
+      return Status::OK();
+    }
+    return AddAlone(delta);
+  }
+
+  /// Commits what is pending, then releases everything charged.
+  void Release();
+
+ private:
+  /// Commits what is pending, then charges `delta` by itself.
+  Status AddAlone(uint64_t delta);
+  /// Charges what is pending in one call.
+  Status Commit();
+
+  DataflowContext* ctx_;
+  int32_t partition_;
+  const char* what_;
+  uint64_t headroom_;
+  uint64_t pending_ = 0;  ///< summed but not yet charged; <= headroom_
+  uint64_t charged_ = 0;  ///< charged to the accountant
 };
 
 }  // namespace psgraph::dataflow

@@ -442,47 +442,58 @@ class ShuffleWriter {
     // Borrow: a cached parent partition is read in place, not copied.
     PSG_ASSIGN_OR_RETURN(auto in, parent_->Borrow(m));
     ctx_->ChargeCompute(m, in->size());
+    if (!combiner_) {
+      EncodeBlocks(m, *in);
+      return Status::OK();
+    }
+    // Map-side combine: build a per-partition hash map first (this is
+    // what Spark's reduceByKey does; it costs memory but shrinks IO).
+    std::unordered_map<K, V, KeyHasher<K>> combined;
+    combined.reserve(in->size());
+    for (auto& [k, v] : *in) {
+      auto [it, inserted] = combined.emplace(k, v);
+      if (!inserted) it->second = combiner_(it->second, v);
+    }
+    const uint64_t transient =
+        combined.size() * (kJvmHashEntryOverhead + sizeof(K) + sizeof(V));
+    PSG_RETURN_NOT_OK(ctx_->AllocatePartitionMemory(
+        m, transient, "shuffle map-side combine"));
+    EncodeBlocks(m, combined);
+    ctx_->ReleasePartitionMemory(m, transient);
+    return Status::OK();
+  }
 
-    std::vector<ByteBuffer> buckets(num_reducers_);
-    uint64_t transient = 0;
-    if (combiner_) {
-      // Map-side combine: build a per-partition hash map first (this is
-      // what Spark's reduceByKey does; it costs memory but shrinks IO).
-      std::unordered_map<K, V, KeyHasher<K>> combined;
-      combined.reserve(in->size());
-      for (auto& [k, v] : *in) {
-        auto [it, inserted] = combined.emplace(k, v);
-        if (!inserted) it->second = combiner_(it->second, v);
-      }
-      transient = combined.size() *
-                  (kJvmHashEntryOverhead + sizeof(K) + sizeof(V));
-      PSG_RETURN_NOT_OK(ctx_->AllocatePartitionMemory(
-          m, transient, "shuffle map-side combine"));
-      for (auto& [k, v] : combined) {
-        ByteBuffer& buf = buckets[KeyHash(k) % num_reducers_];
-        SerializeElem(buf, k);
-        SerializeElem(buf, v);
-      }
-    } else {
-      for (auto& [k, v] : *in) {
-        ByteBuffer& buf = buckets[KeyHash(k) % num_reducers_];
-        SerializeElem(buf, k);
-        SerializeElem(buf, v);
-      }
+  /// Writes map task m's blocks from `records`, a range of (key, value)
+  /// pairs. One pass routes each record and sums each reducer's bytes;
+  /// then every block is sized once and the records are encoded straight
+  /// into it, each block in `records` order.
+  template <typename Records>
+  void EncodeBlocks(int32_t m, const Records& records) {
+    std::vector<uint32_t> route;
+    route.reserve(records.size());
+    std::vector<uint64_t> bytes(num_reducers_, 0);
+    for (const auto& [k, v] : records) {
+      const auto r = static_cast<uint32_t>(KeyHash(k) % num_reducers_);
+      route.push_back(r);
+      bytes[r] += EncodedSize(k) + EncodedSize(v);
+    }
+    std::vector<uint8_t*> cursor(num_reducers_);
+    uint64_t total_bytes = 0;
+    for (int32_t r = 0; r < num_reducers_; ++r) {
+      std::vector<uint8_t>& block =
+          blocks_[static_cast<size_t>(m) * num_reducers_ + r];
+      block.resize(bytes[r]);
+      cursor[r] = block.data();
+      total_bytes += bytes[r];
+    }
+    const uint32_t* r = route.data();
+    for (const auto& [k, v] : records) {
+      uint8_t*& dst = cursor[*r++];
+      dst = EncodeElem(EncodeElem(dst, k), v);
     }
     // Spark consolidates a map task's output into one file (plus an
     // index), so the write pays a single seek for all buckets.
-    uint64_t total_bytes = 0;
-    for (int32_t r = 0; r < num_reducers_; ++r) {
-      total_bytes += buckets[r].size();
-    }
     ctx_->ChargeDiskWrite(m, total_bytes);
-    for (int32_t r = 0; r < num_reducers_; ++r) {
-      blocks_[static_cast<size_t>(m) * num_reducers_ + r] =
-          std::move(buckets[r]).TakeData();
-    }
-    if (transient > 0) ctx_->ReleasePartitionMemory(m, transient);
-    return Status::OK();
   }
 
   DataflowContext* ctx_;
@@ -496,21 +507,26 @@ class ShuffleWriter {
   Status map_status_;  // written inside the once-guard, read after it
 };
 
-/// Fetches and deserializes all blocks for reduce partition `r`, invoking
-/// `sink(key, value)` per record. Pure data movement: disk-read and
+/// Fetches and decodes all blocks for reduce partition `r`, calling
+/// `sink(key, value)` per record, in map-partition then block order,
+/// until the sink returns an error. Pure data movement: disk-read and
 /// transfer time were already charged by the writer's deterministic
 /// fetch-accounting pass (see ShuffleWriter::WriteAll).
 template <typename K, typename V, typename Sink>
 Status FetchShuffleBlocks(const ShuffleWriter<K, V>& writer, int32_t r,
                           Sink&& sink) {
+  std::pair<K, V> record;
   for (int32_t m = 0; m < writer.num_map_partitions(); ++m) {
     ByteReader reader(writer.block(m, r));
     while (reader.remaining() > 0) {
-      K k{};
-      V v{};
-      PSG_RETURN_NOT_OK(DeserializeElem(reader, &k));
-      PSG_RETURN_NOT_OK(DeserializeElem(reader, &v));
-      sink(std::move(k), std::move(v));
+      Status st = DeserializeElem(reader, &record);
+      if (!st.ok()) {
+        return Status::OutOfRange("shuffle block " + std::to_string(m) +
+                                  "->" + std::to_string(r) + ": " +
+                                  st.message());
+      }
+      PSG_RETURN_NOT_OK(
+          sink(std::move(record.first), std::move(record.second)));
     }
   }
   return Status::OK();
@@ -529,31 +545,23 @@ class GroupByKeyNode final : public Node<std::pair<K, std::vector<V>>> {
     PSG_RETURN_NOT_OK(writer_.EnsureWritten());
     auto* ctx = this->ctx_;
     std::unordered_map<K, std::vector<V>, KeyHasher<K>> groups;
-    uint64_t charged = 0;
-    Status mem_ok;
+    RecordCharges memory(ctx, r, "groupByKey hash table");
     Status fetch = FetchShuffleBlocks(writer_, r, [&](K k, V v) {
-      if (!mem_ok.ok()) return;
       auto [it, inserted] = groups.try_emplace(std::move(k));
-      uint64_t delta = JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0);
-      Status s =
-          ctx->AllocatePartitionMemory(r, delta, "groupByKey hash table");
-      if (!s.ok()) {
-        mem_ok = s;
-        return;
-      }
-      charged += delta;
+      PSG_RETURN_NOT_OK(memory.Add(
+          JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0)));
       it->second.push_back(std::move(v));
+      return Status::OK();
     });
-    if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
-      ctx->ReleasePartitionMemory(r, charged);
+      memory.Release();
       return fetch;
     }
     ctx->ChargeCompute(r, groups.size());
     std::vector<std::pair<K, std::vector<V>>> out;
     out.reserve(groups.size());
     for (auto& [k, vs] : groups) out.emplace_back(k, std::move(vs));
-    ctx->ReleasePartitionMemory(r, charged);
+    memory.Release();
     return out;
   }
   Status PrepareStages() override { return writer_.Prepare(); }
@@ -577,33 +585,24 @@ class ReduceByKeyNode final : public Node<std::pair<K, V>> {
     PSG_RETURN_NOT_OK(writer_.EnsureWritten());
     auto* ctx = this->ctx_;
     std::unordered_map<K, V, KeyHasher<K>> agg;
-    uint64_t charged = 0;
-    Status mem_ok;
+    RecordCharges memory(ctx, r, "reduceByKey hash table");
     Status fetch = FetchShuffleBlocks(writer_, r, [&](K k, V v) {
-      if (!mem_ok.ok()) return;
       auto it = agg.find(k);
       if (it != agg.end()) {
         it->second = combiner_(it->second, v);
-        return;
+        return Status::OK();
       }
-      uint64_t delta = kJvmHashEntryOverhead + JvmBytesOf(v);
-      Status s = ctx->AllocatePartitionMemory(r, delta,
-                                              "reduceByKey hash table");
-      if (!s.ok()) {
-        mem_ok = s;
-        return;
-      }
-      charged += delta;
+      PSG_RETURN_NOT_OK(memory.Add(kJvmHashEntryOverhead + JvmBytesOf(v)));
       agg.emplace(std::move(k), std::move(v));
+      return Status::OK();
     });
-    if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
-      ctx->ReleasePartitionMemory(r, charged);
+      memory.Release();
       return fetch;
     }
     ctx->ChargeCompute(r, agg.size());
     std::vector<std::pair<K, V>> out(agg.begin(), agg.end());
-    ctx->ReleasePartitionMemory(r, charged);
+    memory.Release();
     return out;
   }
   Status PrepareStages() override { return writer_.Prepare(); }
@@ -633,38 +632,32 @@ class CoGroupNode final
     std::unordered_map<K, std::pair<std::vector<V>, std::vector<W>>,
                        KeyHasher<K>>
         groups;
-    uint64_t charged = 0;
-    Status mem_ok;
-    auto charge = [&](uint64_t delta) {
-      Status s =
-          ctx->AllocatePartitionMemory(r, delta, "coGroup hash table");
-      if (!s.ok()) mem_ok = s;
-      else charged += delta;
-    };
+    RecordCharges memory(ctx, r, "coGroup hash table");
     Status fetch = FetchShuffleBlocks(left_writer_, r, [&](K k, V v) {
-      if (!mem_ok.ok()) return;
       auto [it, inserted] = groups.try_emplace(std::move(k));
-      charge(JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0));
-      if (mem_ok.ok()) it->second.first.push_back(std::move(v));
+      PSG_RETURN_NOT_OK(memory.Add(
+          JvmBytesOf(v) + (inserted ? kJvmHashEntryOverhead : 0)));
+      it->second.first.push_back(std::move(v));
+      return Status::OK();
     });
     if (fetch.ok()) {
       fetch = FetchShuffleBlocks(right_writer_, r, [&](K k, W w) {
-        if (!mem_ok.ok()) return;
         auto [it, inserted] = groups.try_emplace(std::move(k));
-        charge(JvmBytesOf(w) + (inserted ? kJvmHashEntryOverhead : 0));
-        if (mem_ok.ok()) it->second.second.push_back(std::move(w));
+        PSG_RETURN_NOT_OK(memory.Add(
+            JvmBytesOf(w) + (inserted ? kJvmHashEntryOverhead : 0)));
+        it->second.second.push_back(std::move(w));
+        return Status::OK();
       });
     }
-    if (fetch.ok() && !mem_ok.ok()) fetch = mem_ok;
     if (!fetch.ok()) {
-      ctx->ReleasePartitionMemory(r, charged);
+      memory.Release();
       return fetch;
     }
     ctx->ChargeCompute(r, groups.size());
     std::vector<Out> out;
     out.reserve(groups.size());
     for (auto& [k, vw] : groups) out.emplace_back(k, std::move(vw));
-    ctx->ReleasePartitionMemory(r, charged);
+    memory.Release();
     return out;
   }
   Status PrepareStages() override {

@@ -87,7 +87,7 @@ Status WriteEdgesBinary(storage::Hdfs& hdfs, const std::string& path,
   buf.Reserve(edges.size() * sizeof(Edge) + 16);
   buf.Write<uint32_t>(kBinaryMagic);
   buf.WriteVector(edges);
-  return hdfs.Write(path, buf, node);
+  return hdfs.Write(path, std::move(buf).TakeData(), node);
 }
 
 Result<EdgeList> ReadEdgesBinary(storage::Hdfs& hdfs,

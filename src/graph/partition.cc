@@ -11,18 +11,22 @@ namespace psgraph::graph {
 std::vector<EdgeList> PartitionEdges(const EdgeList& edges,
                                      int32_t num_parts,
                                      PartitionStrategy strategy) {
+  auto part_of = [&](size_t i) -> size_t {
+    switch (strategy) {
+      case PartitionStrategy::kVertexPartition:
+        return Hash64(edges[i].src) % num_parts;
+      case PartitionStrategy::kEdgePartition:
+        break;
+    }
+    return i % num_parts;
+  };
+  // Count first, so every part is allocated once at its exact size.
+  std::vector<size_t> sizes(num_parts, 0);
+  for (size_t i = 0; i < edges.size(); ++i) ++sizes[part_of(i)];
   std::vector<EdgeList> parts(num_parts);
-  switch (strategy) {
-    case PartitionStrategy::kVertexPartition:
-      for (const Edge& e : edges) {
-        parts[Hash64(e.src) % num_parts].push_back(e);
-      }
-      break;
-    case PartitionStrategy::kEdgePartition:
-      for (size_t i = 0; i < edges.size(); ++i) {
-        parts[i % num_parts].push_back(edges[i]);
-      }
-      break;
+  for (int32_t p = 0; p < num_parts; ++p) parts[p].reserve(sizes[p]);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    parts[part_of(i)].push_back(edges[i]);
   }
   return parts;
 }

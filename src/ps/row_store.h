@@ -74,11 +74,20 @@ class RowStore {
   /// leaving the store unchanged, when the array cannot grow to cover
   /// `key`.
   Result<float*> Insert(uint64_t key) {
-    if (key - first_key_ >= num_slots_) PSG_RETURN_NOT_OK(Cover(key));
+    if (key - first_key_ >= num_slots_) PSG_RETURN_NOT_OK(Grow(key));
     const uint64_t slot = key - first_key_;
     bits_[slot / 64] |= uint64_t{1} << (slot % 64);
     ++size_;
     return data_.get() + slot * cols_;
+  }
+
+  /// Grows the array so that no Insert of a key in [lo, hi] can fail.
+  /// Fails with OutOfRange when it cannot; the rows stay as they were
+  /// either way.
+  Status Cover(uint64_t lo, uint64_t hi) {
+    if (lo - first_key_ >= num_slots_) PSG_RETURN_NOT_OK(Grow(lo));
+    if (hi - first_key_ >= num_slots_) PSG_RETURN_NOT_OK(Grow(hi));
+    return Status::OK();
   }
 
   /// Ascending-key iteration over materialized rows.
@@ -138,7 +147,7 @@ class RowStore {
   /// `key`; rows keep their keys and move to their new offsets. A window
   /// too large to allocate (a huge, sparsely used key space) starts from
   /// the first key alone instead.
-  Status Cover(uint64_t key) {
+  Status Grow(uint64_t key) {
     const bool first = data_ == nullptr;
     const auto range = first
                            ? Extend(window_begin_, window_end_, key)

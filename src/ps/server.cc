@@ -243,21 +243,29 @@ Status PsServer::ApplyRows(MatrixShard* shard,
   // A materialized row is still charged what a hash-map entry cost.
   const uint64_t row_bytes =
       kHashEntryOverhead + uint64_t{cols} * sizeof(float);
-  // Single-pass batched apply: one offset lookup per key and a tight
-  // accumulate/copy over the contiguous value slab. A new row is charged
-  // before it is materialized, so a failed charge leaves no row.
+  // All or nothing: the batch's new rows (a repeated key once) must fit
+  // the store and the budget before any row is applied, and are charged
+  // in one call. Usage and peak end where one charge per row left them.
+  new_keys_.clear();
+  for (uint64_t key : keys) {
+    if (shard->rows.Find(key) == nullptr) new_keys_.push_back(key);
+  }
+  if (!new_keys_.empty()) {
+    std::sort(new_keys_.begin(), new_keys_.end());
+    new_keys_.erase(std::unique(new_keys_.begin(), new_keys_.end()),
+                    new_keys_.end());
+    PSG_RETURN_NOT_OK(shard->rows.Cover(new_keys_.front(), new_keys_.back()));
+    const uint64_t bytes = new_keys_.size() * row_bytes;
+    PSG_RETURN_NOT_OK(ChargeMemory(bytes, "ps row"));
+    shard->charged_bytes += bytes;
+  }
+  // Single-pass apply: one offset lookup per key and a tight
+  // accumulate/copy over the contiguous value slab.
   const float* src = values.data();
   for (size_t i = 0; i < keys.size(); ++i, src += cols) {
     float* dst = shard->rows.Find(keys[i]);
     if (dst == nullptr) {
-      PSG_RETURN_NOT_OK(ChargeMemory(row_bytes, "ps row"));
-      Result<float*> row = shard->rows.Insert(keys[i]);
-      if (!row.ok()) {
-        ReleaseMemory(row_bytes);
-        return row.status();
-      }
-      shard->charged_bytes += row_bytes;
-      dst = *row;
+      PSG_ASSIGN_OR_RETURN(dst, shard->rows.Insert(keys[i]));
       if (add) std::fill_n(dst, cols, shard->meta.init_value);
     }
     if (add) {
@@ -657,7 +665,8 @@ Status PsServer::Checkpoint(const std::string& prefix) {
   const uint64_t bytes = buf.size();
   const int64_t save_t0 = NowTicks();
   Status st = hdfs_->Write(
-      prefix + "/server_" + std::to_string(server_index_), buf, node_);
+      prefix + "/server_" + std::to_string(server_index_),
+      std::move(buf).TakeData(), node_);
   if (st.ok()) {
     // Checkpoint I/O is fault-tolerance overhead, not training compute.
     cluster_->cost_ledger().Record(node_, sim::CostCategory::kRecovery,

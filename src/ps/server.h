@@ -256,8 +256,10 @@ class PsServer {
   void ReleaseMemory(uint64_t bytes);
   void ChargeCompute(uint64_t ops);
   /// The row-apply loop shared by PushAdd, PushAssign, MergeRows and
-  /// RowBatch: one offset lookup per key, memory charged before a new row
-  /// is materialized, then accumulate (`add`) or copy over the contiguous
+  /// RowBatch. All or nothing: the batch's new rows are charged in one
+  /// call before any row is materialized, so a batch that does not fit
+  /// leaves the shard and its charges as they were. Then one offset
+  /// lookup per key and accumulate (`add`) or copy over the contiguous
   /// value slab. Charges no compute; callers charge it first.
   Status ApplyRows(MatrixShard* shard, std::span<const uint64_t> keys,
                    std::span<const float> values, bool add);
@@ -286,6 +288,8 @@ class PsServer {
   net::MutateRequest mutate_request_;
   /// Reusable pull response staging (capacity persists across requests).
   std::vector<float> pull_scratch_;
+  /// ApplyRows' new keys of one batch, under the same mutex.
+  std::vector<uint64_t> new_keys_;
 };
 
 /// Computes the column slice [begin, end) server `s` of `n` owns for a

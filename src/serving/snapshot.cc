@@ -278,7 +278,8 @@ Result<SnapshotManifest> SnapshotPublisher::Publish() {
     info.path = SnapshotBlobPath(options_.root, version, shard);
     info.bytes = blob.size();
     info.checksum = HashBytes(blob.data().data(), blob.size());
-    PSG_RETURN_NOT_OK(hdfs->Write(info.path, blob, driver));
+    PSG_RETURN_NOT_OK(
+        hdfs->Write(info.path, std::move(blob).TakeData(), driver));
     cluster->metrics().Add("serving.snapshot_bytes", info.bytes);
     manifest.shards.push_back(std::move(info));
   }

@@ -48,6 +48,12 @@ uint64_t MemoryAccountant::Budget(int32_t node) const {
   return nodes_[node].budget;
 }
 
+uint64_t MemoryAccountant::Headroom(int32_t node) const {
+  const NodeState& n = nodes_[node];
+  std::lock_guard<std::mutex> lock(n.mu);
+  return n.budget - n.usage;
+}
+
 uint64_t MemoryAccountant::MaxPeak() const {
   uint64_t m = 0;
   for (int32_t node = 0; node < num_nodes(); ++node) {

@@ -45,6 +45,8 @@ class MemoryAccountant {
   uint64_t Usage(int32_t node) const;
   uint64_t Peak(int32_t node) const;
   uint64_t Budget(int32_t node) const;
+  /// Budget minus usage: the most one Allocate on `node` can take now.
+  uint64_t Headroom(int32_t node) const;
 
   /// Max over nodes of peak usage (bench reporting).
   uint64_t MaxPeak() const;

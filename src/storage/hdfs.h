@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/byte_buffer.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "sim/cluster.h"
@@ -29,10 +28,6 @@ class Hdfs {
   /// sequential disk write plus one network transfer on `node`'s clock.
   Status Write(const std::string& path, std::vector<uint8_t> bytes,
                sim::NodeId node = -1);
-  Status Write(const std::string& path, const ByteBuffer& buf,
-               sim::NodeId node = -1) {
-    return Write(path, std::vector<uint8_t>(buf.data()), node);
-  }
   Status WriteString(const std::string& path, const std::string& text,
                      sim::NodeId node = -1) {
     return Write(path,

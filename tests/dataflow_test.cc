@@ -380,6 +380,178 @@ TEST_F(DataflowTest, GroupByKeyOomWhenBudgetTiny) {
       << out.status().ToString();
 }
 
+/// One shuffle operator's run at one executor budget: the action's
+/// status and, per executor, its clock and memory peak afterwards.
+struct OomPoint {
+  std::string op;
+  uint64_t budget = 0;
+  std::string status;
+  std::vector<int64_t> ticks;
+  std::vector<uint64_t> peak;
+  bool operator==(const OomPoint&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const OomPoint& p) {
+  os << p.op << " at " << p.budget << " B: " << p.status << "; ticks";
+  for (int64_t t : p.ticks) os << " " << t;
+  os << "; peak";
+  for (uint64_t b : p.peak) os << " " << b;
+  return os;
+}
+
+/// Runs `op` over one fixed input, 2400 records on 600 keys in 8
+/// partitions, on 4 executors of `budget` bytes each. Every executor's
+/// usage must be back to 0 after the action, whether it failed or not.
+OomPoint RunShuffleAtBudget(const std::string& op, uint64_t budget) {
+  sim::ClusterConfig cfg = SmallCluster();
+  cfg.executor_mem_bytes = budget;
+  sim::SimCluster cluster(cfg);
+  DataflowContext ctx(&cluster);
+  std::vector<IntPair> data;
+  for (uint64_t i = 0; i < 2400; ++i) data.push_back({i % 600, i});
+  auto ds = Dataset<IntPair>::FromVector(&ctx, data, 8);
+  Status st;
+  if (op == "groupByKey") {
+    st = ds.GroupByKey().Collect().status();
+  } else if (op == "reduceByKey") {
+    st = ds.ReduceByKey([](const uint64_t& a, const uint64_t& b) {
+             return a + b;
+           })
+             .Collect()
+             .status();
+  } else {
+    std::vector<IntPair> right;
+    for (uint64_t k = 0; k < 600; k += 2) right.push_back({k, k * 10});
+    st = ds.Join<uint64_t>(Dataset<IntPair>::FromVector(&ctx, right, 8))
+             .Collect()
+             .status();
+  }
+  OomPoint p{op, budget, st.ToString(), {}, {}};
+  for (int32_t e = 0; e < cfg.num_executors; ++e) {
+    p.ticks.push_back(cluster.clock().NowTicks(e));
+    p.peak.push_back(cluster.memory().Peak(e));
+    EXPECT_EQ(cluster.memory().Usage(e), 0u) << p;
+  }
+  return p;
+}
+
+TEST(DataflowOomTest, HashTablesFailAtTheSameRecordAtAnyBudget) {
+  // Recorded from the engine that charged each record's hash-table bytes
+  // in its own Allocate call. Per operator: a budget nothing fills, one
+  // the largest executor's records fill exactly, one byte less (the last
+  // record fails), and budgets whose first failing records fall inside a
+  // shuffle block; reduceByKey's last budget fails in its map-side
+  // combine instead.
+  const std::vector<OomPoint> expected = {
+    {"groupByKey", 64ull << 20,
+     "OK",
+     {4104568800, 4104568800, 4104568800, 4104568800},
+     {9928, 10472, 10336, 10880}},
+    {"groupByKey", 10880,
+     "OK",
+     {4104568800, 4104568800, 4104568800, 4104568800},
+     {9928, 10472, 10336, 10880}},
+    {"groupByKey", 10879,
+     "MemoryLimitExceeded: node 3: "
+     "groupByKey hash table needs 24 B, used 10856 of 10879 B",
+     {3802622400, 3904158400, 4003248800, 4102968800},
+     {9928, 10472, 10336, 10856}},
+    {"groupByKey", 10000,
+     "MemoryLimitExceeded: node 2: "
+     "groupByKey hash table needs 24 B, used 10000 of 10000 B",
+     {3802622400, 3902618400, 4000268800, 4101388800},
+     {9928, 9992, 10000, 10000}},
+    {"groupByKey", 8000,
+     "MemoryLimitExceeded: node 0: "
+     "groupByKey hash table needs 24 B, used 7992 of 8000 B",
+     {3799782400, 3901158400, 4000268800, 4101388800},
+     {7992, 8000, 7992, 7968}},
+    {"groupByKey", 6100,
+     "MemoryLimitExceeded: node 0: "
+     "groupByKey hash table needs 64 B, used 6048 of 6100 B",
+     {3799782400, 3901158400, 4000268800, 4101388800},
+     {6048, 6080, 6096, 6072}},
+    {"groupByKey", 3001,
+     "MemoryLimitExceeded: node 0: "
+     "groupByKey hash table needs 24 B, used 2984 of 3001 B",
+     {3799782400, 3901158400, 4000268800, 4101388800},
+     {2984, 3000, 2976, 2992}},
+    {"reduceByKey", 64ull << 20,
+     "OK",
+     {4046527200, 4046527200, 4046527200, 4046527200},
+     {4672, 4928, 4864, 5120}},
+    {"reduceByKey", 5120,
+     "OK",
+     {4046527200, 4046527200, 4046527200, 4046527200},
+     {4672, 4928, 4864, 5120}},
+    {"reduceByKey", 5119,
+     "MemoryLimitExceeded: node 3: "
+     "reduceByKey hash table needs 64 B, used 5056 of 5119 B",
+     {3745785600, 3846289600, 3946047200, 4044927200},
+     {4672, 4928, 4864, 5056}},
+    {"reduceByKey", 4900,
+     "MemoryLimitExceeded: node 3: "
+     "reduceByKey hash table needs 64 B, used 4864 of 4900 B",
+     {3745785600, 3844749600, 3946047200, 4043347200},
+     {4672, 4864, 4864, 4864}},
+    {"reduceByKey", 4700,
+     "MemoryLimitExceeded: node 2: "
+     "reduceByKey hash table needs 64 B, used 4672 of 4700 B",
+     {3745785600, 3844749600, 3943067200, 4043347200},
+     {4672, 4672, 4672, 4672}},
+    {"reduceByKey", 4500,
+     "MemoryLimitExceeded: node 0: "
+     "reduceByKey hash table needs 64 B, used 4480 of 4500 B",
+     {3742945600, 3843289600, 3943067200, 4043347200},
+     {4480, 4480, 4480, 4480}},
+    {"reduceByKey", 4100,
+     "MemoryLimitExceeded: node 0: "
+     "shuffle map-side combine needs 4200 B, used 0 of 4100 B",
+     {12000000, 12000000, 12000000, 12000000},
+     {0, 0, 0, 0}},
+    {"join", 64ull << 20,
+     "OK",
+     {8127544000, 8127544000, 8127544000, 8127544000},
+     {10720, 11384, 11296, 11864}},
+    {"join", 11864,
+     "OK",
+     {8127544000, 8127544000, 8127544000, 8127544000},
+     {10720, 11384, 11296, 11864}},
+    {"join", 11863,
+     "MemoryLimitExceeded: node 3: "
+     "coGroup hash table needs 24 B, used 11840 of 11863 B",
+     {7825097600, 7926172800, 8026664000, 8121064000},
+     {10720, 11384, 11296, 11840}},
+    {"join", 9000,
+     "MemoryLimitExceeded: node 0: "
+     "coGroup hash table needs 24 B, used 8992 of 9000 B",
+     {7813737600, 7914252800, 8014704000, 8114784000},
+     {8992, 8944, 8992, 8992}},
+    {"join", 7000,
+     "MemoryLimitExceeded: node 0: "
+     "coGroup hash table needs 64 B, used 6984 of 7000 B",
+     {7813737600, 7914252800, 8014704000, 8114784000},
+     {6984, 6992, 7000, 7000}},
+    {"join", 5000,
+     "MemoryLimitExceeded: node 0: "
+     "coGroup hash table needs 64 B, used 4992 of 5000 B",
+     {7813737600, 7914252800, 8014704000, 8114784000},
+     {4992, 4984, 4992, 4992}},
+    {"join", 2500,
+     "MemoryLimitExceeded: node 0: "
+     "coGroup hash table needs 24 B, used 2480 of 2500 B",
+     {7813737600, 7914252800, 8014704000, 8114784000},
+     {2480, 2496, 2480, 2448}},
+  };
+  for (size_t parallelism : {1, 8}) {
+    ParallelismGuard guard(parallelism);
+    for (const OomPoint& want : expected) {
+      EXPECT_EQ(RunShuffleAtBudget(want.op, want.budget), want)
+          << "at parallelism " << parallelism;
+    }
+  }
+}
+
 TEST_F(DataflowTest, ShuffleChargesSimulatedTime) {
   std::vector<IntPair> data;
   for (uint64_t i = 0; i < 1000; ++i) data.push_back({i % 100, i});

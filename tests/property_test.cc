@@ -294,6 +294,15 @@ INSTANTIATE_TEST_SUITE_P(
 // Serialization round trips over randomized payloads.
 // ---------------------------------------------------------------------
 
+/// The record encoding of `v`, in a buffer of exactly its size.
+template <typename T>
+std::vector<uint8_t> EncodeExactly(const T& v) {
+  std::vector<uint8_t> bytes(dataflow::EncodedSize(v));
+  uint8_t* end = dataflow::EncodeElem(bytes.data(), v);
+  EXPECT_EQ(end, bytes.data() + bytes.size());
+  return bytes;
+}
+
 TEST(SerializationPropertyTest, NestedElementsRoundTrip) {
   Rng rng(77);
   for (int trial = 0; trial < 200; ++trial) {
@@ -307,9 +316,8 @@ TEST(SerializationPropertyTest, NestedElementsRoundTrip) {
       in.second.first.push_back(rng.NextU64());
       in.second.second.push_back(rng.NextFloat());
     }
-    ByteBuffer buf;
-    dataflow::SerializeElem(buf, in);
-    ByteReader reader(buf);
+    const std::vector<uint8_t> bytes = EncodeExactly(in);
+    ByteReader reader(bytes);
     Elem out;
     ASSERT_TRUE(dataflow::DeserializeElem(reader, &out).ok());
     EXPECT_EQ(in, out);
@@ -322,12 +330,78 @@ TEST(SerializationPropertyTest, VectorOfPairsRoundTrip) {
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::pair<uint64_t, float>> in(rng.NextBounded(50));
     for (auto& kv : in) kv = {rng.NextU64(), rng.NextFloat()};
-    ByteBuffer buf;
-    dataflow::SerializeElem(buf, in);
-    ByteReader reader(buf);
+    const std::vector<uint8_t> bytes = EncodeExactly(in);
+    ByteReader reader(bytes);
     std::vector<std::pair<uint64_t, float>> out;
     ASSERT_TRUE(dataflow::DeserializeElem(reader, &out).ok());
     EXPECT_EQ(in, out);
+  }
+}
+
+/// Decodes `in`'s encoding, then each strict prefix and each single-bit
+/// flip of it, every one from a buffer of exactly its size. The element
+/// must round-trip; every prefix must fail with an OutOfRange naming its
+/// offset and leave the reader where it was; every flip must decode or
+/// fail that way; nothing may throw. A count read from the bytes that
+/// sized an allocation unchecked would throw std::bad_alloc here.
+template <typename T>
+void ExpectBoundedDecoding(const T& in) {
+  const std::vector<uint8_t> bytes = EncodeExactly(in);
+  {
+    ByteReader reader(bytes);
+    T out{};
+    ASSERT_TRUE(dataflow::DeserializeElem(reader, &out).ok());
+    EXPECT_EQ(out, in);
+    EXPECT_EQ(reader.remaining(), 0u);
+  }
+  auto expect_status = [](const std::vector<uint8_t>& input, bool must_fail,
+                          const std::string& what) {
+    ByteReader reader(input);
+    T out{};
+    Status st;
+    EXPECT_NO_THROW(st = dataflow::DeserializeElem(reader, &out)) << what;
+    if (must_fail) {
+      EXPECT_FALSE(st.ok()) << what;
+    }
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << what;
+      EXPECT_NE(st.message().find("offset 0"), std::string::npos)
+          << what << ": " << st.ToString();
+      EXPECT_EQ(reader.position(), 0u) << what;
+    }
+  };
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    expect_status(std::vector<uint8_t>(bytes.begin(), bytes.begin() + len),
+                  /*must_fail=*/true, "prefix of " + std::to_string(len));
+  }
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    expect_status(flipped, /*must_fail=*/false,
+                  "flip of bit " + std::to_string(bit));
+  }
+}
+
+TEST(SerializationPropertyTest, TruncatedOrFlippedRecordsFailWithAStatus) {
+  {
+    SCOPED_TRACE("fixed-width pair");
+    ExpectBoundedDecoding(std::pair<uint64_t, float>{42, 0.5f});
+  }
+  {
+    SCOPED_TRACE("nested pair of vectors");
+    ExpectBoundedDecoding(
+        std::pair<uint64_t, std::pair<std::vector<uint64_t>,
+                                      std::vector<float>>>{
+            7, {{1, 2, 3}, {0.25f, 0.5f, 0.75f}}});
+  }
+  {
+    SCOPED_TRACE("vector of pairs");
+    ExpectBoundedDecoding(std::vector<std::pair<uint64_t, float>>{
+        {1, 1.0f}, {2, 2.0f}, {3, 3.0f}});
+  }
+  {
+    SCOPED_TRACE("string");
+    ExpectBoundedDecoding(std::string("psgraph"));
   }
 }
 

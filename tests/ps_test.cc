@@ -38,6 +38,18 @@ std::vector<T> ToVector(std::span<const T> s) {
   return {s.begin(), s.end()};
 }
 
+/// (key, row) pairs, as a store iterates them.
+using RowList = std::vector<std::pair<uint64_t, std::vector<float>>>;
+
+/// The rows of a store, in its ascending key order.
+RowList Contents(const RowStore& store) {
+  RowList out;
+  for (const auto [key, row] : store) {
+    out.emplace_back(key, std::vector<float>(row.begin(), row.end()));
+  }
+  return out;
+}
+
 class PsTest : public ::testing::Test {
  protected:
   PsTest() {
@@ -530,25 +542,46 @@ TEST_F(PsTest, DropMatrixReleasesMemory) {
 }
 
 TEST_F(PsTest, ServerMemoryBudgetEnforced) {
-  sim::ClusterConfig cfg;
-  cfg.num_executors = 1;
-  cfg.num_servers = 1;
-  cfg.server_mem_bytes = 32 << 10;
-  sim::SimCluster tiny(cfg);
-  net::RpcFabric fabric(&tiny);
-  PsContext psctx(&tiny, &fabric, nullptr);
-  ASSERT_TRUE(psctx.Start().ok());
-  auto meta = psctx.CreateMatrix("big", 1 << 20, 16);
-  ASSERT_TRUE(meta.ok());
-  PsAgent agent(&psctx, tiny.config().executor(0));
-  std::vector<uint64_t> keys;
-  std::vector<float> vals;
-  for (uint64_t k = 0; k < 4096; ++k) {
-    keys.push_back(k);
-    for (int c = 0; c < 16; ++c) vals.push_back(1.0f);
+  // A push or merge of more new rows than the server's budget holds fails
+  // whole: the rows, the shard's charges and the node's usage and peak
+  // stay where they were before it.
+  for (const bool merge : {false, true}) {
+    SCOPED_TRACE(merge ? "ps.merge" : "ps.push_add");
+    sim::ClusterConfig cfg;
+    cfg.num_executors = 1;
+    cfg.num_servers = 1;
+    cfg.server_mem_bytes = 32 << 10;
+    sim::SimCluster tiny(cfg);
+    net::RpcFabric fabric(&tiny);
+    PsContext psctx(&tiny, &fabric, nullptr);
+    ASSERT_TRUE(psctx.Start().ok());
+    auto meta = psctx.CreateMatrix("big", 1 << 20, 16);
+    ASSERT_TRUE(meta.ok());
+    PsAgent agent(&psctx, tiny.config().executor(0));
+    ASSERT_TRUE(
+        agent.PushAdd(*meta, {5000}, std::vector<float>(16, 2.0f)).ok());
+    PsServer* server = psctx.server(0);
+    MatrixShard* shard = *server->GetShard(meta->id);
+    const RowList rows = Contents(shard->rows);
+    const uint64_t charged = server->charged_bytes();
+    const sim::NodeId node = server->node();
+    const uint64_t usage = tiny.memory().Usage(node);
+    const uint64_t peak = tiny.memory().Peak(node);
+
+    std::vector<uint64_t> keys;
+    std::vector<float> vals;
+    for (uint64_t k = 0; k < 4096; ++k) {
+      keys.push_back(k);
+      for (int c = 0; c < 16; ++c) vals.push_back(1.0f);
+    }
+    Status st = merge ? agent.MergeRows(*meta, 0, keys, vals)
+                      : agent.PushAdd(*meta, keys, vals);
+    EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
+    EXPECT_EQ(Contents(shard->rows), rows);
+    EXPECT_EQ(server->charged_bytes(), charged);
+    EXPECT_EQ(tiny.memory().Usage(node), usage);
+    EXPECT_EQ(tiny.memory().Peak(node), peak);
   }
-  Status st = agent.PushAdd(*meta, keys, vals);
-  EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
 }
 
 TEST_F(PsTest, SyncControllerBspVsAsp) {
@@ -636,18 +669,6 @@ void ExpectSameCharges(SoloServer& batched, SoloServer& per_row) {
     EXPECT_EQ(got.max, want.max) << name;
     EXPECT_EQ(got.buckets, want.buckets) << name;
   }
-}
-
-/// (key, row) pairs, as a store iterates them.
-using RowList = std::vector<std::pair<uint64_t, std::vector<float>>>;
-
-/// The rows of a store, in its ascending key order.
-RowList Contents(const RowStore& store) {
-  RowList out;
-  for (const auto [key, row] : store) {
-    out.emplace_back(key, std::vector<float>(row.begin(), row.end()));
-  }
-  return out;
 }
 
 /// Rows of matrix `id`, in ascending key order.
@@ -1042,24 +1063,32 @@ TEST_F(PsTest, ZeroWidthColumnSliceKeepsItsRowsAndCharges) {
 }
 
 TEST(PsServerTest, FailedChargeLeavesNoRow) {
-  // Room for three 2-float rows (56 B each): the fourth new row's charge
-  // fails, it is not materialized, and only the first three are charged.
+  // Room for three 2-float rows (56 B each). A push of four new rows
+  // (key 9 twice, counted once) does not fit: it fails whole, and no row
+  // is materialized or charged.
   SoloServer solo(3 * 56 + 20);
   solo.Create(1, 100, 2);
-  std::vector<float> values(5 * 2, 1.0f);
-  Status st = solo.server->PushAdd(1, std::vector<uint64_t>{9, 2, 9, 70, 71},
-                                   values);
-  EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
-  EXPECT_EQ(RowsOf(solo, 1),
-            (RowList{{2, {1, 1}}, {9, {2, 2}}, {70, {1, 1}}}));
-  EXPECT_FALSE(solo.Has(1, 71));
   const sim::NodeId node = solo.server->node();
-  EXPECT_EQ(solo.cluster->memory().Usage(node), 3 * 56u);
-  EXPECT_EQ(solo.server->charged_bytes(), 3 * 56u);
+  Status st = solo.server->PushAdd(1, std::vector<uint64_t>{9, 2, 9, 70, 71},
+                                   std::vector<float>(5 * 2, 1.0f));
+  EXPECT_TRUE(st.IsMemoryLimitExceeded()) << st.ToString();
+  EXPECT_TRUE(RowsOf(solo, 1).empty());
+  EXPECT_EQ(solo.cluster->memory().Usage(node), 0u);
+  EXPECT_EQ(solo.cluster->memory().Peak(node), 0u);
+  EXPECT_EQ(solo.server->charged_bytes(), 0u);
   // The push's compute was charged before the rows were applied.
   EXPECT_EQ(solo.cluster->clock().NowTicks(node),
             sim::SimClock::TicksOf(
                 solo.cluster->cost().ComputeTime(10 / 4 + 5)));
+  // Three new rows, 9 again counted once, fit.
+  ASSERT_TRUE(solo.server
+                  ->PushAdd(1, std::vector<uint64_t>{9, 2, 9, 70},
+                            std::vector<float>(4 * 2, 1.0f))
+                  .ok());
+  EXPECT_EQ(RowsOf(solo, 1),
+            (RowList{{2, {1, 1}}, {9, {2, 2}}, {70, {1, 1}}}));
+  EXPECT_EQ(solo.cluster->memory().Usage(node), 3 * 56u);
+  EXPECT_EQ(solo.server->charged_bytes(), 3 * 56u);
   // Dropping the matrix releases exactly what was charged.
   ASSERT_TRUE(solo.server->DropMatrix(1).ok());
   EXPECT_EQ(solo.cluster->memory().Usage(node), 0u);
